@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from glf.errors import BridgeError, GlfError, NameClash
+from glf.errors import BridgeError, GlfError, NameClash, nesting_limit
 from glf.grammar import (
     CFG,
     AbstractGrammar,
@@ -170,30 +170,31 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
     One Reading per parse in parse order; readings whose normal forms are
     α-equal are collapsed into the first.
     """
-    if isinstance(sentence_or_ast, Term):
-        asts = [term_to_ast(fragment.abstract, sentence_or_ast)]
-    else:
-        asts = parse_sentence(fragment, sentence_or_ast, language)
-    flat = fragment.target_flat
-    readings: list[Reading] = []
-    seen: set[Term] = set()
-    for ast in asts:
-        try:
-            raw = apply_view(fragment.graph, fragment.semantics_view, ast)
-            term = normalize(flat, raw)
-        except GlfError as err:
-            failure = BridgeError(
-                f"semantics construction failed on {print_term(fragment.language_flat, ast)}: {err}"
-            )
-            failure.ast = ast
-            raise failure from err
-        key = alpha_normal(term)
-        if key in seen:
-            continue
-        seen.add(key)
-        ok, diagnostics = check_in_target_logic(fragment, term)
-        readings.append(Reading(ast, raw, term, ok, diagnostics))
-    return readings
+    with nesting_limit("the sentence"):
+        if isinstance(sentence_or_ast, Term):
+            asts = [term_to_ast(fragment.abstract, sentence_or_ast)]
+        else:
+            asts = parse_sentence(fragment, sentence_or_ast, language)
+        flat = fragment.target_flat
+        readings: list[Reading] = []
+        seen: set[Term] = set()
+        for ast in asts:
+            try:
+                raw = apply_view(fragment.graph, fragment.semantics_view, ast)
+                term = normalize(flat, raw)
+            except GlfError as err:
+                failure = BridgeError(
+                    f"semantics construction failed on {print_term(fragment.language_flat, ast)}: {err}"
+                )
+                failure.ast = ast
+                raise failure from err
+            key = alpha_normal(term)
+            if key in seen:
+                continue
+            seen.add(key)
+            ok, diagnostics = check_in_target_logic(fragment, term)
+            readings.append(Reading(ast, raw, term, ok, diagnostics))
+        return readings
 
 
 def translate(fragment: Fragment, sentence: str, source: str, target: str) -> list[str]:

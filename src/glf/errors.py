@@ -6,9 +6,29 @@ one type and keep the session alive.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class GlfError(Exception):
     """Base class for all framework errors."""
+
+
+class NestingTooDeep(GlfError):
+    """Input nested deeper than the interpreter's recursion limit allows."""
+
+
+@contextmanager
+def nesting_limit(what: str) -> Iterator[None]:
+    """Report a `RecursionError` raised inside the block as `NestingTooDeep`."""
+    try:
+        yield
+    except RecursionError:
+        raise NestingTooDeep(
+            f"{what} is nested too deeply to process "
+            f"(the recursion limit is {sys.getrecursionlimit()})"
+        ) from None
 
 
 # --- kernel ---------------------------------------------------------------

@@ -4,53 +4,80 @@ Terms are immutable trees. The only term equality used anywhere in the
 framework is α-equivalence; plain ``==`` is structural equality and is an
 implementation detail (it agrees with α-equivalence on `alpha_normal` forms).
 
+Each node caches its free variables in one extra slot, filled the first
+time `free_vars` meets the node. Terms are shared, so substitution pays for
+a subterm's free variables once rather than on every β-step. The cache is
+not part of ``==``, ``hash``, ``repr`` or pattern matching: a node with its
+cache filled equals a freshly built one.
+
 The non-dependent arrow ``A -> B`` is not a separate constructor: it is a
 `Pi` whose binder does not occur free in the codomain (see `arrow`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Base of the term classes.
+
+    Copies and pickles rebuild a node from its fields, so they never read
+    a free-variable slot that `free_vars` has not filled yet.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+@dataclass(frozen=True, slots=True)
+class Const(_Node):
     """A reference to a declared constant, by (possibly qualified) name."""
 
     name: str
+    # Every class has this slot: unset until `free_vars` fills it, and not
+    # an argument, a match pattern, or part of ==, hash or repr.
+    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(_Node):
     name: str
+    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, slots=True)
+class App(_Node):
     fn: "Term"
     arg: "Term"
+    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class Lam:
+@dataclass(frozen=True, slots=True)
+class Lam(_Node):
     binder: str
     binder_type: Union["Term", None]
     body: "Term"
+    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class Pi:
+@dataclass(frozen=True, slots=True)
+class Pi(_Node):
     binder: str
     domain: "Term"
     codomain: "Term"
+    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class Sort:
+@dataclass(frozen=True, slots=True)
+class Sort(_Node):
     """The sort `type`, plus the internal classifier `kind` sitting above it."""
 
     name: str
+    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
 Term = Union[Const, Var, App, Lam, Pi, Sort]
@@ -97,22 +124,51 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """``a | b``, reusing an operand that already holds the union."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _bound(fv: frozenset[str], binder: str) -> frozenset[str]:
+    """`fv` less the variable a binder captures."""
+    if binder not in fv:
+        return fv
+    return (fv - {binder}) or _NO_VARS
+
+
 def free_vars(t: Term) -> frozenset[str]:
+    """The variables occurring free in `t`, computed once per node.
+
+    Nodes share their sets where they can, so caching costs little memory.
+    """
+    try:
+        return t._free_vars
+    except AttributeError:
+        pass
     match t:
         case Var(name):
-            return frozenset((name,))
+            fv = frozenset((name,))
         case Const() | Sort():
-            return frozenset()
+            fv = _NO_VARS
         case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
+            fv = _union(free_vars(fn), free_vars(arg))
         case Lam(binder, binder_type, body):
-            fv = free_vars(body) - {binder}
+            fv = _bound(free_vars(body), binder)
             if binder_type is not None:
-                fv |= free_vars(binder_type)
-            return fv
+                fv = _union(free_vars(binder_type), fv)
         case Pi(binder, domain, codomain):
-            return free_vars(domain) | (free_vars(codomain) - {binder})
-    raise TypeError(f"not a term: {t!r}")
+            fv = _union(free_vars(domain), _bound(free_vars(codomain), binder))
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_free_vars", fv)
+    return fv
 
 
 def constants(t: Term) -> frozenset[str]:
@@ -147,11 +203,11 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     fv_s = free_vars(s)
 
     def go(t: Term) -> Term:
+        if x not in free_vars(t):
+            return t
         match t:
-            case Var(name):
-                return s if name == x else t
-            case Const() | Sort():
-                return t
+            case Var():
+                return s
             case App(fn, arg):
                 return App(go(fn), go(arg))
             case Lam(binder, binder_type, body):

@@ -7,8 +7,8 @@
     glf gold [dir]                       run gold cases (default: shipped corpus)
     glf repl <dir>                       interactive session
 
-Exit status: 0 on success, 1 on failure (load error, no parse, failed gold
-case), 2 on usage errors.
+Exit status: 0 on success, 1 on failure (load error, no parse, exhausted
+tableau step budget, failed gold case), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -110,14 +110,15 @@ def _cmd_analyze(args) -> int:
         print(f"no usable reading: {sentence}", file=sys.stderr)
         return 1
     state = update_belief_state(initial_state(fragment), usable)
+    if state.exhausted:
+        print(f"error: the tableau exhausted its step budget of {state.step_budget} "
+              "steps; its models would be partial", file=sys.stderr)
+        return 1
     flat = state.signature.flat
-    models = extract_models(state)
     if not state.branches:
         print("contradiction: every branch closed")
-    for i, model in enumerate(models, 1):
+    for i, model in enumerate(extract_models(state), 1):
         print(f"model {i}: {{ " + ", ".join(l.render(flat) for l in model) + " }")
-    if state.exhausted:
-        print("(step budget exhausted; models are partial)", file=sys.stderr)
     return 0
 
 

@@ -21,8 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
-from glf.errors import EmptyReadings, IllTypedAxiom, NoDomainType, TableauError, TypeError_
-from glf.kernel import App, Const, Term, alpha_eq, alpha_normal, normalize, spine
+from glf.errors import (
+    EmptyReadings,
+    IllTypedAxiom,
+    NoDomainType,
+    TableauError,
+    TypeError_,
+    nesting_limit,
+)
+from glf.kernel import App, Const, Term, alpha_normal, normalize, spine
 from glf.kernel.typecheck import EMPTY, check_type
 from glf.modsys import print_term
 from glf.modsys.theory import FlatTheory
@@ -82,6 +89,8 @@ class Branch:
     literals: tuple[Literal, ...] = ()
     pending: tuple[Term, ...] = ()
     closed: bool = False
+    #: The α-normal form of each literal's atom, mapped to its polarity.
+    polarity: Mapping[Term, bool] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -196,21 +205,21 @@ def _classify(
 
 
 def _with_literal(branch: Branch, lit: Literal, rest: tuple[Term, ...]) -> Branch:
+    key = alpha_normal(lit.atom)
     # The designated atoms carry their truth value with them.
-    if alpha_eq(lit.atom, TOP):
-        if lit.positive:
-            return replace(branch, pending=rest)
-        return replace(branch, pending=rest, closed=True)
-    if alpha_eq(lit.atom, BOTTOM):
-        if lit.positive:
-            return replace(branch, pending=rest, closed=True)
-        return replace(branch, pending=rest)
-    for known in branch.literals:
-        if alpha_eq(known.atom, lit.atom):
-            if known.positive == lit.positive:
-                return replace(branch, pending=rest)
-            return replace(branch, pending=rest, closed=True)
-    return replace(branch, literals=branch.literals + (lit,), pending=rest)
+    if key == TOP:
+        return replace(branch, pending=rest, closed=not lit.positive)
+    if key == BOTTOM:
+        return replace(branch, pending=rest, closed=lit.positive)
+    known = branch.polarity.get(key)
+    if known is not None:
+        return replace(branch, pending=rest, closed=known != lit.positive)
+    return replace(
+        branch,
+        literals=branch.literals + (lit,),
+        pending=rest,
+        polarity={**branch.polarity, key: lit.positive},
+    )
 
 
 def expand_step(state: BeliefState) -> BeliefState:
@@ -305,32 +314,31 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
     so syntactic ambiguity that melts away semantically costs nothing.
     Closed branches are dropped from the result.
     """
-    readings = tuple(readings)
-    if not readings:
-        raise EmptyReadings("a sentence must have at least one reading")
-    flat = state.signature.flat
+    with nesting_limit("a reading"):
+        readings = tuple(readings)
+        if not readings:
+            raise EmptyReadings("a sentence must have at least one reading")
+        flat = state.signature.flat
 
-    distinct: list[Term] = []
-    for r in readings:
-        _check_proposition(state.signature, r, "reading")
-        n = alpha_normal(normalize(flat, r))
-        if not any(alpha_eq(n, seen) for seen in distinct):
-            distinct.append(n)
-    grounded = [ground_quantifiers(state.signature, n) for n in distinct]
+        distinct: dict[Term, None] = {}
+        for r in readings:
+            _check_proposition(state.signature, r, "reading")
+            distinct.setdefault(alpha_normal(normalize(flat, r)))
+        grounded = [ground_quantifiers(state.signature, n) for n in distinct]
 
-    branches = tuple(
-        replace(b, pending=b.pending + (g,))
-        for g in grounded
-        for b in state.open_branches
-    )
-    state = replace(
-        state,
-        branches=branches,
-        history=state.history
-        + (f"update with {len(distinct)} reading(s) over {len(state.open_branches)} branch(es)",),
-    )
-    state = saturate(state)
-    return replace(state, branches=state.open_branches)
+        branches = tuple(
+            replace(b, pending=b.pending + (g,))
+            for g in grounded
+            for b in state.open_branches
+        )
+        state = replace(
+            state,
+            branches=branches,
+            history=state.history
+            + (f"update with {len(distinct)} reading(s) over {len(state.open_branches)} branch(es)",),
+        )
+        state = saturate(state)
+        return replace(state, branches=state.open_branches)
 
 
 def extract_models(state: BeliefState) -> tuple[tuple[Literal, ...], ...]:
@@ -340,17 +348,21 @@ def extract_models(state: BeliefState) -> tuple[tuple[Literal, ...], ...]:
     the printed form of its atom, so output is stable across runs.
     """
     flat = state.signature.flat
+    texts: dict[Term, str] = {}
 
     def key(lit: Literal) -> tuple[int, str]:
-        return (0 if lit.positive else 1, print_term(flat, lit.atom))
+        text = texts.get(lit.atom)
+        if text is None:
+            text = texts[lit.atom] = print_term(flat, lit.atom)
+        return (0 if lit.positive else 1, text)
 
     models: list[tuple[Literal, ...]] = []
-    seen: set[tuple[tuple[bool, str], ...]] = set()
+    seen: set[tuple[tuple[int, str], ...]] = set()
     for branch in state.branches:
         if branch.closed:
             continue
         lits = tuple(sorted(branch.literals, key=key))
-        fingerprint = tuple((l.positive, print_term(flat, l.atom)) for l in lits)
+        fingerprint = tuple(map(key, lits))
         if fingerprint not in seen:
             seen.add(fingerprint)
             models.append(lits)

@@ -11,6 +11,7 @@ from glf.kernel import (
     Lam,
     Pi,
     Signature,
+    Sort,
     TYPE,
     Term,
     Var,
@@ -85,6 +86,25 @@ def applicative_normalize(sig, t: Term, budget: int = 100_000) -> Term:
                 return t
 
     return norm(t)
+
+
+def reference_free_vars(t: Term) -> frozenset[str]:
+    """Free variables by a plain traversal that never reads a node's cache."""
+    match t:
+        case Var(name):
+            return frozenset((name,))
+        case Const() | Sort():
+            return frozenset()
+        case App(fn, arg):
+            return reference_free_vars(fn) | reference_free_vars(arg)
+        case Lam(binder, binder_type, body):
+            fv = reference_free_vars(body) - {binder}
+            if binder_type is not None:
+                fv |= reference_free_vars(binder_type)
+            return fv
+        case Pi(binder, domain, codomain):
+            return reference_free_vars(domain) | (reference_free_vars(codomain) - {binder})
+    raise TypeError(f"not a term: {t!r}")
 
 
 # --- random well-typed terms -------------------------------------------------

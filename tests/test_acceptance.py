@@ -240,3 +240,13 @@ def test_a11_glf_console_script_is_the_cli_main():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
     assert scripts["glf"] == f"{CLI_MODULE}:main"
+
+
+def test_a12_too_deep_input_is_one_error_line():
+    words = "Mary believes that ".split() * 400 + ["John", "runs"]
+    for command in ("construct", "analyze"):
+        run = run_cli(command, str(fragment_dir("modal")), *words)
+        assert run.returncode == 1, run.stderr[-2000:]
+        assert "Traceback" not in run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines[:3]

@@ -39,6 +39,16 @@ def doctored(tmp_path, name, rel, old, new):
     return root
 
 
+#: Saturating this sentence in `quantified` takes more than 5 steps.
+OVER_BUDGET = "everyone and someone love someone"
+
+
+def tight_budget(tmp_path):
+    """A copy of `quantified` whose tableau may take only 5 steps per update."""
+    return doctored(tmp_path, "quantified", "fragment.manifest",
+                    "name = quantified", "name = quantified\nstep_budget = 5")
+
+
 def collect(session, line):
     out = []
     alive = execute(session, line, out.append)
@@ -258,6 +268,18 @@ class TestRepl:
         _, out = collect(session, "analyze Mary loves herself")
         assert "contradiction: every branch closed" in out
 
+    def test_exhausted_budget_keeps_the_partial_state_label(self, tmp_path):
+        session = new_session(load_fragment(tight_budget(tmp_path)))
+        _, out = collect(session, "analyze " + OVER_BUDGET)
+        assert "(step budget exhausted; state is partial)" in out
+
+    def test_too_deep_sentence_is_one_error_line(self):
+        session = new_session(load_fragment(fragment_dir("modal")))
+        alive, out = collect(session, "construct " + "Mary believes that " * 400 + "John runs")
+        assert alive
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert "nested too deeply" in out
+
     def test_reset_restores_the_initial_state(self, life):
         session = new_session(life)
         collect(session, "analyze Mary loves herself")
@@ -357,6 +379,16 @@ class TestCli:
                      "Mary", "loves", "herself"])
         assert code == 0
         assert "contradiction" in capsys.readouterr().out
+
+    def test_analyze_with_an_exhausted_budget_is_an_error(self, tmp_path, capsys):
+        root = str(tight_budget(tmp_path))
+        assert main(["analyze", root, *"someone runs".split()]) == 0
+        assert "model 1: {" in capsys.readouterr().out
+        assert main(["analyze", root, *OVER_BUDGET.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "step budget of 5" in captured.err
 
     def test_gold_defaults_to_the_shipped_corpus(self, capsys):
         assert main(["gold"]) == 0

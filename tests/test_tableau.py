@@ -218,6 +218,16 @@ class TestExpansionRules:
         state = init_belief_state(PROP_SIG, (prop("p1"), prop("p1 ⇒ p2")))
         assert rendered(state) == [("p1", "p2")]
 
+    def test_alpha_variant_atoms_under_an_opaque_operator_meet(self):
+        # Axioms are not α-normalized, so these atoms differ under plain ==.
+        boxed_x = fol("box' (∀ [x : ι] run' x)")
+        boxed_y = fol("box' (∀ [y : ι] run' y)")
+        assert boxed_x != boxed_y
+        state = init_belief_state(FOL_SIG, (boxed_x, app(Const("neg"), boxed_y)))
+        assert state.open_branches == ()
+        state = init_belief_state(FOL_SIG, (boxed_x, boxed_y))
+        assert [len(model) for model in extract_models(state)] == [1]
+
     def test_expand_step_is_identity_when_quiescent(self):
         state = init_belief_state(PROP_SIG, (prop("p1"),))
         assert expand_step(state) is state

@@ -1,4 +1,8 @@
+import copy
+import pickle
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from glf.kernel import (
@@ -6,6 +10,7 @@ from glf.kernel import (
     Const,
     Lam,
     Pi,
+    Sort,
     Var,
     alpha_eq,
     alpha_normal,
@@ -18,7 +23,7 @@ from glf.kernel import (
     spine,
     substitute,
 )
-from helpers import untyped_terms
+from helpers import reference_free_vars, untyped_terms
 
 love = Const("love'")
 joan = Const("joan'")
@@ -111,3 +116,61 @@ class TestAlphaNormal:
         t = Lam("x", None, Var("x"))
         u = Lam("y", None, Var("y"))
         assert {alpha_normal(t), alpha_normal(u)} == {alpha_normal(t)}
+
+
+def rebuild(t):
+    """A structurally equal copy of `t` made of new nodes, none of them cached."""
+    match t:
+        case App(fn, arg):
+            return App(rebuild(fn), rebuild(arg))
+        case Lam(binder, binder_type, body):
+            bt = rebuild(binder_type) if binder_type is not None else None
+            return Lam(binder, bt, rebuild(body))
+        case Pi(binder, domain, codomain):
+            return Pi(binder, rebuild(domain), rebuild(codomain))
+        case Var(name):
+            return Var(name)
+        case Const(name):
+            return Const(name)
+        case Sort(name):
+            return Sort(name)
+
+
+class TestFreeVarCache:
+    @given(untyped_terms(), untyped_terms(), st.sampled_from(["x", "y", "z"]))
+    def test_cached_free_vars_agree_with_the_reference(self, t, s, x):
+        assert free_vars(t) == reference_free_vars(t)
+        assert free_vars(s) == reference_free_vars(s)
+        # Both caches are filled now; substitution shares their nodes into
+        # larger terms, whose own sets are built from the cached ones.
+        u = substitute(t, x, s)
+        bigger = App(Lam(x, None, u), Pi(x, s, t))
+        assert free_vars(bigger) == reference_free_vars(bigger)
+        assert free_vars(u) == reference_free_vars(u)
+        assert free_vars(t) == reference_free_vars(t)
+        assert free_vars(s) == reference_free_vars(s)
+
+    @given(untyped_terms())
+    def test_cache_is_invisible_to_equality_hash_and_repr(self, t):
+        free_vars(t)
+        fresh = rebuild(t)
+        assert fresh == t and t == fresh
+        assert hash(fresh) == hash(t)
+        assert repr(fresh) == repr(t)
+
+    @given(untyped_terms())
+    def test_copies_and_pickles_with_or_without_a_filled_cache(self, t):
+        unfilled = rebuild(t)
+        free_vars(t)
+        for term in (unfilled, t):
+            for duplicate in (copy.copy, copy.deepcopy,
+                              lambda u: pickle.loads(pickle.dumps(u))):
+                assert duplicate(term) == term
+
+    def test_cache_is_neither_a_constructor_argument_nor_a_pattern(self):
+        assert App.__match_args__ == ("fn", "arg")
+        assert Lam.__match_args__ == ("binder", "binder_type", "body")
+        assert Pi.__match_args__ == ("binder", "domain", "codomain")
+        assert Var.__match_args__ == Const.__match_args__ == Sort.__match_args__ == ("name",)
+        with pytest.raises(TypeError):
+            Var("x", frozenset({"x"}))
