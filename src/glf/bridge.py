@@ -83,14 +83,9 @@ def generate_view_stub(language_theory: Theory, graph: TheoryGraph, target: str)
     return "\n".join(lines) + "\n"
 
 
-def ast_to_term(abstract: AbstractGrammar, ast: Term) -> Term:
-    """Trees already are terms over the language theory; this just checks."""
-    ast_category(abstract, ast)
-    return ast
-
-
 def term_to_ast(abstract: AbstractGrammar, t: Term) -> Term:
-    """Inverse of ast_to_term on its image (Const/App terms of a category)."""
+    """Trees already are terms over the language theory; this just checks
+    that `t` is a Const/App term of some category."""
     ast_category(abstract, t)
     return t
 

@@ -15,7 +15,7 @@ make that impossible, so compilation rejects it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from glf.errors import GrammarError, MissingLin, ParamBlowup
 from glf.grammar.abstract import AbstractGrammar
@@ -51,21 +51,54 @@ class Production:
 
 @dataclass(frozen=True)
 class CFG:
+    """Productions plus the integer tables the chart parser runs on.
+
+    The tables are derived from the productions once, at construction.
+    Nonterminals become small int codes, left-hand sides first, each in
+    order of first appearance. Production `i` has left-hand side `lhs[i]`
+    and right-hand side `rhs[i]`, a tuple of terminal strings and codes;
+    `slots[i]` gives the argument index of each of its codes in surface
+    order. `by_lhs[c]` lists the productions of code `c` in declaration
+    order, `nullable[c]` says whether `c` derives the empty string, and
+    `starts` are the codes of the start category, in order of first
+    appearance as a left-hand side.
+    """
+
     start: str
     productions: tuple[Production, ...]
+    lhs: list[int] = field(init=False, repr=False, compare=False)
+    rhs: list[tuple[str | int, ...]] = field(init=False, repr=False, compare=False)
+    slots: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    by_lhs: list[list[int]] = field(init=False, repr=False, compare=False)
+    nullable: list[bool] = field(init=False, repr=False, compare=False)
+    starts: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_lhs: dict[NT, list[Production]] = {}
-        for p in self.productions:
-            by_lhs.setdefault(p.lhs, []).append(p)
-        object.__setattr__(self, "_by_lhs", by_lhs)
-
-    def expansions(self, nt: NT) -> list[Production]:
-        return getattr(self, "_by_lhs").get(nt, [])
-
-    @property
-    def start_symbols(self) -> list[NT]:
-        return [nt for nt in getattr(self, "_by_lhs") if nt.cat == self.start]
+        codes: dict[NT, int] = {}
+        lhs = [codes.setdefault(p.lhs, len(codes)) for p in self.productions]
+        rhs = [tuple(it if isinstance(it, str) else codes.setdefault(it[0], len(codes))
+                     for it in p.rhs)
+               for p in self.productions]
+        by_lhs: list[list[int]] = [[] for _ in codes]
+        for idx, c in enumerate(lhs):
+            by_lhs[c].append(idx)
+        nullable = [False] * len(codes)
+        changed = True
+        while changed:
+            changed = False
+            for c, r in zip(lhs, rhs):
+                if not nullable[c] and all(not isinstance(it, str) and nullable[it] for it in r):
+                    nullable[c] = changed = True
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "slots", [
+            tuple(it[1] for it in p.rhs if not isinstance(it, str)) for p in self.productions
+        ])
+        object.__setattr__(self, "by_lhs", by_lhs)
+        object.__setattr__(self, "nullable", nullable)
+        object.__setattr__(self, "starts", [
+            c for nt, c in codes.items() if nt.cat == self.start and by_lhs[c]
+        ])
 
 
 def _valuations(grammar: ConcreteGrammar, param_names: tuple[str, ...]):

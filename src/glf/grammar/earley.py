@@ -6,13 +6,26 @@ extraction pass that rebuilds every abstract syntax tree for the input.
 Extraction order is deterministic: productions in declaration order,
 split points left to right.
 
+Both passes run on the integer tables a `CFG` builds once (nonterminal
+codes, coded right-hand sides, productions by left-hand side, nullability,
+start codes). Chart items are `(production, dot, origin)` triples. The
+recognizer keeps, per position, the items waiting on each nonterminal: a
+nonterminal is predicted the first time an item waits on it, and a
+completion advances only the items waiting on its left-hand side at its
+origin. Ends of completed spans arrive in increasing order.
+
+Extraction hash-conses its trees through one table per parse, keyed by the
+function and the identities of the arguments, so equal trees are the same
+object and duplicates are dropped by identity. It still recurses once per
+level of embedding.
+
 The first input token is matched case-insensitively so sentence-initial
 capitalization does not require lexicon duplicates.
 """
 
 from __future__ import annotations
 
-from glf.grammar.cfg import CFG, NT, Production
+from glf.grammar.cfg import CFG
 from glf.kernel import App, Const, Term
 
 
@@ -24,137 +37,132 @@ def _match(terminal: str, word: str, pos: int) -> bool:
     return terminal == word or (pos == 0 and terminal.lower() == word.lower())
 
 
-def _nullable(cfg: CFG) -> frozenset[NT]:
-    nullable: set[NT] = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in cfg.productions:
-            if p.lhs in nullable:
-                continue
-            if all(not isinstance(it, str) and it[0] in nullable for it in p.rhs):
-                nullable.add(p.lhs)
-                changed = True
-    return frozenset(nullable)
-
-
-def _run(cfg: CFG, tokens: list[str]) -> dict[tuple[NT, int], list[int]]:
-    """Return completed spans: (nonterminal, start) -> sorted end positions."""
+def _run(cfg: CFG, tokens: list[str]) -> dict[tuple[int, int], list[int]]:
+    """Return completed spans: (nonterminal code, start) -> ascending ends."""
     n = len(tokens)
-    nullable = _nullable(cfg)
-    prods = cfg.productions
-    by_lhs: dict[NT, list[int]] = {}
-    for idx, p in enumerate(prods):
-        by_lhs.setdefault(p.lhs, []).append(idx)
-
-    charts: list[dict[tuple[int, int, int], None]] = [{} for _ in range(n + 1)]
-    completed: dict[tuple[NT, int], list[int]] = {}
-
-    def add(pos: int, item: tuple[int, int, int]) -> bool:
-        if item in charts[pos]:
-            return False
-        charts[pos][item] = None
-        return True
-
-    for s in cfg.start_symbols:
-        for idx in by_lhs.get(s, []):
-            add(0, (idx, 0, 0))
+    rhs_of, lhs_of, by_lhs, nullable = cfg.rhs, cfg.lhs, cfg.by_lhs, cfg.nullable
+    completed: dict[tuple[int, int], list[int]] = {}
+    # waiting[pos][code]: the items at pos whose next symbol is code.
+    waiting: list[dict[int, list[tuple[int, int, int]]]] = []
+    items = [(idx, 0, 0) for s in cfg.starts for idx in by_lhs[s]]
 
     for pos in range(n + 1):
-        work = list(charts[pos])
-        k = 0
-        while k < len(work):
-            idx, dot, origin = work[k]
-            k += 1
-            p = prods[idx]
-            if dot < len(p.rhs):
-                it = p.rhs[dot]
-                if isinstance(it, str):
-                    if pos < n and _match(it, tokens[pos], pos):
-                        add(pos + 1, (idx, dot + 1, origin))
+        word = tokens[pos] if pos < n else None
+        wait: dict[int, list[tuple[int, int, int]]] = {}
+        waiting.append(wait)
+        seen = set(items)
+        work, items = items, []
+        for item in work:  # grows while it is walked
+            idx, dot, origin = item
+            rhs = rhs_of[idx]
+            if dot < len(rhs):
+                sym = rhs[dot]
+                if sym.__class__ is str:
+                    if word is not None and _match(sym, word, pos):
+                        items.append((idx, dot + 1, origin))
                     continue
-                child = it[0]
-                for cidx in by_lhs.get(child, []):
-                    if add(pos, (cidx, 0, pos)):
-                        work.append((cidx, 0, pos))
-                if child in nullable and add(pos, (idx, dot + 1, origin)):
-                    work.append((idx, dot + 1, origin))
+                waiters = wait.get(sym)
+                if waiters is None:
+                    wait[sym] = [item]
+                    for cidx in by_lhs[sym]:
+                        new = (cidx, 0, pos)
+                        if new not in seen:
+                            seen.add(new)
+                            work.append(new)
+                else:
+                    waiters.append(item)
+                # A nullable child may have completed here before this item
+                # started waiting on it.
+                if nullable[sym]:
+                    new = (idx, dot + 1, origin)
+                    if new not in seen:
+                        seen.add(new)
+                        work.append(new)
             else:
-                ends = completed.setdefault((p.lhs, origin), [])
-                if pos not in ends:
+                lhs = lhs_of[idx]
+                ends = completed.get((lhs, origin))
+                if ends is None:
+                    completed[lhs, origin] = [pos]
+                elif ends[-1] != pos:
                     ends.append(pos)
-                # origin < pos leaves charts[origin] frozen; origin == pos is
-                # covered by the nullable pre-advance above.
-                for i2, d2, o2 in list(charts[origin]):
-                    p2 = prods[i2]
-                    if d2 < len(p2.rhs):
-                        it2 = p2.rhs[d2]
-                        if not isinstance(it2, str) and it2[0] == p.lhs:
-                            if add(pos, (i2, d2 + 1, o2)):
-                                work.append((i2, d2 + 1, o2))
-
-    for ends in completed.values():
-        ends.sort()
+                for i2, d2, o2 in waiting[origin].get(lhs, ()):
+                    new = (i2, d2 + 1, o2)
+                    if new not in seen:
+                        seen.add(new)
+                        work.append(new)
     return completed
 
 
 def recognize(cfg: CFG, tokens: list[str]) -> bool:
     completed = _run(cfg, tokens)
     n = len(tokens)
-    return any(n in completed.get((s, 0), ()) for s in cfg.start_symbols)
+    return any(n in completed.get((s, 0), ()) for s in cfg.starts)
 
 
 def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
     """All abstract syntax trees deriving `tokens`, deduplicated, in grammar order."""
     completed = _run(cfg, tokens)
     n = len(tokens)
-    memo: dict[tuple[NT, int, int], list[Term] | None] = {}
+    rhs_of, slots_of, by_lhs = cfg.rhs, cfg.slots, cfg.by_lhs
+    productions = cfg.productions
+    memo: dict[tuple[int, int, int], list[Term] | None] = {}
+    shared: dict[tuple, Term] = {}  # (fun, id(arg), ...) -> the one such tree
 
-    def parses(nt: NT, i: int, j: int) -> list[Term]:
-        key = (nt, i, j)
+    def tree(idx: int, subs: tuple[Term, ...]) -> Term:
+        p = productions[idx]
+        args: list[Term | None] = [None] * p.arity
+        for argi, sub in zip(slots_of[idx], subs):
+            args[argi] = sub
+        key = (p.fun, *map(id, args))
+        t = shared.get(key)
+        if t is None:
+            t = Const(p.fun)
+            for a in args:
+                t = App(t, a)
+            shared[key] = t
+        return t
+
+    def parses(code: int, i: int, j: int) -> list[Term]:
+        key = (code, i, j)
         if key in memo:
             cached = memo[key]
             return [] if cached is None else cached  # None marks a cycle
         memo[key] = None
-        found: list[Term] = []
-        for p in cfg.expansions(nt):
-            for bound in splits(p, 0, i, j):
-                args: list[Term | None] = [None] * p.arity
-                for argi, sub in bound:
-                    args[argi] = sub
-                t: Term = Const(p.fun)
-                for a in args:
-                    t = App(t, a)
-                found.append(t)
-        result = list(dict.fromkeys(found))
+        found: dict[int, Term] = {}
+        for idx in by_lhs[code]:
+            for subs in splits(rhs_of[idx], 0, i, j):
+                t = tree(idx, subs)
+                found.setdefault(id(t), t)
+        result = list(found.values())
         memo[key] = result
         return result
 
-    def splits(p: Production, m: int, x: int, j: int):
-        """Bind p.rhs[m:] to tokens[x:j]; yield ((arg index, tree), ...)."""
-        if m == len(p.rhs):
-            if x == j:
-                yield ()
-            return
-        it = p.rhs[m]
-        if isinstance(it, str):
-            if x < j and _match(it, tokens[x], x):
-                yield from splits(p, m + 1, x + 1, j)
-            return
-        child, argi = it
+    def splits(rhs: tuple, m: int, x: int, j: int) -> list[tuple[Term, ...]]:
+        """Bind rhs[m:] to tokens[x:j]: the subtrees of its codes, in order."""
+        while m < len(rhs) and rhs[m].__class__ is str:
+            if x == j or not _match(rhs[m], tokens[x], x):
+                return []
+            m += 1
+            x += 1
+        if m == len(rhs):
+            return [()] if x == j else []
+        child = rhs[m]
+        out: list[tuple[Term, ...]] = []
         for y in completed.get((child, x), ()):
             if y > j:
                 break
             subs = parses(child, x, y)
             if not subs:
                 continue
-            tails = list(splits(p, m + 1, y, j))
+            tails = splits(rhs, m + 1, y, j)
             for sub in subs:
                 for tail in tails:
-                    yield ((argi, sub),) + tail
+                    out.append((sub, *tail))
+        return out
 
-    results: list[Term] = []
-    for s in cfg.start_symbols:
+    results: dict[int, Term] = {}
+    for s in cfg.starts:
         if n in completed.get((s, 0), ()):
-            results.extend(parses(s, 0, n))
-    return list(dict.fromkeys(results))
+            for t in parses(s, 0, n):
+                results.setdefault(id(t), t)
+    return list(results.values())

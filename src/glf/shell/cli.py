@@ -20,7 +20,7 @@ from pathlib import Path
 
 from glf import corpus
 from glf.bridge import construct_semantics, parse_sentence
-from glf.errors import GlfError
+from glf.errors import GlfError, nesting_limit
 from glf.modsys import print_term
 from glf.shell.gold import parse_gold_file, run_gold
 from glf.shell.loader import initial_state, load_fragment
@@ -76,9 +76,11 @@ def _cmd_load(args) -> int:
 def _cmd_parse(args) -> int:
     fragment = load_fragment(args.fragment)
     sentence = " ".join(args.words)
-    asts = parse_sentence(fragment, sentence, args.lang, args.cat)
-    for ast in asts:
-        print(print_term(fragment.language_flat, ast))
+    with nesting_limit("the sentence"):
+        asts = parse_sentence(fragment, sentence, args.lang, args.cat)
+        lines = [print_term(fragment.language_flat, ast) for ast in asts]
+    for line in lines:
+        print(line)
     if not asts:
         print(f"no parse: {sentence}", file=sys.stderr)
         return 1

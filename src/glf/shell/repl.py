@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from glf.bridge import Fragment, construct_semantics, parse_sentence
-from glf.errors import GlfError
+from glf.errors import GlfError, nesting_limit
 from glf.grammar import linearize
 from glf.modsys import parse_term, print_term
 from glf.shell.loader import initial_state
@@ -78,11 +78,13 @@ def execute(session: Session, line: str, write) -> bool:
 
         elif command == "parse":
             language, sentence = _split_language(session, rest)
-            asts = parse_sentence(fragment, sentence, language)
+            with nesting_limit("the sentence"):
+                asts = parse_sentence(fragment, sentence, language)
+                lines = [print_term(fragment.language_flat, ast) + "\n" for ast in asts]
             if not asts:
                 write(f"no parse: {sentence}\n")
-            for ast in asts:
-                write(print_term(fragment.language_flat, ast) + "\n")
+            for line in lines:
+                write(line)
 
         elif command == "linearize":
             language, _, ast_text = rest.partition(" ")

@@ -288,3 +288,163 @@ def random_formula(rng, depth: int) -> Term:
         random_formula(rng, depth - 1),
         random_formula(rng, depth - 1),
     )
+
+
+# --- the reference chart parser ------------------------------------------------
+#
+# The Earley parser as it stood before it ran on the CFG's integer tables,
+# kept as an oracle for `glf.grammar.earley`. `_reference_run`,
+# `_reference_nullable` and `reference_parse_tokens` are that code verbatim,
+# except that the productions by left-hand side and the start symbols, which
+# the CFG no longer provides as `NT` lists, are computed here.
+
+def _reference_match(terminal: str, word: str, pos: int) -> bool:
+    return terminal == word or (pos == 0 and terminal.lower() == word.lower())
+
+
+def _reference_expansions(cfg) -> dict:
+    by_lhs: dict = {}
+    for p in cfg.productions:
+        by_lhs.setdefault(p.lhs, []).append(p)
+    return by_lhs
+
+
+def _reference_start_symbols(cfg) -> list:
+    return [nt for nt in _reference_expansions(cfg) if nt.cat == cfg.start]
+
+
+def _reference_nullable(cfg) -> frozenset:
+    nullable: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for p in cfg.productions:
+            if p.lhs in nullable:
+                continue
+            if all(not isinstance(it, str) and it[0] in nullable for it in p.rhs):
+                nullable.add(p.lhs)
+                changed = True
+    return frozenset(nullable)
+
+
+def _reference_run(cfg, tokens: list[str]) -> dict:
+    """Return completed spans: (nonterminal, start) -> sorted end positions."""
+    n = len(tokens)
+    nullable = _reference_nullable(cfg)
+    prods = cfg.productions
+    by_lhs: dict = {}
+    for idx, p in enumerate(prods):
+        by_lhs.setdefault(p.lhs, []).append(idx)
+
+    charts: list[dict[tuple[int, int, int], None]] = [{} for _ in range(n + 1)]
+    completed: dict = {}
+
+    def add(pos: int, item: tuple[int, int, int]) -> bool:
+        if item in charts[pos]:
+            return False
+        charts[pos][item] = None
+        return True
+
+    for s in _reference_start_symbols(cfg):
+        for idx in by_lhs.get(s, []):
+            add(0, (idx, 0, 0))
+
+    for pos in range(n + 1):
+        work = list(charts[pos])
+        k = 0
+        while k < len(work):
+            idx, dot, origin = work[k]
+            k += 1
+            p = prods[idx]
+            if dot < len(p.rhs):
+                it = p.rhs[dot]
+                if isinstance(it, str):
+                    if pos < n and _reference_match(it, tokens[pos], pos):
+                        add(pos + 1, (idx, dot + 1, origin))
+                    continue
+                child = it[0]
+                for cidx in by_lhs.get(child, []):
+                    if add(pos, (cidx, 0, pos)):
+                        work.append((cidx, 0, pos))
+                if child in nullable and add(pos, (idx, dot + 1, origin)):
+                    work.append((idx, dot + 1, origin))
+            else:
+                ends = completed.setdefault((p.lhs, origin), [])
+                if pos not in ends:
+                    ends.append(pos)
+                # origin < pos leaves charts[origin] frozen; origin == pos is
+                # covered by the nullable pre-advance above.
+                for i2, d2, o2 in list(charts[origin]):
+                    p2 = prods[i2]
+                    if d2 < len(p2.rhs):
+                        it2 = p2.rhs[d2]
+                        if not isinstance(it2, str) and it2[0] == p.lhs:
+                            if add(pos, (i2, d2 + 1, o2)):
+                                work.append((i2, d2 + 1, o2))
+
+    for ends in completed.values():
+        ends.sort()
+    return completed
+
+
+def reference_recognize(cfg, tokens: list[str]) -> bool:
+    completed = _reference_run(cfg, tokens)
+    n = len(tokens)
+    return any(n in completed.get((s, 0), ()) for s in _reference_start_symbols(cfg))
+
+
+def reference_parse_tokens(cfg, tokens: list[str]) -> list[Term]:
+    """All abstract syntax trees deriving `tokens`, deduplicated, in grammar order."""
+    completed = _reference_run(cfg, tokens)
+    n = len(tokens)
+    expansions = _reference_expansions(cfg)
+    memo: dict = {}
+
+    def parses(nt, i: int, j: int) -> list[Term]:
+        key = (nt, i, j)
+        if key in memo:
+            cached = memo[key]
+            return [] if cached is None else cached  # None marks a cycle
+        memo[key] = None
+        found: list[Term] = []
+        for p in expansions.get(nt, []):
+            for bound in splits(p, 0, i, j):
+                args: list[Term | None] = [None] * p.arity
+                for argi, sub in bound:
+                    args[argi] = sub
+                t: Term = Const(p.fun)
+                for a in args:
+                    t = App(t, a)
+                found.append(t)
+        result = list(dict.fromkeys(found))
+        memo[key] = result
+        return result
+
+    def splits(p, m: int, x: int, j: int):
+        """Bind p.rhs[m:] to tokens[x:j]; yield ((arg index, tree), ...)."""
+        if m == len(p.rhs):
+            if x == j:
+                yield ()
+            return
+        it = p.rhs[m]
+        if isinstance(it, str):
+            if x < j and _reference_match(it, tokens[x], x):
+                yield from splits(p, m + 1, x + 1, j)
+            return
+        child, argi = it
+        for y in completed.get((child, x), ()):
+            if y > j:
+                break
+            subs = parses(child, x, y)
+            if not subs:
+                continue
+            tails = list(splits(p, m + 1, y, j))
+            for sub in subs:
+                for tail in tails:
+                    yield ((argi, sub),) + tail
+
+    results: list[Term] = []
+    for s in _reference_start_symbols(cfg):
+        if n in completed.get((s, 0), ()):
+            results.extend(parses(s, 0, n))
+    return list(dict.fromkeys(results))

@@ -244,7 +244,7 @@ def test_a11_glf_console_script_is_the_cli_main():
 
 def test_a12_too_deep_input_is_one_error_line():
     words = "Mary believes that ".split() * 400 + ["John", "runs"]
-    for command in ("construct", "analyze"):
+    for command in ("parse", "construct", "analyze"):
         run = run_cli(command, str(fragment_dir("modal")), *words)
         assert run.returncode == 1, run.stderr[-2000:]
         assert "Traceback" not in run.stderr

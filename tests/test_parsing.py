@@ -1,12 +1,20 @@
-"""Chart parsing and linearization, checked against exhaustive tree enumeration."""
+"""Chart parsing and linearization, checked against exhaustive tree enumeration
+and against the reference parser in `helpers`."""
 
+import functools
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from glf.corpus import fragment_dir
 from glf.errors import GrammarError, MissingLin
 from glf.grammar import (
+    CFG,
+    NT,
     GrammarRegistry,
+    Production,
     compile_cfg,
     linearize,
     parse_grammar_file,
@@ -15,6 +23,8 @@ from glf.grammar import (
     tokenize,
 )
 from glf.kernel import App, Const
+from glf.shell import load_fragment, parse_gold_file
+from helpers import enumerate_asts, reference_parse_tokens, reference_recognize
 
 
 def ast(fun, *args):
@@ -109,6 +119,22 @@ def pipeline(text, abstract_name, concrete_name):
     return a, c, compile_cfg(a, c)
 
 
+S_ = NT("S", (), ())
+A_SG, A_PL = NT("A", ("Sg",), ()), NT("A", ("Pl",), ())
+B_ = NT("B", (), ())
+
+#: Two variant productions of `wrap`, through A[Sg] and A[Pl], give the one
+#: tree `wrap leaf` for "a"; `other b` lies between them in grammar order.
+VARIANTS = CFG("S", (
+    Production(S_, ((A_SG, 0),), "wrap", 1),
+    Production(S_, ((B_, 0),), "other", 1),
+    Production(S_, ((A_PL, 0),), "wrap", 1),
+    Production(A_SG, ("a",), "leaf", 0),
+    Production(A_PL, ("a",), "leaf", 0),
+    Production(B_, ("a",), "b", 0),
+))
+
+
 class TestParsing:
     def test_unique_parse(self):
         a, c, cfg = pipeline(AGREE, "Agree", "AgreeEng")
@@ -175,6 +201,105 @@ class TestParsing:
         _, _, cfg = pipeline(text, "R", "RG")
         assert parse_tokens(cfg, ["liebt", "sich"]) == [ast("refl")]
         assert parse_tokens(cfg, ["liebt"]) == []
+
+    def test_variant_derivations_of_one_tree_give_it_once_where_it_first_appears(self):
+        trees = parse_tokens(VARIANTS, ["a"])
+        assert trees == [ast("wrap", ast("leaf")), ast("other", ast("b"))]
+        assert parse_tokens(VARIANTS, ["a"]) == reference_parse_tokens(VARIANTS, ["a"])
+
+    def test_equal_subtrees_are_one_object(self):
+        _, _, cfg = pipeline(CONJ, "Conj", "ConjEng")
+        right, left = parse_tokens(cfg, tokenize("John and Mary and Joan run"))
+        assert right.arg is left.arg  # `run`
+        assert right.fn.arg.arg.arg is left.fn.arg.arg  # `joan`
+
+
+@functools.cache
+def oracle_grammars():
+    """(cfg, real sentences as token lists) for every corpus language and test grammar.
+
+    The sentences are the linearizations of every tree of height at most 3,
+    plus, for the corpus, the sentences of the gold files.
+    """
+    out = []
+    for name in ("life", "quantified", "modal"):
+        fragment = load_fragment(fragment_dir(name))
+        cases = [case for path in sorted((fragment_dir(name) / "gold").glob("*.gold"))
+                 for case in parse_gold_file(path.read_text(encoding="utf-8"))]
+        trees = enumerate_asts(fragment.abstract, fragment.start_category, 3)
+        for language, concrete in fragment.concretes.items():
+            sentences = [linearize(fragment.abstract, concrete, t) for t in trees]
+            sentences += [case.sentence for case in cases if case.language == language]
+            out.append((fragment.cfgs[language], tuple(map(tokenize, sentences))))
+    for text, abstract_name, concrete_name in (
+        (AGREE, "Agree", "AgreeEng"), (CONJ, "Conj", "ConjEng"), (POLARITY, "Polar", "PolarEng"),
+    ):
+        a, c, cfg = pipeline(text, abstract_name, concrete_name)
+        trees = all_trees(a, a.startcat, 3)
+        out.append((cfg, tuple(tokenize(linearize(a, c, t)) for t in trees)))
+    out.append((VARIANTS, (["a"],)))
+    return out
+
+
+def terminals(cfg):
+    return sorted({it for p in cfg.productions for it in p.rhs if isinstance(it, str)})
+
+
+@st.composite
+def oracle_inputs(draw):
+    """A grammar and tokens: random terminals, or an edited prefix of a real sentence."""
+    cfg, sentences = oracle_grammars()[draw(st.integers(0, len(oracle_grammars()) - 1))]
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(terminals(cfg)), max_size=8))
+    else:
+        tokens = list(draw(st.sampled_from(sentences)))
+        tokens = tokens[:draw(st.integers(0, len(tokens)))]
+        for _ in range(draw(st.integers(0, 2))):
+            if not tokens:
+                break
+            k = draw(st.integers(0, len(tokens) - 1))
+            if draw(st.booleans()):
+                del tokens[k]
+            else:
+                tokens.insert(k, tokens[k])
+    if tokens and draw(st.booleans()):
+        tokens[0] = tokens[0].capitalize()
+    return cfg, tokens
+
+
+_SYMBOLS = ("a", "b", "A", S_, NT("S", ("x",), ()), A_SG, B_)
+
+
+@st.composite
+def random_cfgs(draw):
+    """Small CFGs with cycles, empty right-hand sides, several start symbols,
+    permuted arguments, and one function name on several productions."""
+    productions = []
+    for _ in range(draw(st.integers(1, 7))):
+        lhs = draw(st.sampled_from([s for s in _SYMBOLS if isinstance(s, NT)]))
+        rhs = draw(st.lists(st.sampled_from(_SYMBOLS), max_size=3))
+        order = iter(draw(st.permutations(range(sum(isinstance(it, NT) for it in rhs)))))
+        rhs = tuple(it if isinstance(it, str) else (it, next(order)) for it in rhs)
+        arity = sum(not isinstance(it, str) for it in rhs)
+        productions.append(Production(lhs, rhs, draw(st.sampled_from("fgh")), arity))
+    return CFG("S", tuple(productions))
+
+
+class TestAgainstReference:
+    """The parser gives the reference parser's trees, in its order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_inputs())
+    def test_corpus_and_test_grammars(self, case):
+        cfg, tokens = case
+        assert parse_tokens(cfg, tokens) == reference_parse_tokens(cfg, tokens)
+        assert recognize(cfg, tokens) == reference_recognize(cfg, tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_cfgs(), st.lists(st.sampled_from(("a", "b", "A")), max_size=6))
+    def test_random_grammars(self, cfg, tokens):
+        assert parse_tokens(cfg, tokens) == reference_parse_tokens(cfg, tokens)
+        assert recognize(cfg, tokens) == reference_recognize(cfg, tokens)
 
 
 class TestLinearize:

@@ -280,6 +280,15 @@ class TestRepl:
         assert out.startswith("error: ") and out.count("\n") == 1
         assert "nested too deeply" in out
 
+    def test_too_deep_parse_is_one_error_line_and_the_session_goes_on(self):
+        session = new_session(load_fragment(fragment_dir("modal")))
+        alive, out = collect(session, "parse " + "Mary believes that " * 400 + "John runs")
+        assert alive
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert "nested too deeply" in out
+        alive, out = collect(session, "parse Mary believes that John runs")
+        assert alive and out.count("\n") == 1 and "believe mary" in out, out
+
     def test_reset_restores_the_initial_state(self, life):
         session = new_session(life)
         collect(session, "analyze Mary loves herself")
