@@ -39,12 +39,11 @@ from glf.kernel import (
 )
 from glf.kernel.declarations import Declaration
 from glf.modsys import Theory, TheoryGraph, View, apply_view, print_term
+from glf.modsys.syntax import KEYWORDS
 
 # Names the theory-file syntax reserves; a grammar using one of these could
 # not round-trip through the generated language theory.
-RESERVED_NAMES = frozenset({"theory", "view", "include", "end", "prec", "type", "LF"})
-
-DEFAULT_CONNECTIVES = ("and", "or", "neg", "impl", "forall", "exists")
+RESERVED_NAMES = KEYWORDS | {"LF"}
 
 
 def generate_language_theory(abstract: AbstractGrammar) -> Theory:

@@ -23,6 +23,12 @@ A file holds `abstract` and `concrete` blocks:
 
 Section keywords (`cat`, `fun`, `param`, `lincat`, `lin`, `flags`) stay in
 force across `;` until the next keyword, as the layout above shows.
+
+A file is lexed once into tokens: `"..."` strings, which end on the line
+they start on, names, the operators `++ => -> **`, and single characters.
+Whitespace and `--` comments fall away. Everything else works on token
+lists: blocks end at their matching `}`, statements split at `;` outside
+brackets, and a rule splits at its first `=` outside brackets.
 """
 
 from __future__ import annotations
@@ -46,12 +52,8 @@ from glf.grammar.concrete import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
-_ABSTRACT_RE = re.compile(
-    r"abstract\s+([A-Za-z_][A-Za-z0-9_']*)\s*=\s*"
-    r"(?:([A-Za-z_][A-Za-z0-9_']*)\s*\*\*\s*)?\{"
-)
-_CONCRETE_RE = re.compile(
-    r"concrete\s+([A-Za-z_][A-Za-z0-9_']*)\s+of\s+([A-Za-z_][A-Za-z0-9_']*)\s*=\s*\{"
+_TOKEN_RE = re.compile(
+    r"""(\s+|--[^\n]*)|([A-Za-z_][A-Za-z0-9_']*)|("[^"]*"?|\+\+|=>|->|\*\*|\S)"""
 )
 
 ABSTRACT_SECTIONS = ("flags", "cat", "fun")
@@ -87,130 +89,115 @@ class GrammarRegistry:
         return [c for c in self.concretes.values() if c.abstract == abstract_name]
 
 
-# --- low-level text handling -------------------------------------------------
+# --- tokens -------------------------------------------------------------------
 
 
-def _strip_comments(text: str) -> str:
-    out: list[str] = []
-    i, n = 0, len(text)
-    in_string = False
-    while i < n:
-        ch = text[i]
-        if in_string:
-            out.append(ch)
-            if ch == '"':
-                in_string = False
-            i += 1
-        elif ch == '"':
-            out.append(ch)
-            in_string = True
-            i += 1
-        elif ch == "-" and text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+class _Glued(str):
+    """A token other than a name written right after the previous token.
+
+    Only a lin rule's left-hand side cares: there `f:x` is one malformed
+    word, while `f : x` is the function `f` with malformed arguments.
+    """
 
 
-def _matching_brace(text: str, open_pos: int) -> int:
+def _lex(text: str) -> tuple[list[str], TermSyntaxError]:
+    """The tokens of `text`, and the error for a block still open at the end.
+
+    A `"` without a partner swallows the rest of the file, so the blocks
+    before it are read, and their errors reported, first. A string that
+    spans lines is one token, which the lin rule holding it rejects.
+    """
+    tokens: list[str] = []
+    glued = False
+    for space, name, other in _TOKEN_RE.findall(text):
+        if space:
+            glued = False
+            continue
+        tokens.append(name or (_Glued(other) if glued else other))
+        glued = True
+    last = tokens[-1] if tokens else ""
+    if last[:1] == '"' and (len(last) == 1 or last[-1] != '"'):
+        line = text.count("\n", 0, text.rindex('"')) + 1
+        return tokens, TermSyntaxError("unterminated string in grammar file", line)
+    return tokens, TermSyntaxError("unbalanced braces in grammar block")
+
+
+def _show(tokens: list[str]) -> str:
+    return repr(" ".join(tokens))
+
+
+def _split(tokens: list[str], sep: str) -> list[list[str]]:
+    """Split on `sep` outside braces and parens."""
+    parts: list[list[str]] = []
     depth = 0
-    in_string = False
-    for i in range(open_pos, len(text)):
-        ch = text[i]
-        if in_string:
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise TermSyntaxError("unbalanced braces in grammar block")
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on `sep` outside braces, parens, and string literals."""
-    parts: list[str] = []
-    depth = 0
-    in_string = False
     start = 0
-    for i, ch in enumerate(text):
-        if in_string:
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch in "{(":
+    for i, tok in enumerate(tokens):
+        if tok in ("{", "("):
             depth += 1
-        elif ch in "})":
+        elif tok in ("}", ")"):
             depth -= 1
             if depth < 0:
-                raise TermSyntaxError(f"unbalanced {ch!r} in grammar block")
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
+                raise TermSyntaxError(f"unbalanced {tok!r} in grammar block")
+        elif tok == sep and depth == 0:
+            parts.append(tokens[start:i])
             start = i + 1
-    parts.append(text[start:])
+    parts.append(tokens[start:])
     return parts
 
 
-def _statements(body: str, sections: tuple[str, ...], where: str):
-    """Yield (section, text) pairs, carrying the section keyword forward."""
+def _cut(tokens: list[str], sep: str, where: str) -> tuple[list[str], list[str]]:
+    """Split at the first `sep` outside braces and parens."""
+    head = _split(tokens, sep)[0]
+    if len(head) == len(tokens):
+        raise TermSyntaxError(f"{where}: expected {sep!r} in {_show(tokens)}")
+    return head, tokens[len(head) + 1 :]
+
+
+def _statements(body: list[str], sections: tuple[str, ...], where: str):
+    """Yield (section, tokens) pairs, carrying the section keyword forward."""
     current: str | None = None
-    for raw in _split_top(body, ";"):
-        stmt = raw.strip()
+    for stmt in _split(body, ";"):
+        if stmt and stmt[0] in sections:
+            current, stmt = stmt[0], stmt[1:]
         if not stmt:
             continue
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_']*", stmt)
-        if m and m.group(0) in sections:
-            current = m.group(0)
-            stmt = stmt[m.end():].strip()
-            if not stmt:
-                continue
         if current is None:
             raise TermSyntaxError(
-                f"{where}: expected one of {', '.join(sections)} before {stmt!r}"
+                f"{where}: expected one of {', '.join(sections)} before {_show(stmt)}"
             )
         yield current, stmt
 
 
-def _check_name(name: str, where: str) -> str:
-    name = name.strip()
-    if not _NAME_RE.match(name):
-        raise TermSyntaxError(f"{where}: {name!r} is not a valid name")
-    return name
+def _name(tokens: list[str], where: str) -> str:
+    if len(tokens) != 1 or not _NAME_RE.match(tokens[0]):
+        raise TermSyntaxError(f"{where}: {_show(tokens)} is not a valid name")
+    return tokens[0]
 
 
-def _name_list(text: str, where: str) -> list[str]:
-    return [_check_name(piece, where) for piece in text.split(",")]
+def _names(tokens: list[str], sep: str, where: str) -> list[str]:
+    return [_name(part, where) for part in _split(tokens, sep)]
 
 
 # --- abstract blocks ----------------------------------------------------------
 
 
-def _parse_abstract(name: str, base: AbstractGrammar | None, body: str) -> AbstractGrammar:
+def _parse_abstract(name: str, base: AbstractGrammar | None, body: list[str]) -> AbstractGrammar:
     where = f"abstract {name}"
     cats: list[str] = []
     funs: list[FunDecl] = []
     startcat: str | None = None
     for section, stmt in _statements(body, ABSTRACT_SECTIONS, where):
         if section == "flags":
-            key, _, value = stmt.partition("=")
-            if key.strip() != "startcat":
-                raise TermSyntaxError(f"{where}: unknown flag {key.strip()!r}")
-            startcat = _check_name(value, where)
+            key, value = _cut(stmt, "=", where)
+            if key != ["startcat"]:
+                raise TermSyntaxError(f"{where}: unknown flag {_show(key)}")
+            startcat = _name(value, where)
         elif section == "cat":
-            cats.extend(_name_list(stmt, where))
+            cats.extend(_names(stmt, ",", where))
         else:
-            lhs, colon, rhs = stmt.partition(":")
-            if not colon:
-                raise TermSyntaxError(f"{where}: fun needs a type: {stmt!r}")
-            arrow_chain = [_check_name(c, where) for c in rhs.split("->")]
-            for fname in _name_list(lhs, where):
+            lhs, rhs = _cut(stmt, ":", where)
+            arrow_chain = _names(rhs, "->", where)
+            for fname in _names(lhs, ",", where):
                 funs.append(FunDecl(fname, tuple(arrow_chain[:-1]), arrow_chain[-1]))
 
     if base is None:
@@ -231,21 +218,17 @@ def _parse_abstract(name: str, base: AbstractGrammar | None, body: str) -> Abstr
 # --- concrete blocks ----------------------------------------------------------
 
 
-def _parse_lintype(text: str, where: str) -> LinType:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
+def _parse_lintype(tokens: list[str], where: str) -> LinType:
+    if tokens[:1] != ["{"] or tokens[-1:] != ["}"]:
         raise TermSyntaxError(f"{where}: a lincat is a record type {{ ... }}")
     inherent: list[tuple[str, str]] = []
     s_params: tuple[str, ...] | None = None
-    for field in _split_top(text[1:-1], ";"):
-        field = field.strip()
+    for field in _split(tokens[1:-1], ";"):
         if not field:
             continue
-        fname, colon, ftype = field.partition(":")
-        if not colon:
-            raise TermSyntaxError(f"{where}: record field needs a type: {field!r}")
-        fname = _check_name(fname, where)
-        chain = [_check_name(part, where) for part in ftype.split("=>")]
+        fname, ftype = _cut(field, ":", where)
+        fname = _name(fname, where)
+        chain = _names(ftype, "=>", where)
         if fname == "s":
             if chain[-1] != "Str":
                 raise TermSyntaxError(f"{where}: the s field must end in Str")
@@ -259,15 +242,6 @@ def _parse_lintype(text: str, where: str) -> LinType:
     if s_params is None:
         raise TermSyntaxError(f"{where}: a lincat needs an s field")
     return LinType(tuple(inherent), s_params)
-
-
-_LIN_TOKEN = re.compile(
-    r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_\']*|\+\+|=>|[!.{}();=]|\S'
-)
-
-
-def _lex_lin(text: str, where: str) -> list[str]:
-    return [m.group(0) for m in _LIN_TOKEN.finditer(text)]
 
 
 class _LinParser:
@@ -310,6 +284,8 @@ class _LinParser:
     def atom(self):
         tok = self.next()
         if tok.startswith('"'):
+            if "\n" in tok:
+                raise TermSyntaxError(f"{self.where}: a string must end on its line")
             return Literal(tok[1:-1])
         if tok == "(":
             e = self.expr()
@@ -364,33 +340,14 @@ class _LinParser:
             )
 
 
-def _parse_lin_expr(text: str, where: str):
-    parser = _LinParser(_lex_lin(text, where), where)
+def _parse_lin_expr(tokens: list[str], where: str):
+    parser = _LinParser(tokens, where)
     e = parser.expr()
     parser.done()
     return e
 
 
-def _split_rule(stmt: str, where: str) -> tuple[str, str]:
-    """Split `lhs = rhs` at the first top-level `=` that is not `=>`."""
-    depth = 0
-    in_string = False
-    for i, ch in enumerate(stmt):
-        if in_string:
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch in "{(":
-            depth += 1
-        elif ch in "})":
-            depth -= 1
-        elif ch == "=" and depth == 0 and stmt[i + 1 : i + 2] != ">":
-            return stmt[:i], stmt[i + 1 :]
-    raise TermSyntaxError(f"{where}: expected `=` in {stmt!r}")
-
-
-def _parse_concrete(name: str, abstract: AbstractGrammar, body: str) -> ConcreteGrammar:
+def _parse_concrete(name: str, abstract: AbstractGrammar, body: list[str]) -> ConcreteGrammar:
     where = f"concrete {name}"
     params: list[ParamType] = []
     lincats: list[tuple[str, LinType]] = []
@@ -399,25 +356,22 @@ def _parse_concrete(name: str, abstract: AbstractGrammar, body: str) -> Concrete
         if section == "flags":
             raise TermSyntaxError(f"{where}: concrete blocks take no flags")
         elif section == "param":
-            lhs, rhs = _split_rule(stmt, where)
-            pname = _check_name(lhs, where)
-            ctors = tuple(_check_name(c, where) for c in rhs.split("|"))
-            params.append(ParamType(pname, ctors))
+            lhs, rhs = _cut(stmt, "=", where)
+            pname = _name(lhs, where)
+            params.append(ParamType(pname, tuple(_names(rhs, "|", where))))
         elif section == "lincat":
-            lhs, rhs = _split_rule(stmt, where)
+            lhs, rhs = _cut(stmt, "=", where)
             lt = _parse_lintype(rhs, where)
-            for cat in _name_list(lhs, where):
+            for cat in _names(lhs, ",", where):
                 if cat not in abstract.cats:
-                    raise GrammarError(
-                        f"{where}: lincat for unknown category {cat}"
-                    )
+                    raise GrammarError(f"{where}: lincat for unknown category {cat}")
                 lincats.append((cat, lt))
         else:
-            lhs, rhs = _split_rule(stmt, where)
-            pieces = lhs.split()
-            fname = _check_name(pieces[0], f"{where} lin")
+            lhs, rhs = _cut(stmt, "=", where)
+            glued = len(lhs) > 1 and isinstance(lhs[1], _Glued)
+            fname = _name(lhs[: 1 + glued], f"{where} lin")
             fun = abstract.fun(fname)  # unknown fun -> GrammarError
-            args = tuple(_check_name(p, where) for p in pieces[1:])
+            args = [_name([tok], f"{where} lin {fname}") for tok in lhs[1:]]
             if len(args) != len(fun.args):
                 raise GrammarError(
                     f"{where}: lin {fname} binds {len(args)} arguments, "
@@ -425,7 +379,7 @@ def _parse_concrete(name: str, abstract: AbstractGrammar, body: str) -> Concrete
                 )
             if len(set(args)) != len(args):
                 raise TermSyntaxError(f"{where}: lin {fname} repeats an argument name")
-            lins.append(LinRule(fname, args, _parse_lin_expr(rhs, f"{where} lin {fname}")))
+            lins.append(LinRule(fname, tuple(args), _parse_lin_expr(rhs, f"{where} lin {fname}")))
 
     seen_cats = [c for c, _ in lincats]
     if len(set(seen_cats)) != len(seen_cats):
@@ -451,37 +405,37 @@ def _parse_concrete(name: str, abstract: AbstractGrammar, body: str) -> Concrete
 
 def parse_grammar_file(registry: GrammarRegistry, text: str) -> list[str]:
     """Parse every block in `text` into `registry`; returns the new names."""
-    text = _strip_comments(text)
+    tokens, end_error = _lex(text)
     added: list[str] = []
     pos = 0
-    while True:
-        rest = text[pos:]
-        if not rest.strip():
-            break
-        m_abs = _ABSTRACT_RE.search(rest)
-        m_conc = _CONCRETE_RE.search(rest)
-        m = min(
-            (m for m in (m_abs, m_conc) if m is not None),
-            key=lambda m: m.start(),
-            default=None,
-        )
-        if m is None:
-            raise TermSyntaxError(
-                f"unexpected text outside grammar blocks: {rest.strip()[:40]!r}"
-            )
-        if rest[:m.start()].strip():
-            raise TermSyntaxError(
-                f"unexpected text outside grammar blocks: {rest[:m.start()].strip()[:40]!r}"
-            )
-        open_pos = pos + m.end() - 1
-        close_pos = _matching_brace(text, open_pos)
-        body = text[open_pos + 1 : close_pos]
-        if m is m_abs:
-            name, base_name = m.group(1), m.group(2)
+    while pos < len(tokens):
+        match tokens[pos : pos + 6]:
+            case ["abstract", name, "=", "{", *_] if _NAME_RE.match(name):
+                base_name, open_pos = None, pos + 3
+            case ["abstract", name, "=", base_name, "**", "{"] if (
+                _NAME_RE.match(name) and _NAME_RE.match(base_name)
+            ):
+                open_pos = pos + 5
+            case ["concrete", name, "of", abstract_name, "=", "{"] if (
+                _NAME_RE.match(name) and _NAME_RE.match(abstract_name)
+            ):
+                open_pos = pos + 5
+            case _:
+                raise TermSyntaxError(
+                    f"unexpected text outside grammar blocks: {_show(tokens[pos : pos + 8])}"
+                )
+        depth = 0
+        for close_pos in range(open_pos, len(tokens)):
+            depth += (tokens[close_pos] == "{") - (tokens[close_pos] == "}")
+            if depth == 0:
+                break
+        else:
+            raise end_error
+        body = tokens[open_pos + 1 : close_pos]
+        if tokens[pos] == "abstract":
             base = registry.abstract(base_name) if base_name else None
             grammar = _parse_abstract(name, base, body)
         else:
-            name, abstract_name = m.group(1), m.group(2)
             grammar = _parse_concrete(name, registry.abstract(abstract_name), body)
         registry.add(grammar)
         added.append(name)

@@ -94,11 +94,3 @@ class Signature:
 
     def __iter__(self):
         return iter(self.declarations)
-
-    def type_of(self, name: str) -> Term | None:
-        d = self.lookup(name)
-        return d.type_ if d else None
-
-    def definiens_of(self, name: str) -> Term | None:
-        d = self.lookup(name)
-        return d.definiens if d else None

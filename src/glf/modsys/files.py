@@ -128,6 +128,8 @@ def _parse_declaration(
         else:
             notation_text = chunk
             break
+    if type_text is None and definiens_text is None:
+        raise TermSyntaxError(f"declaration {dname} needs a type or a definiens")
 
     flat = graph.flatten(Theory(name, meta, tuple(includes), tuple(decls)))
     type_ = parse_term(flat, type_text) if type_text is not None else None

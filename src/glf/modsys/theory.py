@@ -89,9 +89,6 @@ class FlatTheory(Signature):
         self.includes: tuple[str, ...] = ()
         self._notation_table = None  # filled lazily by the syntax layer
 
-    def ambiguous(self, name: str) -> bool:
-        return len(self._by_name.get(name, ())) > 1
-
 
 class TheoryGraph:
     """Registry of theories and views; flattening is cached per theory name."""

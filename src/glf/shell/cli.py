@@ -76,9 +76,8 @@ def _cmd_load(args) -> int:
 def _cmd_parse(args) -> int:
     fragment = load_fragment(args.fragment)
     sentence = " ".join(args.words)
-    with nesting_limit("the sentence"):
-        asts = parse_sentence(fragment, sentence, args.lang, args.cat)
-        lines = [print_term(fragment.language_flat, ast) for ast in asts]
+    asts = parse_sentence(fragment, sentence, args.lang, args.cat)
+    lines = [print_term(fragment.language_flat, ast) for ast in asts]
     for line in lines:
         print(line)
     if not asts:
@@ -164,7 +163,8 @@ def main(argv=None) -> int:
         "repl": lambda a: run_repl(load_fragment(a.fragment), trace=a.trace),
     }
     try:
-        return handlers[args.command](args)
+        with nesting_limit("the input"):
+            return handlers[args.command](args)
     except GlfError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from glf.bridge import DEFAULT_CONNECTIVES, Fragment, generate_language_theory
+from glf.bridge import Fragment, generate_language_theory
 from glf.errors import FragmentLoadError, GlfError, TotalityFailure
 from glf.grammar import AbstractGrammar, GrammarRegistry, compile_cfg, parse_grammar_file
 from glf.kernel import Const, Term, alpha_eq
 from glf.kernel.typecheck import EMPTY, check_type
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.modsys.theory import Theory, check_totality
-from glf.tableau import BeliefState, LogicSignature, init_belief_state
+from glf.tableau import CONNECTIVE_ROLES, BeliefState, LogicSignature, init_belief_state
 
 _SIMPLE_KEYS = frozenset({
     "name", "theories", "grammars", "language_theories", "views",
@@ -78,9 +78,10 @@ def _read(directory: Path, rel: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def _load_modules(graph: TheoryGraph, directory: Path, rel: str) -> None:
+def _parse_file(parse, into, directory: Path, rel: str) -> None:
+    """`parse(into, text)` on the file `rel`, naming the file in any error."""
     try:
-        parse_theory_file(graph, _read(directory, rel))
+        parse(into, _read(directory, rel))
     except FragmentLoadError:
         raise
     except GlfError as err:
@@ -135,12 +136,7 @@ def _verify_language_theories(
 ) -> None:
     for rel in rels:
         scratch = TheoryGraph()
-        try:
-            parse_theory_file(scratch, _read(directory, rel))
-        except FragmentLoadError:
-            raise
-        except GlfError as err:
-            raise FragmentLoadError(f"{rel}: {err}") from err
+        _parse_file(parse_theory_file, scratch, directory, rel)
         for tname, on_disk in scratch.theories.items():
             if tname not in generated:
                 raise FragmentLoadError(
@@ -167,16 +163,11 @@ def load_fragment(directory: str | Path) -> Fragment:
 
     graph = TheoryGraph()
     for rel in _paths(entries.get("theories", "")):
-        _load_modules(graph, directory, rel)
+        _parse_file(parse_theory_file, graph, directory, rel)
 
     registry = GrammarRegistry()
     for rel in _paths(entries["grammars"]):
-        try:
-            parse_grammar_file(registry, _read(directory, rel))
-        except FragmentLoadError:
-            raise
-        except GlfError as err:
-            raise FragmentLoadError(f"{rel}: {err}") from err
+        _parse_file(parse_grammar_file, registry, directory, rel)
 
     try:
         abstract = registry.abstract(entries["abstract"])
@@ -192,7 +183,7 @@ def load_fragment(directory: str | Path) -> Fragment:
         graph.add(generated[a.name])
 
     for rel in _paths(entries.get("views", "")):
-        _load_modules(graph, directory, rel)
+        _parse_file(parse_theory_file, graph, directory, rel)
 
     try:
         view = graph.view(entries["semantics_view"])
@@ -247,14 +238,14 @@ def load_fragment(directory: str | Path) -> Fragment:
         if key.startswith("connective.")
     }
     for role, const in connectives.items():
-        if role not in DEFAULT_CONNECTIVES:
+        if role not in CONNECTIVE_ROLES:
             raise FragmentLoadError(f"unknown connective role {role!r}")
         if const not in domain_flat:
             raise FragmentLoadError(
                 f"connective.{role} = {const}, which is not declared in {domain_name}"
             )
     if not connectives:
-        connectives = {role: role for role in DEFAULT_CONNECTIVES}
+        connectives = {role: role for role in CONNECTIVE_ROLES}
 
     try:
         step_budget = int(entries.get("step_budget", "10000"))

@@ -70,57 +70,57 @@ def execute(session: Session, line: str, write) -> bool:
     flat = fragment.target_flat
 
     try:
-        if command in ("quit", "exit"):
-            return False
+        with nesting_limit("the input"):
+            if command in ("quit", "exit"):
+                return False
 
-        elif command == "help":
-            write(_HELP)
+            elif command == "help":
+                write(_HELP)
 
-        elif command == "parse":
-            language, sentence = _split_language(session, rest)
-            with nesting_limit("the sentence"):
+            elif command == "parse":
+                language, sentence = _split_language(session, rest)
                 asts = parse_sentence(fragment, sentence, language)
                 lines = [print_term(fragment.language_flat, ast) + "\n" for ast in asts]
-            if not asts:
-                write(f"no parse: {sentence}\n")
-            for line in lines:
-                write(line)
+                if not asts:
+                    write(f"no parse: {sentence}\n")
+                for line in lines:
+                    write(line)
 
-        elif command == "linearize":
-            language, _, ast_text = rest.partition(" ")
-            if language not in fragment.concretes:
-                write(f"error: unknown language {language!r}\n")
-                return True
-            ast = parse_term(fragment.language_flat, ast_text)
-            write(linearize(fragment.abstract, fragment.concretes[language], ast) + "\n")
+            elif command == "linearize":
+                language, _, ast_text = rest.partition(" ")
+                if language not in fragment.concretes:
+                    write(f"error: unknown language {language!r}\n")
+                    return True
+                ast = parse_term(fragment.language_flat, ast_text)
+                write(linearize(fragment.abstract, fragment.concretes[language], ast) + "\n")
 
-        elif command == "construct":
-            for r in _readings(session, rest, write):
-                if session.trace:
-                    write("raw: " + print_term(flat, r.raw) + "\n")
-                gate = "" if r.in_target_logic else "   [not in target logic]"
-                write(print_term(flat, r.term) + gate + "\n")
-                for d in r.diagnostics:
-                    write(f"  ! {d}\n")
+            elif command == "construct":
+                for r in _readings(session, rest, write):
+                    if session.trace:
+                        write("raw: " + print_term(flat, r.raw) + "\n")
+                    gate = "" if r.in_target_logic else "   [not in target logic]"
+                    write(print_term(flat, r.term) + gate + "\n")
+                    for d in r.diagnostics:
+                        write(f"  ! {d}\n")
 
-        elif command == "analyze":
-            readings = _readings(session, rest, write)
-            usable = [r.term for r in readings if r.in_target_logic]
-            if readings and not usable:
-                write("error: no reading lies in the target logic\n")
-            elif usable:
-                session.state = update_belief_state(session.state, usable)
-                _show_state(session, write)
+            elif command == "analyze":
+                readings = _readings(session, rest, write)
+                usable = [r.term for r in readings if r.in_target_logic]
+                if readings and not usable:
+                    write("error: no reading lies in the target logic\n")
+                elif usable:
+                    session.state = update_belief_state(session.state, usable)
+                    _show_state(session, write)
 
-        elif command == "state":
-            _show_state(session, write, history=3)
+            elif command == "state":
+                _show_state(session, write, history=3)
 
-        elif command == "reset":
-            session.state = initial_state(fragment)
-            write("belief state reset\n")
+            elif command == "reset":
+                session.state = initial_state(fragment)
+                write("belief state reset\n")
 
-        else:
-            write(f"error: unknown command {command!r} (try help)\n")
+            else:
+                write(f"error: unknown command {command!r} (try help)\n")
 
     except GlfError as err:
         write(f"error: {err}\n")

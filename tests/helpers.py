@@ -2,8 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 
+import glf
+
+from glf.errors import GrammarError, TermSyntaxError
+from glf.grammar import AbstractGrammar, FunDecl, GrammarRegistry
+from glf.grammar.concrete import (
+    ArgField,
+    Concat,
+    ConcreteGrammar,
+    Ctor,
+    LinRule,
+    LinType,
+    Literal,
+    ParamType,
+    Record,
+    Select,
+    Table,
+)
 from glf.kernel import (
     App,
     Const,
@@ -290,6 +313,27 @@ def random_formula(rng, depth: int) -> Term:
     )
 
 
+CLI_MODULE = "glf.shell.cli"
+
+
+def run_cli(*args):
+    """Run the `glf` command in a child process, from the imported `glf`.
+
+    This is what the installed `glf` console script does, but it runs the
+    package under test rather than whatever `glf` is on PATH, and needs no
+    install.
+    """
+    source_root = str(Path(glf.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", CLI_MODULE, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 # --- the reference chart parser ------------------------------------------------
 #
 # The Earley parser as it stood before it ran on the CFG's integer tables,
@@ -448,3 +492,423 @@ def reference_parse_tokens(cfg, tokens: list[str]) -> list[Term]:
         if n in completed.get((s, 0), ()):
             results.extend(parses(s, 0, n))
     return list(dict.fromkeys(results))
+
+
+# --- the reference grammar-file parser ------------------------------------------
+#
+# `glf.grammar.files` as it stood before it parsed a token stream: four
+# character scanners over the text and a second lexer for lin rules. Kept
+# verbatim, but for the name of the entry point, as an oracle for
+# `parse_grammar_file`. It raises `IndexError` on a lin rule with nothing
+# before its `=`.
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+_ABSTRACT_RE = re.compile(
+    r"abstract\s+([A-Za-z_][A-Za-z0-9_']*)\s*=\s*"
+    r"(?:([A-Za-z_][A-Za-z0-9_']*)\s*\*\*\s*)?\{"
+)
+_CONCRETE_RE = re.compile(
+    r"concrete\s+([A-Za-z_][A-Za-z0-9_']*)\s+of\s+([A-Za-z_][A-Za-z0-9_']*)\s*=\s*\{"
+)
+
+ABSTRACT_SECTIONS = ("flags", "cat", "fun")
+CONCRETE_SECTIONS = ("flags", "param", "lincat", "lin")
+
+
+def _strip_comments(text: str) -> str:
+    out: list[str] = []
+    i, n = 0, len(text)
+    in_string = False
+    while i < n:
+        ch = text[i]
+        if in_string:
+            out.append(ch)
+            if ch == '"':
+                in_string = False
+            i += 1
+        elif ch == '"':
+            out.append(ch)
+            in_string = True
+            i += 1
+        elif ch == "-" and text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def _matching_brace(text: str, open_pos: int) -> int:
+    depth = 0
+    in_string = False
+    for i in range(open_pos, len(text)):
+        ch = text[i]
+        if in_string:
+            if ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    raise TermSyntaxError("unbalanced braces in grammar block")
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split on `sep` outside braces, parens, and string literals."""
+    parts: list[str] = []
+    depth = 0
+    in_string = False
+    start = 0
+    for i, ch in enumerate(text):
+        if in_string:
+            if ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "{(":
+            depth += 1
+        elif ch in "})":
+            depth -= 1
+            if depth < 0:
+                raise TermSyntaxError(f"unbalanced {ch!r} in grammar block")
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+def _statements(body: str, sections: tuple[str, ...], where: str):
+    """Yield (section, text) pairs, carrying the section keyword forward."""
+    current: str | None = None
+    for raw in _split_top(body, ";"):
+        stmt = raw.strip()
+        if not stmt:
+            continue
+        m = re.match(r"[A-Za-z_][A-Za-z0-9_']*", stmt)
+        if m and m.group(0) in sections:
+            current = m.group(0)
+            stmt = stmt[m.end():].strip()
+            if not stmt:
+                continue
+        if current is None:
+            raise TermSyntaxError(
+                f"{where}: expected one of {', '.join(sections)} before {stmt!r}"
+            )
+        yield current, stmt
+
+
+def _check_name(name: str, where: str) -> str:
+    name = name.strip()
+    if not _NAME_RE.match(name):
+        raise TermSyntaxError(f"{where}: {name!r} is not a valid name")
+    return name
+
+
+def _name_list(text: str, where: str) -> list[str]:
+    return [_check_name(piece, where) for piece in text.split(",")]
+
+
+# --- abstract blocks ----------------------------------------------------------
+
+
+def _parse_abstract(name: str, base: AbstractGrammar | None, body: str) -> AbstractGrammar:
+    where = f"abstract {name}"
+    cats: list[str] = []
+    funs: list[FunDecl] = []
+    startcat: str | None = None
+    for section, stmt in _statements(body, ABSTRACT_SECTIONS, where):
+        if section == "flags":
+            key, _, value = stmt.partition("=")
+            if key.strip() != "startcat":
+                raise TermSyntaxError(f"{where}: unknown flag {key.strip()!r}")
+            startcat = _check_name(value, where)
+        elif section == "cat":
+            cats.extend(_name_list(stmt, where))
+        else:
+            lhs, colon, rhs = stmt.partition(":")
+            if not colon:
+                raise TermSyntaxError(f"{where}: fun needs a type: {stmt!r}")
+            arrow_chain = [_check_name(c, where) for c in rhs.split("->")]
+            for fname in _name_list(lhs, where):
+                funs.append(FunDecl(fname, tuple(arrow_chain[:-1]), arrow_chain[-1]))
+
+    if base is None:
+        if startcat is None:
+            raise TermSyntaxError(f"{where}: flags startcat is required")
+        return AbstractGrammar(name, startcat, tuple(cats), tuple(funs))
+    return AbstractGrammar(
+        name,
+        startcat or base.startcat,
+        base.cats + tuple(cats),
+        base.funs + tuple(funs),
+        extends=base.name,
+        own_cats=tuple(cats),
+        own_funs=tuple(funs),
+    )
+
+
+# --- concrete blocks ----------------------------------------------------------
+
+
+def _parse_lintype(text: str, where: str) -> LinType:
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise TermSyntaxError(f"{where}: a lincat is a record type {{ ... }}")
+    inherent: list[tuple[str, str]] = []
+    s_params: tuple[str, ...] | None = None
+    for field in _split_top(text[1:-1], ";"):
+        field = field.strip()
+        if not field:
+            continue
+        fname, colon, ftype = field.partition(":")
+        if not colon:
+            raise TermSyntaxError(f"{where}: record field needs a type: {field!r}")
+        fname = _check_name(fname, where)
+        chain = [_check_name(part, where) for part in ftype.split("=>")]
+        if fname == "s":
+            if chain[-1] != "Str":
+                raise TermSyntaxError(f"{where}: the s field must end in Str")
+            s_params = tuple(chain[:-1])
+        else:
+            if len(chain) != 1 or chain[0] == "Str":
+                raise TermSyntaxError(
+                    f"{where}: field {fname} must hold a single parameter value"
+                )
+            inherent.append((fname, chain[0]))
+    if s_params is None:
+        raise TermSyntaxError(f"{where}: a lincat needs an s field")
+    return LinType(tuple(inherent), s_params)
+
+
+_LIN_TOKEN = re.compile(
+    r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_\']*|\+\+|=>|[!.{}();=]|\S'
+)
+
+
+def _lex_lin(text: str, where: str) -> list[str]:
+    return [m.group(0) for m in _LIN_TOKEN.finditer(text)]
+
+
+class _LinParser:
+    """`++` binds loosest, `!` tighter, projection `.` is part of an atom."""
+
+    def __init__(self, tokens: list[str], where: str):
+        self.tokens = tokens
+        self.pos = 0
+        self.where = where
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise TermSyntaxError(f"{self.where}: unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        got = self.next()
+        if got != tok:
+            raise TermSyntaxError(f"{self.where}: expected {tok!r}, found {got!r}")
+
+    def expr(self):
+        e = self.select()
+        while self.peek() == "++":
+            self.next()
+            e = Concat(e, self.select())
+        return e
+
+    def select(self):
+        e = self.atom()
+        while self.peek() == "!":
+            self.next()
+            e = Select(e, self.atom())
+        return e
+
+    def atom(self):
+        tok = self.next()
+        if tok.startswith('"'):
+            return Literal(tok[1:-1])
+        if tok == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        if tok == "table":
+            self.expect("{")
+            rows = []
+            while True:
+                ctor = self.ident()
+                self.expect("=>")
+                rows.append((ctor, self.expr()))
+                if self.peek() == ";":
+                    self.next()
+                    if self.peek() == "}":
+                        break
+                    continue
+                break
+            self.expect("}")
+            return Table(tuple(rows))
+        if tok == "{":
+            fields = []
+            while True:
+                fname = self.ident()
+                self.expect("=")
+                fields.append((fname, self.expr()))
+                if self.peek() == ";":
+                    self.next()
+                    if self.peek() == "}":
+                        break
+                    continue
+                break
+            self.expect("}")
+            return Record(tuple(fields))
+        if _NAME_RE.match(tok):
+            if self.peek() == ".":
+                self.next()
+                return ArgField(tok, self.ident())
+            return Ctor(tok)
+        raise TermSyntaxError(f"{self.where}: unexpected {tok!r}")
+
+    def ident(self) -> str:
+        tok = self.next()
+        if not _NAME_RE.match(tok) or tok == "table":
+            raise TermSyntaxError(f"{self.where}: expected a name, found {tok!r}")
+        return tok
+
+    def done(self) -> None:
+        if self.pos != len(self.tokens):
+            raise TermSyntaxError(
+                f"{self.where}: trailing input from {self.tokens[self.pos]!r}"
+            )
+
+
+def _parse_lin_expr(text: str, where: str):
+    parser = _LinParser(_lex_lin(text, where), where)
+    e = parser.expr()
+    parser.done()
+    return e
+
+
+def _split_rule(stmt: str, where: str) -> tuple[str, str]:
+    """Split `lhs = rhs` at the first top-level `=` that is not `=>`."""
+    depth = 0
+    in_string = False
+    for i, ch in enumerate(stmt):
+        if in_string:
+            if ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "{(":
+            depth += 1
+        elif ch in "})":
+            depth -= 1
+        elif ch == "=" and depth == 0 and stmt[i + 1 : i + 2] != ">":
+            return stmt[:i], stmt[i + 1 :]
+    raise TermSyntaxError(f"{where}: expected `=` in {stmt!r}")
+
+
+def _parse_concrete(name: str, abstract: AbstractGrammar, body: str) -> ConcreteGrammar:
+    where = f"concrete {name}"
+    params: list[ParamType] = []
+    lincats: list[tuple[str, LinType]] = []
+    lins: list[LinRule] = []
+    for section, stmt in _statements(body, CONCRETE_SECTIONS, where):
+        if section == "flags":
+            raise TermSyntaxError(f"{where}: concrete blocks take no flags")
+        elif section == "param":
+            lhs, rhs = _split_rule(stmt, where)
+            pname = _check_name(lhs, where)
+            ctors = tuple(_check_name(c, where) for c in rhs.split("|"))
+            params.append(ParamType(pname, ctors))
+        elif section == "lincat":
+            lhs, rhs = _split_rule(stmt, where)
+            lt = _parse_lintype(rhs, where)
+            for cat in _name_list(lhs, where):
+                if cat not in abstract.cats:
+                    raise GrammarError(
+                        f"{where}: lincat for unknown category {cat}"
+                    )
+                lincats.append((cat, lt))
+        else:
+            lhs, rhs = _split_rule(stmt, where)
+            pieces = lhs.split()
+            fname = _check_name(pieces[0], f"{where} lin")
+            fun = abstract.fun(fname)  # unknown fun -> GrammarError
+            args = tuple(_check_name(p, where) for p in pieces[1:])
+            if len(args) != len(fun.args):
+                raise GrammarError(
+                    f"{where}: lin {fname} binds {len(args)} arguments, "
+                    f"the fun takes {len(fun.args)}"
+                )
+            if len(set(args)) != len(args):
+                raise TermSyntaxError(f"{where}: lin {fname} repeats an argument name")
+            lins.append(LinRule(fname, args, _parse_lin_expr(rhs, f"{where} lin {fname}")))
+
+    seen_cats = [c for c, _ in lincats]
+    if len(set(seen_cats)) != len(seen_cats):
+        raise GrammarError(f"{where}: a category has two lincats")
+    seen_funs = [r.fun for r in lins]
+    if len(set(seen_funs)) != len(seen_funs):
+        raise GrammarError(f"{where}: a function has two lin rules")
+
+    grammar = ConcreteGrammar(name, abstract.name, tuple(params), tuple(lincats), tuple(lins))
+    known_params = {p.name for p in params}
+    for cat, lt in lincats:
+        for _, pname in lt.inherent:
+            if pname not in known_params:
+                raise GrammarError(f"{where}: lincat {cat} uses unknown parameter {pname}")
+        for pname in lt.s_params:
+            if pname not in known_params:
+                raise GrammarError(f"{where}: lincat {cat} uses unknown parameter {pname}")
+    return grammar
+
+
+# --- whole files ----------------------------------------------------------------
+
+
+def reference_parse_grammar_file(registry: GrammarRegistry, text: str) -> list[str]:
+    """Parse every block in `text` into `registry`; returns the new names."""
+    text = _strip_comments(text)
+    added: list[str] = []
+    pos = 0
+    while True:
+        rest = text[pos:]
+        if not rest.strip():
+            break
+        m_abs = _ABSTRACT_RE.search(rest)
+        m_conc = _CONCRETE_RE.search(rest)
+        m = min(
+            (m for m in (m_abs, m_conc) if m is not None),
+            key=lambda m: m.start(),
+            default=None,
+        )
+        if m is None:
+            raise TermSyntaxError(
+                f"unexpected text outside grammar blocks: {rest.strip()[:40]!r}"
+            )
+        if rest[:m.start()].strip():
+            raise TermSyntaxError(
+                f"unexpected text outside grammar blocks: {rest[:m.start()].strip()[:40]!r}"
+            )
+        open_pos = pos + m.end() - 1
+        close_pos = _matching_brace(text, open_pos)
+        body = text[open_pos + 1 : close_pos]
+        if m is m_abs:
+            name, base_name = m.group(1), m.group(2)
+            base = registry.abstract(base_name) if base_name else None
+            grammar = _parse_abstract(name, base, body)
+        else:
+            name, abstract_name = m.group(1), m.group(2)
+            grammar = _parse_concrete(name, registry.abstract(abstract_name), body)
+        registry.add(grammar)
+        added.append(name)
+        pos = close_pos + 1
+    return added

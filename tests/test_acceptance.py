@@ -7,18 +7,14 @@ truth tables, grammars round-trip, and the command line behaves. Run with
 `pytest -v` to get one pass/fail line per promise.
 """
 
-import os
 import random
 import re
 import shutil
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-import glf
 from glf.bridge import check_in_target_logic, construct_semantics, parse_sentence, translate
 from glf.corpus import fragment_dir
 from glf.errors import FragmentLoadError, TotalityFailure
@@ -28,10 +24,14 @@ from glf.modsys import parse_term, print_term
 from glf.shell import load_fragment, parse_gold_file
 from glf.tableau import extract_models, init_belief_state, update_belief_state
 from glf.shell.loader import initial_state
-from helpers import enumerate_asts, prop_signature, random_formula, satisfiable
-
-CLI_MODULE = "glf.shell.cli"
-
+from helpers import (
+    CLI_MODULE,
+    enumerate_asts,
+    prop_signature,
+    random_formula,
+    run_cli,
+    satisfiable,
+)
 
 @pytest.fixture(scope="module")
 def life():
@@ -197,24 +197,6 @@ def test_a09_the_gate_separates_logic_from_leftovers(life, quantified, modal):
     leftover = parse_term(quantified.target_flat, "[p] p john'")
     ok, diagnostics = check_in_target_logic(quantified, leftover)
     assert not ok and diagnostics
-
-
-def run_cli(*args):
-    """Run the `glf` command in a child process, from the imported `glf`.
-
-    This is what the installed `glf` console script does, but it runs the
-    package under test rather than whatever `glf` is on PATH, and needs no
-    install.
-    """
-    source_root = str(Path(glf.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [source_root, env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, "-m", CLI_MODULE, *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
 
 
 def test_a10_gold_command_exit_codes(tmp_path):

@@ -110,6 +110,10 @@ class TestTheoryFiles:
         with pytest.raises(TermSyntaxError):
             graph_with("theory T = justaname ; end")
 
+    def test_notation_alone_is_not_a_declaration(self):
+        with pytest.raises(TermSyntaxError, match="d needs a type or a definiens"):
+            graph_with("theory T = d # dee ; end")
+
     def test_reserved_word_as_declaration_name_rejected(self):
         with pytest.raises(TermSyntaxError):
             graph_with("theory T = include : type ; end")

@@ -1,8 +1,16 @@
 """Grammar engine: abstract/concrete structures, file format, CFG compilation."""
 
-import pytest
+import ast as python_ast
+import re
+from pathlib import Path
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from glf.corpus import corpus_root
 from glf.errors import (
+    GlfError,
     GrammarError,
     LinTypeMismatch,
     MissingLin,
@@ -34,6 +42,7 @@ from glf.grammar.concrete import (
     eval_lin,
 )
 from glf.kernel import App, Const
+from helpers import reference_parse_grammar_file
 
 
 def ast(fun, *args):
@@ -449,6 +458,114 @@ class TestGrammarFiles:
         assert isinstance(e, Concat)
         assert isinstance(e.right, Select)
 
+    def test_lin_rule_needs_a_function_name(self):
+        text = """
+        abstract T = { flags startcat = S ; cat S ; fun s0 : S ; }
+        concrete TE of T = { lincat S = { s : Str } ; lin = { s = "x" } ; }
+        """
+        with pytest.raises(TermSyntaxError, match="not a valid name"):
+            load(text)
+
+    def test_unterminated_string_names_its_line(self):
+        text = """
+        abstract T = { flags startcat = S ; cat S ; fun s0 : S ; }
+        concrete TE of T = { lincat S = { s : Str } ; lin s0 = { s = "x } ; }
+        """
+        with pytest.raises(TermSyntaxError, match="unterminated string.*line 3"):
+            load(text)
+
+    def test_strings_end_on_their_line(self):
+        text = """
+        abstract T = { flags startcat = S ; cat S ; fun s0 : S ; }
+        concrete TE of T = { lincat S = { s : Str } ; lin s0 = { s = "x
+        y" } ; }
+        """
+        with pytest.raises(TermSyntaxError, match="must end on its line"):
+            load(text)
+
     def test_registry_lists_concretes_of_an_abstract(self):
         r = load(AGREE)
         assert [c.name for c in r.concretes_of("Agree")] == ["AgreeEng"]
+
+
+def _grammar_texts() -> list[str]:
+    """The shipped grammars, and every grammar written out in the tests."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted(corpus_root().glob("*/grammar/*.gf"))]
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in python_ast.walk(python_ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, python_ast.Constant)
+                and isinstance(node.value, str)
+                and re.search(r"\b(abstract|concrete) \w+ .*\{", node.value, re.S)
+            ):
+                texts.append(node.value)
+    return texts
+
+
+GRAMMAR_TEXTS = _grammar_texts()
+STRUCTURAL = tuple('{}();=:,|"!.+-*>\n ')
+
+
+@st.composite
+def damaged_grammars(draw):
+    """A grammar after up to three deletions, truncations or insertions."""
+    text = draw(st.sampled_from(GRAMMAR_TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("delete", "truncate", "insert")))
+        if edit == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif edit == "truncate":
+            text = text[:at]
+        else:
+            text = text[:at] + draw(st.sampled_from(STRUCTURAL)) + text[at:]
+    return text
+
+
+def edited(text, *replacements):
+    for old, new in replacements:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text
+
+
+def _registry_after(parse, text):
+    registry = GrammarRegistry()
+    parse(registry, text)
+    return list(registry.abstracts.items()), list(registry.concretes.items())
+
+
+class TestAgainstReferenceParser:
+    """`parse_grammar_file` against the character-scanning parser it replaced."""
+
+    def check(self, text):
+        try:
+            want = _registry_after(reference_parse_grammar_file, text)
+        except IndexError:  # the reference's defect: a lin rule without a name
+            with pytest.raises(TermSyntaxError):
+                _registry_after(parse_grammar_file, text)
+        except GlfError as err:
+            with pytest.raises(GlfError) as got:
+                _registry_after(parse_grammar_file, text)
+            assert type(got.value) is type(err), (err, got.value)
+        else:
+            assert _registry_after(parse_grammar_file, text) == want
+
+    def test_corpus_and_test_grammars(self):
+        assert len(GRAMMAR_TEXTS) > 20
+        for text in GRAMMAR_TEXTS:
+            self.check(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(damaged_grammars())
+    @example(edited(AGREE, ("lin pred np v =", "lin =")))
+    @example(edited(AGREE, ('"dogs"', '"dogs')))
+    # An unknown function or category comes before a bracket or string error.
+    @example(edited(AGREE, ("lin pred", "lin prd"), ('"dogs"', '"do\ngs"')))
+    @example(edited(AGREE, ("V = {", "W = {"), ('"run" } }', '"run" } } (')))
+    @example(edited(AGREE, ("V = {", "W = {"), ('"run" } }', '"run" } } )')))
+    # `prd:np` is one bad word; in `prd np :v` the unknown `prd` comes first.
+    @example(edited(AGREE, ("lin pred np v", "lin prd:np v")))
+    @example(edited(AGREE, ("lin pred np v", "lin prd np :v")))
+    def test_damaged_grammars(self, text):
+        self.check(text)

@@ -3,10 +3,12 @@
 import io
 import shutil
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from glf.corpus import corpus_root, fragment_dir
-from glf.errors import FragmentLoadError, GoldFormatError, TotalityFailure
+from glf.corpus import FRAGMENTS, corpus_root, fragment_dir
+from glf.errors import FragmentLoadError, GlfError, GoldFormatError, TotalityFailure
 from glf.shell import (
     GoldCase,
     execute,
@@ -21,6 +23,7 @@ from glf.shell import (
 )
 from glf.shell.cli import main
 from glf.tableau import extract_models
+from helpers import run_cli
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,89 @@ class TestLoadFragment:
         assert rendered == {"run' joan'", "¬ love' mary' mary'"}
 
 
+def _sources(name):
+    root = fragment_dir(name)
+    return sorted(
+        str(p.relative_to(root)) for p in root.rglob("*")
+        if p.is_file() and p.suffix != ".gold"
+    )
+
+
+def _edit(name, rel, old, new):
+    """The edit that turns the first `old` in a shipped file into `new`."""
+    text = (fragment_dir(name) / rel).read_text(encoding="utf-8")
+    return name, rel, ((text.index(old), len(old), new),)
+
+
+#: Two edits that crashed the loader with a Python exception.
+NAMELESS_LIN = _edit("life", "grammar/life.gf", "lin act p a =", "lin =")
+UNTYPED_DECLARATION = _edit("life", "logic/domain.thy", "joan_DT : ι #", "joan_DT #")
+STRUCTURAL = tuple('{}()[];=:,|"#%!.+-*>?\n ') + ("", "//", "--", "->")
+
+
+@st.composite
+def fragment_edits(draw):
+    """Up to three deletions, truncations or insertions in one fragment file."""
+    name = draw(st.sampled_from(FRAGMENTS))
+    rel = draw(st.sampled_from(_sources(name)))
+    edits = draw(st.lists(
+        st.tuples(
+            st.integers(0, 5_000),
+            st.one_of(st.integers(0, 3), st.just(10**6)),
+            st.sampled_from(STRUCTURAL),
+        ),
+        min_size=1, max_size=3,
+    ))
+    return name, rel, tuple(edits)
+
+
+@pytest.fixture(scope="module")
+def fragment_copies(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fragments")
+    for name in FRAGMENTS:
+        shutil.copytree(fragment_dir(name), root / name)
+    return root
+
+
+def apply_edits(root, case):
+    """Edit a copied fragment file in place; returns its original text."""
+    name, rel, edits = case
+    path = root / name / rel
+    original = text = path.read_text(encoding="utf-8")
+    for at, deleted, inserted in edits:
+        at = min(at, len(text))
+        text = text[:at] + inserted + text[at + deleted:]
+    path.write_text(text, encoding="utf-8")
+    return original
+
+
+class TestMalformedFragments:
+    @settings(max_examples=100, deadline=None)
+    @given(case=fragment_edits())
+    @example(case=NAMELESS_LIN)
+    @example(case=UNTYPED_DECLARATION)
+    def test_load_raises_only_glf_errors(self, fragment_copies, case):
+        name, rel, _ = case
+        original = apply_edits(fragment_copies, case)
+        try:
+            load_fragment(fragment_copies / name)
+        except GlfError:
+            pass
+        finally:
+            (fragment_copies / name / rel).write_text(original, encoding="utf-8")
+
+    @pytest.mark.parametrize("case", [NAMELESS_LIN, UNTYPED_DECLARATION])
+    def test_glf_load_reports_one_error_line(self, tmp_path, case):
+        name, rel, _ = case
+        shutil.copytree(fragment_dir(name), tmp_path / name)
+        apply_edits(tmp_path, case)
+        run = run_cli("load", str(tmp_path / name))
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {rel}: "), lines[:3]
+
+
 class TestGoldFiles:
     def test_fields_and_multiple_readings(self):
         cases = parse_gold_file(
@@ -288,6 +374,16 @@ class TestRepl:
         assert "nested too deeply" in out
         alive, out = collect(session, "parse Mary believes that John runs")
         assert alive and out.count("\n") == 1 and "believe mary" in out, out
+
+    def test_too_deep_linearize_is_one_error_line_and_the_session_goes_on(self):
+        session = new_session(load_fragment(fragment_dir("modal")))
+        deep = "modifyS pos (believe mary) (" * 700 + "makeS pos john run" + ")" * 700
+        alive, out = collect(session, "linearize Eng " + deep)
+        assert alive
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert "nested too deeply" in out
+        alive, out = collect(session, "linearize Eng makeS pos john run")
+        assert alive and out == "John runs\n"
 
     def test_reset_restores_the_initial_state(self, life):
         session = new_session(life)
