@@ -14,11 +14,15 @@ A file holds any number of blocks:
       ...
     end
 
-`//` starts a line comment. Declarations are checked as they are read:
-each type must be well-sorted and each definiens must have its declared
-type, in the context of everything included or declared so far (so later
-declarations may use earlier notations). View assignments are checked
-against the view-translated type of the source constant.
+`//` starts a line comment, except inside a notation, where it is an
+error: dropping the rest of the line there would also drop the `;` that
+ends the notation, and the notation would swallow what follows.
+
+Declarations are checked as they are read: each type must be well-sorted
+and each definiens must have its declared type, in the context of
+everything included or declared so far (so later declarations may use
+earlier notations). View assignments are checked against the
+view-translated type of the source constant.
 
 The words `theory`, `view`, `include`, `end`, `prec`, and `type` are
 reserved; declaration names and term identifiers must avoid them.
@@ -36,6 +40,11 @@ from glf.modsys.syntax import IDENT_RE, KEYWORDS, parse_term
 from glf.modsys.theory import Theory, TheoryGraph, View, validate_view
 
 _COMMENT = re.compile(r"//[^\n]*")
+# What `_strip_comments` tracks: comments, the `#` that opens a notation,
+# the `;` and `end` that close it, and brackets, which hide all three.
+_COMMENT_CONTEXT = re.compile(
+    r"//[^\n]*|[#;()\[\]{}]|(?<![A-Za-z0-9_'])end(?![A-Za-z0-9_'])"
+)
 _THEORY_HEADER = re.compile(
     r"theory\s+([A-Za-z_][A-Za-z0-9_']*)\s*"
     r"(?::\s*([A-Za-z_][A-Za-z0-9_']*)\s*)?=", re.S
@@ -50,6 +59,32 @@ _PREC = re.compile(r"\bprec\s+(-?\d+)\s*$")
 
 _OPEN = {"(": ")", "[": "]", "{": "}"}
 _CLOSE = set(_OPEN.values())
+
+
+def _strip_comments(text: str) -> str:
+    """Drop `//` line comments; one inside a notation is a `TermSyntaxError`.
+
+    A notation runs from a `#` outside brackets to the next `;` or `end`
+    outside brackets, as `_split_top` and `_END` later read it.
+    """
+    depth = 0
+    in_notation = False
+    for m in _COMMENT_CONTEXT.finditer(text):
+        token = m.group()
+        if token.startswith("//"):
+            if in_notation:
+                line = text.count("\n", 0, m.start()) + 1
+                raise TermSyntaxError(
+                    "`//` inside a notation would comment out the rest of the "
+                    "line, including the `;` that ends it", line
+                )
+        elif token in _OPEN:
+            depth += 1
+        elif token in _CLOSE:
+            depth -= 1
+        elif depth == 0:
+            in_notation = token == "#"
+    return _COMMENT.sub("", text)
 
 
 def _split_top(text: str, seps: str) -> list[str]:
@@ -200,7 +235,7 @@ def _parse_view_body(
 
 def parse_theory_file(graph: TheoryGraph, text: str) -> list[str]:
     """Parse all blocks in `text` into `graph`; returns registered names."""
-    text = _COMMENT.sub("", text)
+    text = _strip_comments(text)
     added: list[str] = []
     pos = 0
     while True:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from glf.bridge import Fragment, generate_language_theory
-from glf.errors import FragmentLoadError, GlfError, TotalityFailure
+from glf.errors import FragmentLoadError, GlfError, TotalityFailure, nesting_limit
 from glf.grammar import AbstractGrammar, GrammarRegistry, compile_cfg, parse_grammar_file
 from glf.kernel import Const, Term, alpha_eq
 from glf.kernel.typecheck import EMPTY, check_type
@@ -282,8 +282,9 @@ def _load_knowledge(flat, directory: Path, rel: str, proposition_type: str) -> l
         if not line or line.startswith("#"):
             continue
         try:
-            t = parse_term(flat, line)
-            check_type(flat, EMPTY, t, Const(proposition_type))
+            with nesting_limit("the axiom"):
+                t = parse_term(flat, line)
+                check_type(flat, EMPTY, t, Const(proposition_type))
         except GlfError as err:
             raise FragmentLoadError(f"{rel}:{lineno}: {err}") from err
         axioms.append(t)

@@ -3,10 +3,11 @@
 A belief state tracks everything asserted so far as a set of tableau
 branches; each open branch is one way the discourse could be true. Feeding
 the state a new (possibly ambiguous) sentence copies every open branch for
-every reading, then saturates: conjunctive formulas extend a branch,
-disjunctive ones split it, and a branch closes as soon as it contains an
-atom together with its negation. What survives are the Herbrand-style
-models of the discourse, read off with :func:`extract_models`.
+every reading, counting readings equal modulo AC of ∧ and ∨ once, then
+saturates: conjunctive formulas extend a branch, disjunctive ones split it,
+and a branch closes as soon as it contains an atom together with its
+negation. What survives are the Herbrand-style models of the discourse,
+read off with :func:`extract_models`.
 
 The machine is parameterized over the logic: a flat signature plus a map
 saying which constants play the roles of the connectives. Quantifiers are
@@ -18,8 +19,10 @@ operator -- are treated as atoms.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Hashable, Iterable, Mapping
 
 from glf.errors import (
     EmptyReadings,
@@ -29,7 +32,7 @@ from glf.errors import (
     TypeError_,
     nesting_limit,
 )
-from glf.kernel import App, Const, Term, alpha_normal, normalize, spine
+from glf.kernel import App, Const, Lam, Term, alpha_normal, normalize, spine
 from glf.kernel.typecheck import EMPTY, check_type
 from glf.modsys import print_term
 from glf.modsys.theory import FlatTheory
@@ -59,11 +62,31 @@ class LogicSignature:
     proposition_type: str = "prop"
     individual_type: str | None = None
 
-    def role_of(self, name: str) -> str | None:
+    @cached_property
+    def _roles(self) -> dict[str, str]:
+        roles: dict[str, str] = {}
         for role, const in self.connectives.items():
-            if const == name:
-                return role
-        return None
+            roles.setdefault(const, role)
+        return roles
+
+    def role_of(self, name: str) -> str | None:
+        return self._roles.get(name)
+
+    @cached_property
+    def _domain(self) -> tuple[Const, ...]:
+        if self.individual_type is None:
+            raise NoDomainType(
+                "cannot ground quantifiers: the logic has no individual type"
+            )
+        ind = self.individual_type
+        return tuple(
+            Const(d.name)
+            for d in self.flat
+            if d.definiens is None
+            and d.type_ is not None
+            and isinstance(d.type_, Const)
+            and d.type_.name == ind
+        )
 
     def constant(self, role: str) -> Const:
         try:
@@ -107,22 +130,6 @@ class BeliefState:
         return tuple(b for b in self.branches if not b.closed)
 
 
-def _individual_domain(signature: LogicSignature) -> list[Const]:
-    if signature.individual_type is None:
-        raise NoDomainType(
-            "cannot ground quantifiers: the logic has no individual type"
-        )
-    ind = signature.individual_type
-    return [
-        Const(d.name)
-        for d in signature.flat
-        if d.definiens is None
-        and d.type_ is not None
-        and isinstance(d.type_, Const)
-        and d.type_.name == ind
-    ]
-
-
 def _fold(connective: Const, parts: list[Term]) -> Term:
     result = parts[-1]
     for part in reversed(parts[:-1]):
@@ -147,7 +154,7 @@ def ground_quantifiers(signature: LogicSignature, t: Term) -> Term:
             return t
         role = signature.role_of(head.name)
         if role in ("forall", "exists") and len(args) == 1:
-            domain = _individual_domain(signature)
+            domain = signature._domain
             if not domain:
                 return TOP if role == "forall" else BOTTOM
             parts = [
@@ -208,18 +215,36 @@ def _with_literal(branch: Branch, lit: Literal, rest: tuple[Term, ...]) -> Branc
     key = alpha_normal(lit.atom)
     # The designated atoms carry their truth value with them.
     if key == TOP:
-        return replace(branch, pending=rest, closed=not lit.positive)
+        return Branch(branch.literals, rest, not lit.positive, branch.polarity)
     if key == BOTTOM:
-        return replace(branch, pending=rest, closed=lit.positive)
+        return Branch(branch.literals, rest, lit.positive, branch.polarity)
     known = branch.polarity.get(key)
     if known is not None:
-        return replace(branch, pending=rest, closed=known != lit.positive)
-    return replace(
-        branch,
-        literals=branch.literals + (lit,),
-        pending=rest,
-        polarity={**branch.polarity, key: lit.positive},
+        return Branch(branch.literals, rest, known != lit.positive, branch.polarity)
+    return Branch(
+        branch.literals + (lit,), rest, False, {**branch.polarity, key: lit.positive}
     )
+
+
+def _expand(
+    signature: LogicSignature, branch: Branch
+) -> tuple[tuple[Branch, ...], str, str]:
+    """Apply one rule to the first pending formula of an open branch.
+
+    Returns the branches it becomes, in order, and the two halves of the
+    step's history note, which go either side of the branch's index.
+    Branches are built directly: `replace` would cost more than the rule.
+    """
+    t, rest = branch.pending[0], branch.pending[1:]
+    kind, parts = _classify(signature, t)
+    if kind == "alpha":
+        new = (Branch(branch.literals, parts + rest, False, branch.polarity),)
+        return new, "α-expand", f" ({len(parts)} part(s))"
+    if kind == "beta":
+        new = tuple(Branch(branch.literals, (p,) + rest, False, branch.polarity) for p in parts)
+        return new, "β-split", ""
+    new = (_with_literal(branch, parts, rest),)
+    return new, "literal", " -- closed" if new[0].closed else ""
 
 
 def expand_step(state: BeliefState) -> BeliefState:
@@ -234,41 +259,46 @@ def expand_step(state: BeliefState) -> BeliefState:
             break
     else:
         return state
-
-    t, rest = branch.pending[0], branch.pending[1:]
-    kind, parts = _classify(state.signature, t)
-    if kind == "alpha":
-        new = (replace(branch, pending=tuple(parts) + rest),)
-        note = f"α-expand on branch {i} ({len(parts)} part(s))"
-    elif kind == "beta":
-        new = tuple(replace(branch, pending=(p,) + rest) for p in parts)
-        note = f"β-split on branch {i}"
-    else:
-        new = (_with_literal(branch, parts, rest),)
-        note = f"literal on branch {i}" + (" -- closed" if new[0].closed else "")
-
+    new, verb, detail = _expand(state.signature, branch)
     return replace(
         state,
         branches=state.branches[:i] + new + state.branches[i + 1:],
-        history=state.history + (note,),
+        history=state.history + (f"{verb} on branch {i}{detail}",),
     )
-
-
-def _needs_work(state: BeliefState) -> bool:
-    return any(not b.closed and b.pending for b in state.branches)
 
 
 def saturate(state: BeliefState) -> BeliefState:
     """Run expansion steps until quiescence or until the budget runs out.
 
+    The result is the state that repeated :func:`expand_step` reaches, with
+    the same branch order and one history note per step. Branches still to
+    be looked at sit on a stack, first on top, so each step costs only its
+    own rule; the branches before the current one are finished, which makes
+    its index the length of ``done``.
+
     Exhausting the budget is not an error: the state is returned with
     ``exhausted`` set, and everything derived so far remains usable.
     """
-    steps = 0
-    while steps < state.step_budget and _needs_work(state):
-        state = expand_step(state)
-        steps += 1
-    return replace(state, exhausted=_needs_work(state))
+    todo = list(reversed(state.branches))
+    done: list[Branch] = []
+    notes: list[str] = []
+    while todo:
+        branch = todo.pop()
+        if branch.closed or not branch.pending:
+            done.append(branch)
+        elif len(notes) >= state.step_budget:
+            todo.append(branch)
+            break
+        else:
+            new, verb, detail = _expand(state.signature, branch)
+            notes.append(f"{verb} on branch {len(done)}{detail}")
+            todo.extend(reversed(new))
+    return replace(
+        state,
+        branches=(*done, *reversed(todo)),
+        history=state.history + tuple(notes),
+        exhausted=bool(todo),
+    )
 
 
 def _check_proposition(signature: LogicSignature, t: Term, what: str) -> None:
@@ -307,12 +337,56 @@ def init_belief_state(
     return replace(state, branches=state.open_branches)
 
 
+def _ac_key(signature: LogicSignature, t: Term) -> Hashable:
+    """A key shared by formulas equal modulo AC of the role-mapped ∧ and ∨.
+
+    A chain of one of them keys as the multiset of its operands' keys. It
+    is a multiset, not a set: (p ∨ q) ∧ (p ∨ q) has the model {p, q}, which
+    p ∨ q lacks. ¬¬A keys as A, since the α-rule makes them branch-identical.
+    The other connectives, the quantifiers and λ-bodies keep their operands
+    in order, and any other formula is an opaque atom that keys as itself.
+    Formulas with equal keys saturate to the same set of open-branch
+    literal sets, which is all :func:`extract_models` reads.
+    """
+    head, args = spine(t)
+    role = signature.role_of(head.name) if isinstance(head, Const) else None
+    if role in ("and", "or") and len(args) == 2:
+        operands: Counter[Hashable] = Counter()
+        todo = list(args)
+        while todo:
+            part = todo.pop()
+            part_head, part_args = spine(part)
+            if part_head == head and len(part_args) == 2:
+                todo.extend(part_args)
+                continue
+            key = _ac_key(signature, part)
+            if type(key) is tuple and key[0] == role:  # ¬¬ around a chain
+                operands.update(dict(key[1]))
+            else:
+                operands[key] += 1
+        return role, frozenset(operands.items())
+    if role == "neg" and len(args) == 1:
+        inner = _ac_key(signature, args[0])
+        if type(inner) is tuple and inner[0] == "neg":
+            return inner[1]
+        return "neg", inner
+    if role == "impl" and len(args) == 2:
+        return "impl", _ac_key(signature, args[0]), _ac_key(signature, args[1])
+    if role in ("forall", "exists") and len(args) == 1:
+        return role, _ac_key(signature, args[0])
+    if isinstance(t, Lam):
+        return "λ", t.binder, t.binder_type, _ac_key(signature, t.body)
+    return t
+
+
 def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefState:
     """Assert a sentence: one reading per branch copy, then saturate.
 
-    Readings are normalized and de-duplicated up to α-equivalence first,
-    so syntactic ambiguity that melts away semantically costs nothing.
-    Closed branches are dropped from the result.
+    Readings are normalized first, and only the first of those equal up to
+    α-equivalence and AC of ∧ and ∨ is grounded and saturated, so syntactic
+    ambiguity that melts away semantically costs nothing and the models
+    come out as if every reading had been asserted. Closed branches are
+    dropped from the result.
     """
     with nesting_limit("a reading"):
         readings = tuple(readings)
@@ -320,11 +394,12 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
             raise EmptyReadings("a sentence must have at least one reading")
         flat = state.signature.flat
 
-        distinct: dict[Term, None] = {}
+        classes: dict[Hashable, Term] = {}
         for r in readings:
             _check_proposition(state.signature, r, "reading")
-            distinct.setdefault(alpha_normal(normalize(flat, r)))
-        grounded = [ground_quantifiers(state.signature, n) for n in distinct]
+            n = alpha_normal(normalize(flat, r))
+            classes.setdefault(_ac_key(state.signature, n), n)
+        grounded = [ground_quantifiers(state.signature, n) for n in classes.values()]
 
         branches = tuple(
             replace(b, pending=b.pending + (g,))
@@ -335,7 +410,7 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
             state,
             branches=branches,
             history=state.history
-            + (f"update with {len(distinct)} reading(s) over {len(state.open_branches)} branch(es)",),
+            + (f"update with {len(classes)} reading(s) over {len(state.open_branches)} branch(es)",),
         )
         state = saturate(state)
         return replace(state, branches=state.open_branches)

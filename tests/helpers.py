@@ -313,6 +313,92 @@ def random_formula(rng, depth: int) -> Term:
     )
 
 
+# --- the reference tableau loop ------------------------------------------------
+#
+# `glf.tableau`'s saturation and update as they stood before saturation ran
+# over a worklist and readings were grouped modulo AC of ∧ and ∨. Kept
+# verbatim, but for the names, as oracles: `reference_saturate` rescans
+# every branch per step and rebuilds both tuples, and `reference_update`
+# saturates every α-distinct reading.
+
+def reference_expand_step(state):
+    from dataclasses import replace
+
+    from glf.tableau import _classify, _with_literal
+
+    for i, branch in enumerate(state.branches):
+        if not branch.closed and branch.pending:
+            break
+    else:
+        return state
+
+    t, rest = branch.pending[0], branch.pending[1:]
+    kind, parts = _classify(state.signature, t)
+    if kind == "alpha":
+        new = (replace(branch, pending=tuple(parts) + rest),)
+        note = f"α-expand on branch {i} ({len(parts)} part(s))"
+    elif kind == "beta":
+        new = tuple(replace(branch, pending=(p,) + rest) for p in parts)
+        note = f"β-split on branch {i}"
+    else:
+        new = (_with_literal(branch, parts, rest),)
+        note = f"literal on branch {i}" + (" -- closed" if new[0].closed else "")
+
+    return replace(
+        state,
+        branches=state.branches[:i] + new + state.branches[i + 1:],
+        history=state.history + (note,),
+    )
+
+
+def _reference_needs_work(state) -> bool:
+    return any(not b.closed and b.pending for b in state.branches)
+
+
+def reference_saturate(state):
+    from dataclasses import replace
+
+    steps = 0
+    while steps < state.step_budget and _reference_needs_work(state):
+        state = reference_expand_step(state)
+        steps += 1
+    return replace(state, exhausted=_reference_needs_work(state))
+
+
+def reference_update(state, readings):
+    from dataclasses import replace
+
+    from glf.errors import EmptyReadings, nesting_limit
+    from glf.kernel import alpha_normal, normalize
+    from glf.tableau import _check_proposition, ground_quantifiers
+
+    with nesting_limit("a reading"):
+        readings = tuple(readings)
+        if not readings:
+            raise EmptyReadings("a sentence must have at least one reading")
+        flat = state.signature.flat
+
+        distinct: dict[Term, None] = {}
+        for r in readings:
+            _check_proposition(state.signature, r, "reading")
+            distinct.setdefault(alpha_normal(normalize(flat, r)))
+        grounded = [ground_quantifiers(state.signature, n) for n in distinct]
+
+        branches = tuple(
+            replace(b, pending=b.pending + (g,))
+            for g in grounded
+            for b in state.open_branches
+        )
+        state = replace(
+            state,
+            branches=branches,
+            history=state.history
+            + (f"update with {len(distinct)} reading(s) over {len(state.open_branches)} branch(es)",),
+        )
+        state = reference_saturate(state)
+        return replace(state, branches=state.open_branches)
+
+
 CLI_MODULE = "glf.shell.cli"
 
 

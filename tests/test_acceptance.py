@@ -232,3 +232,18 @@ def test_a12_too_deep_input_is_one_error_line():
         assert "Traceback" not in run.stderr
         lines = run.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines[:3]
+
+
+def test_a13_long_coordinations_saturate_within_the_default_budget():
+    # Catalan(7) = 429 and Catalan(8) = 1 430 bracketings, each one class
+    # modulo AC of ∧ and ∨, so the tableau saturates one reading of each.
+    eight = ("John and Mary and everyone and someone and "
+             "John and Mary and everyone and someone run")
+    nine = eight.replace(" run", " and Mary run")
+    for sentence in (eight, nine):
+        run = run_cli("analyze", str(fragment_dir("quantified")), *sentence.split())
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert "error:" not in run.stdout + run.stderr
+        models = [line for line in run.stdout.splitlines() if line.startswith("model ")]
+        assert len(models) == 1, run.stdout
+        assert "run' john'" in models[0] and "run' mary'" in models[0]

@@ -44,6 +44,24 @@ class TestTheoryFiles:
         g = graph_with("theory T = // nothing here ; end\n c : type ; end")
         assert [d.name for d in g.flatten("T")] == ["c"]
 
+    def test_comment_inside_a_notation_is_an_error(self):
+        # Stripped, the comment would take the `;` with it, and the
+        # notation would swallow the declaration of `c` on the next line.
+        text = (
+            "theory T =\n  o : type ;\n  div : o -> o -> o # %1 // %2 ;\n"
+            "  c : o ;\nend\n"
+        )
+        with pytest.raises(TermSyntaxError, match="notation.*line 3"):
+            graph_with(text)
+
+    def test_comments_after_a_notation_are_stripped(self):
+        g = graph_with(
+            "theory T =\n  o : type ;\n  neg : o -> o # ¬ %1 prec 20 ; // negation\n"
+            "  c : o ; // a constant # with a hash\nend\n"
+            "theory U = // after an end\n  include T ;\nend\n"
+        )
+        assert [d.name for d in g.flatten("U")] == ["o", "neg", "c"]
+
     def test_declarations_parse_with_earlier_notations(self):
         g = graph_with(LOGIC)
         flat = g.flatten("PropLogicSyntax")

@@ -138,6 +138,12 @@ class TestLoadFragment:
         with pytest.raises(FragmentLoadError, match=r"facts\.kb:2"):
             load_fragment(root)
 
+    def test_too_deep_knowledge_names_file_and_line(self, tmp_path):
+        deep = "(" * 600 + "run' joan'" + ")" * 600
+        root = doctored(tmp_path, "life", "knowledge/facts.kb", "run' joan'", deep)
+        with pytest.raises(FragmentLoadError, match=r"facts\.kb:2: .*nested too deeply"):
+            load_fragment(root)
+
     def test_start_category_must_match_the_grammar(self, tmp_path):
         root = doctored(tmp_path, "life", "fragment.manifest",
                         "start_category = Stmt", "start_category = Person")

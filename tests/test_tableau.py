@@ -19,12 +19,13 @@ from glf.errors import (
     NoDomainType,
     TableauError,
 )
-from glf.kernel import Const, Term, alpha_eq, app
+from glf.kernel import Const, Term, alpha_eq, app, spine
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.tableau import (
     BOTTOM,
     TOP,
     BeliefState,
+    Branch,
     Literal,
     LogicSignature,
     expand_step,
@@ -41,6 +42,9 @@ from helpers import (
     evaluate,
     prop_signature,
     random_formula,
+    reference_expand_step,
+    reference_saturate,
+    reference_update,
     satisfiable,
 )
 
@@ -121,6 +125,54 @@ formulas = st.recursive(
     ),
     max_leaves=12,
 )
+
+#: Smaller formulas, several to a branch: the reference loop rescans every
+#: branch on every step, so products of large splits would be slow.
+small_formulas = st.recursive(
+    st.sampled_from([Const(a) for a in ATOMS[:4]]),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("and", "or", "impl")), inner, inner).map(
+            lambda t: app(Const(t[0]), t[1], t[2])
+        ),
+        inner.map(lambda f: app(Const("neg"), f)),
+    ),
+    max_leaves=6,
+)
+
+NEG = Const("neg")
+AND = Const("and")
+
+
+def ac_variant(f: Term, rng: random.Random) -> Term:
+    """A formula equal to `f` modulo AC of ∧ and ∨, and ¬¬.
+
+    Every ∧/∨ chain has its operands shuffled and regrouped at random, and
+    now and then a subformula is wrapped in ¬¬.
+    """
+    head, args = spine(f)
+    if head.name in ("and", "or"):
+        operands, todo = [], [f]
+        while todo:
+            part = todo.pop()
+            part_head, part_args = spine(part)
+            if part_head == head:
+                todo.extend(part_args)
+            else:
+                operands.append(ac_variant(part, rng))
+        rng.shuffle(operands)
+        g = _regroup(head, operands, rng)
+    elif args:
+        g = app(head, *(ac_variant(a, rng) for a in args))
+    else:
+        g = f
+    return app(NEG, app(NEG, g)) if rng.random() < 0.1 else g
+
+
+def _regroup(op: Const, operands: list[Term], rng: random.Random) -> Term:
+    if len(operands) == 1:
+        return operands[0]
+    k = rng.randint(1, len(operands) - 1)
+    return app(op, _regroup(op, operands[:k], rng), _regroup(op, operands[k:], rng))
 
 
 class TestGrounding:
@@ -323,6 +375,116 @@ class TestBeliefLifecycle:
         before = len(state.history)
         state = update_belief_state(state, (prop("p2"),))
         assert len(state.history) > before
+
+
+class TestWorklistSaturation:
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(small_formulas, max_size=2)),
+            min_size=1, max_size=3,
+        ),
+        st.one_of(st.none(), st.integers(0, 40)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_saturate_matches_the_reference_loop(self, branches, budget):
+        state = BeliefState(
+            signature=PROP_SIG,
+            world_knowledge=(),
+            branches=tuple(
+                Branch(pending=tuple(fs), closed=closed) for closed, fs in branches
+            ),
+            history=("start",),
+            step_budget=200_000 if budget is None else budget,
+        )
+        assert expand_step(state) == reference_expand_step(state)
+        got = saturate(state)
+        assert got == reference_saturate(state)  # branches, history, exhausted
+        resumed = dataclasses.replace(got, step_budget=200_000)
+        assert saturate(resumed) == reference_saturate(resumed)
+
+    def test_stopping_at_the_budget_leaves_the_rest_in_order(self):
+        state = init_belief_state(PROP_SIG, (prop("(p1 ∨ p2) ∧ (p3 ∨ p4)"),), step_budget=4)
+        assert state.exhausted
+        assert len(state.history) == 1 + 4
+        assert state.history[1:] == (
+            "α-expand on branch 0 (2 part(s))",
+            "β-split on branch 0",
+            "literal on branch 0",
+            "β-split on branch 0",
+        )
+        assert [b.pending for b in state.branches] == [
+            (prop("p3"),), (prop("p4"),), (prop("p2"), prop("p3 ∨ p4")),
+        ]
+
+
+class TestReadingClasses:
+    def start(self):
+        return init_belief_state(PROP_SIG, step_budget=200_000)
+
+    def test_ac_variants_are_one_reading(self):
+        readings = (
+            prop("(p1 ∧ p2) ∧ p3"), prop("p3 ∧ (p2 ∧ p1)"), prop("p2 ∧ ¬ ¬ (p3 ∧ p1)"),
+        )
+        state = update_belief_state(self.start(), readings)
+        assert state.history[1] == "update with 1 reading(s) over 1 branch(es)"
+        assert rendered(state) == [("p1", "p2", "p3")]
+
+    def test_repeated_operands_are_counted(self):
+        twice, once = prop("(p1 ∨ p2) ∧ (p1 ∨ p2)"), prop("p1 ∨ p2")
+        state = update_belief_state(self.start(), (twice, once))
+        assert state.history[1] == "update with 2 reading(s) over 1 branch(es)"
+        assert rendered(state) == [("p1",), ("p1", "p2"), ("p2",)]
+        assert rendered(update_belief_state(self.start(), (once,))) == [("p1",), ("p2",)]
+        # As sets of operands these two chains would be one class.
+        twice, once = prop("(p1 ∨ p2) ∧ p3 ∧ (p1 ∨ p2)"), prop("(p1 ∨ p2) ∧ p3")
+        state = update_belief_state(self.start(), (once, twice))
+        assert state.history[1] == "update with 2 reading(s) over 1 branch(es)"
+        assert rendered(state) == [("p1", "p3"), ("p2", "p3"), ("p1", "p2", "p3")]
+
+    def test_grouping_is_inside_quantifier_bodies_too(self):
+        readings = (
+            fol("∃ [x : ι] (run' x ∧ (run' a' ∧ run' b'))"),
+            fol("∃ [y : ι] ((run' b' ∧ run' y) ∧ run' a')"),
+        )
+        state = update_belief_state(init_belief_state(FOL_SIG), readings)
+        assert state.history[1] == "update with 1 reading(s) over 1 branch(es)"
+        assert rendered(state) == rendered(reference_update(init_belief_state(FOL_SIG), readings))
+
+    def test_order_of_implication_operands_matters(self):
+        readings = (prop("p1 ⇒ p2"), prop("p2 ⇒ p1"))
+        state = update_belief_state(self.start(), readings)
+        assert state.history[1] == "update with 2 reading(s) over 1 branch(es)"
+
+    @given(
+        st.lists(small_formulas, min_size=1, max_size=3),
+        st.lists(small_formulas, max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_models_equal_the_reference_update(self, bases, axioms, rng):
+        readings = []
+        for f in bases:
+            readings += [f] + [ac_variant(f, rng) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                # Equivalent, but f ∧ f has models that f lacks when f
+                # branches: one class per set of operands would lose them.
+                g = rng.choice(bases)
+                readings += [
+                    ac_variant(app(AND, f, g), rng),
+                    ac_variant(app(AND, f, app(AND, f, g)), rng),
+                ]
+        rng.shuffle(readings)
+        start = init_belief_state(PROP_SIG, axioms, step_budget=200_000)
+        got = update_belief_state(start, readings)
+        want = reference_update(start, readings)
+        assert not got.exhausted and not want.exhausted
+        assert rendered(got) == rendered(want)
+        assert len(got.branches) <= len(want.branches)
+
+    def test_role_of_prefers_the_first_role_listed(self):
+        signature = LogicSignature(PROP_SIG.flat, {"and": "both", "or": "both"})
+        assert signature.role_of("both") == "and"
+        assert signature.role_of("neg") is None
 
 
 class TestExtractModels:
