@@ -130,10 +130,6 @@ class ParamBlowup(GrammarError):
     pass
 
 
-class UnknownStartCategory(GrammarError):
-    pass
-
-
 # --- bridge -----------------------------------------------------------------
 
 class BridgeError(GlfError):

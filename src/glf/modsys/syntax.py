@@ -17,6 +17,12 @@ Fixed syntax, independent of any notation:
   types; a binder body extends as far to the right as possible
 * `(M)` grouping, `type` for the sort of types
 
+Text is lexed one token at a time: whitespace and `//` comments fall away,
+a word is a name, a keyword or a word notation token, and anything else is
+the longest structural or notation symbol. Theory files are read from the
+same stream (`glf.modsys.files`), so `; = #` and the keywords of that format
+also end a term.
+
 The printer inverts the parser: `parse_term(flat, print_term(flat, t))` is
 alpha-equivalent to `t` for well-formed closed terms.
 """
@@ -24,7 +30,8 @@ alpha-equivalent to `t` for well-formed closed terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from glf.errors import AmbiguousParse, DuplicateName, TermSyntaxError
 from glf.kernel import (
@@ -56,16 +63,27 @@ KEYWORDS = frozenset({"theory", "view", "include", "end", "prec", "type"})
 STRUCTURAL = {
     "->": "ARROW", "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
     "{": "LBRACE", "}": "RBRACE", ",": "COMMA", ":": "COLON",
+    ";": "SEMI", "=": "EQUALS", "#": "HASH",
 }
-RESERVED_TOKENS = frozenset(STRUCTURAL) | frozenset({";", "=", "#", "//", "--"})
+RESERVED_TOKENS = frozenset(STRUCTURAL) | frozenset({"//", "--"})
+
+# Whitespace and `//` comments, then a word or a symbol (longest first).
+_TOKEN = r"(?:\s+|//[^\n]*)*(?:({ident})|({symbols}))?"
+_SYMBOLS = frozenset(STRUCTURAL)
+_KINDS = {**STRUCTURAL, **dict.fromkeys(KEYWORDS, "KEYWORD"), "type": "TYPE"}
+# A notation's words run from its `#` to the first `;` or `end`, and may
+# close with `prec N`.
+_NOTATION_END = re.compile(r";|\bend(?![A-Za-z0-9_'])")
+_NOTATION_PREC = re.compile(r"\bprec\s+(-?\d+)\s*$")
+_WORD = re.compile(r"\S+")
+# Characters that, glued to others, keep a notation word from being one token.
+_STRUCTURAL_CHAR = re.compile(r"[][(){}#]")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    start: int
 
 
 class NotationTable:
@@ -130,10 +148,17 @@ class NotationTable:
 
         lexemes = set(self.nud) | set(self.led) | delimiters
         self.word_lexemes = {t for t in lexemes if IDENT_RE.fullmatch(t)}
-        self.symbol_lexemes = sorted(
-            (t for t in lexemes if not IDENT_RE.fullmatch(t)),
-            key=len, reverse=True,
-        )
+        self.kinds = {**_KINDS, **dict.fromkeys(lexemes, "LEXEME")} if lexemes else _KINDS
+        self.matcher = _matcher(frozenset(lexemes - self.word_lexemes))
+
+
+@lru_cache(maxsize=256)
+def _matcher(symbol_lexemes: frozenset[str]) -> re.Pattern:
+    """The token pattern for a notation table's symbols, longest first."""
+    symbols = sorted(symbol_lexemes | _SYMBOLS, key=len, reverse=True)
+    return re.compile(_TOKEN.format(
+        ident=IDENT_RE.pattern, symbols="|".join(map(re.escape, symbols))
+    ))
 
 
 def notation_table(signature: Signature) -> NotationTable:
@@ -147,49 +172,6 @@ def notation_table(signature: Signature) -> NotationTable:
     return table
 
 
-def _lex(text: str, table: NotationTable) -> list[_Token]:
-    symbols = sorted(
-        set(table.symbol_lexemes) | set(STRUCTURAL), key=len, reverse=True
-    )
-    tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            if word == "type":
-                kind = "TYPE"
-            elif word in table.word_lexemes:
-                kind = "LEXEME"
-            else:
-                kind = "IDENT"
-            tokens.append(_Token(kind, word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                kind = STRUCTURAL.get(sym, "LEXEME")
-                tokens.append(_Token(kind, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise TermSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
 def _is_ambiguous(signature: Signature, name: str) -> bool:
     return len(signature._by_name.get(name, ())) > 1
 
@@ -199,36 +181,101 @@ def _canonical(signature: Signature, d: Declaration) -> str:
 
 
 class _Parser:
-    def __init__(self, signature: Signature, table: NotationTable, tokens: list[_Token]):
-        self.sig = signature
-        self.table = table
-        self.tokens = tokens
-        self.pos = 0
+    """A Pratt parser over a stream of tokens lexed one ahead from `text`.
+
+    Tokens are lexed against the notation table of the signature in use;
+    `use` switches signatures between terms and re-lexes a lookahead not
+    yet consumed, so a theory file's later declarations see the notations
+    of earlier ones. Errors give line and column within the whole text.
+    """
+
+    def __init__(self, signature: Signature, text: str):
+        self.text = text
+        self.pos = 0  # just past the last consumed token
         self.bound: list[str] = []
+        self.use(signature)
+
+    def use(self, signature: Signature) -> None:
+        self.sig = signature
+        self.table = notation_table(signature)
+        self.tok: _Token | None = None
 
     # --- token plumbing ---------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        tok = self.tok
+        if tok is None:
+            m = self.table.matcher.match(self.text, self.pos)
+            text = m[1] or m[2]
+            end = m.end()
+            if text:
+                tok = _Token(self.table.kinds.get(text, "IDENT"), text, end - len(text))
+            elif end == len(self.text):
+                tok = _Token("EOF", "", end)
+            else:
+                raise TermSyntaxError(
+                    f"unexpected character {self.text[end]!r}", *self.where(end)
+                )
+            self.tok = tok
+        return tok
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.pos = tok.start + len(tok.text)
+        self.tok = None
         return tok
+
+    def accept(self, kind: str) -> bool:
+        if self.peek().kind == kind:
+            self.advance()
+            return True
+        return False
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             wanted = text if text is not None else kind.lower()
-            raise TermSyntaxError(
-                f"expected {wanted!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col,
-            )
+            raise self.fail(f"expected {wanted!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
+    def where(self, offset: int) -> tuple[int, int]:
+        """The line and column of `offset` in the text."""
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset)
+
     def fail(self, message: str) -> TermSyntaxError:
-        tok = self.peek()
-        return TermSyntaxError(message, tok.line, tok.col)
+        return TermSyntaxError(message, *self.where(self.peek().start))
+
+    def notation(self, context: str) -> Notation:
+        """The notation after a `#`, leaving the `;` or `end` that ends it.
+
+        A word the lexer would not read back as that one token is an error
+        here, where it is written, since the notation could never be used.
+        """
+        assert self.tok is None, "the lookahead would have lexed the notation"
+        end = _NOTATION_END.search(self.text, self.pos)
+        stop = end.start() if end else len(self.text)
+        prec = _NOTATION_PREC.search(self.text, self.pos, stop)
+        words = list(_WORD.finditer(self.text, self.pos, prec.start() if prec else stop))
+        self.pos = stop
+        if not words:
+            raise TermSyntaxError(f"empty notation in {context}", *self.where(stop))
+        for m in words:
+            word = m[0]
+            if "//" in word:
+                problem = ("`//` inside a notation would comment out the rest of the "
+                           "line, including the `;` that ends it")
+            elif word in RESERVED_TOKENS or word in KEYWORDS:
+                problem = f"notation for {context} uses reserved token {word!r}"
+            elif (_STRUCTURAL_CHAR.search(word)
+                  or IDENT_RE.match(word) and not IDENT_RE.fullmatch(word)):
+                problem = f"notation for {context}: {word!r} would not lex as one token"
+            else:
+                continue
+            raise TermSyntaxError(problem, *self.where(m.start()))
+        try:
+            return Notation(tuple(m[0] for m in words), int(prec[1]) if prec else 0)
+        except ValueError as e:
+            raise TermSyntaxError(f"{context}: {e}", *self.where(words[0].start())) from None
 
     # --- grammar ------------------------------------------------------------
 
@@ -376,8 +423,7 @@ class _Parser:
 
 def parse_term(signature: Signature, text: str) -> Term:
     """Parse a term against the constants and notations of `signature`."""
-    table = notation_table(signature)
-    return _Parser(signature, table, _lex(text, table)).parse()
+    return _Parser(signature, text).parse()
 
 
 # --- printing ----------------------------------------------------------------

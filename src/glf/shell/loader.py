@@ -251,6 +251,8 @@ def load_fragment(directory: str | Path) -> Fragment:
         step_budget = int(entries.get("step_budget", "10000"))
     except ValueError:
         raise FragmentLoadError("step_budget must be an integer") from None
+    if step_budget < 1:
+        raise FragmentLoadError("step_budget must be a positive integer")
 
     knowledge: list[Term] = []
     for rel in _paths(entries.get("knowledge", "")):

@@ -254,17 +254,10 @@ def expand_step(state: BeliefState) -> BeliefState:
     component first), literals are recorded and checked for closure.
     A state with nothing pending is returned unchanged.
     """
-    for i, branch in enumerate(state.branches):
-        if not branch.closed and branch.pending:
-            break
-    else:
+    stepped = saturate(replace(state, step_budget=1))
+    if len(stepped.history) == len(state.history):
         return state
-    new, verb, detail = _expand(state.signature, branch)
-    return replace(
-        state,
-        branches=state.branches[:i] + new + state.branches[i + 1:],
-        history=state.history + (f"{verb} on branch {i}{detail}",),
-    )
+    return replace(stepped, step_budget=state.step_budget, exhausted=state.exhausted)
 
 
 def saturate(state: BeliefState) -> BeliefState:

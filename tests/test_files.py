@@ -1,15 +1,26 @@
 """The theory/view file format and its load-time checking."""
 
-import pytest
+import ast as python_ast
+import re
+from pathlib import Path
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from glf.corpus import FRAGMENTS, fragment_dir
 from glf.errors import (
     DuplicateName,
+    GlfError,
     TermSyntaxError,
     TypeError_,
     UnresolvedReference,
 )
-from glf.kernel import Const, Lam, TYPE, Var, alpha_eq, app, arrow, normalize
+from glf.kernel import Const, Lam, Notation, TYPE, Var, alpha_eq, app, arrow, normalize
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file, print_term
+from glf.modsys.syntax import IDENT_RE, KEYWORDS, RESERVED_TOKENS
+from glf.shell.loader import load_fragment, parse_manifest
+from helpers import reference_parse_theory_file
 
 LOGIC = """
 // the propositional core with its surface notations
@@ -53,6 +64,32 @@ class TestTheoryFiles:
         )
         with pytest.raises(TermSyntaxError, match="notation.*line 3"):
             graph_with(text)
+
+    def test_errors_give_file_positions(self):
+        with pytest.raises(TermSyntaxError, match=r"'%' at line 9, column 25$"):
+            load_domain(("o # love'", "o % love'"))
+        with pytest.raises(TermSyntaxError, match=r"found '\)' at line 7, column 15$"):
+            load_domain(("mary_DT : ι #", "mary_DT : ι ) #"))
+
+    def test_glued_notation_word_is_rejected_where_it_is_written(self):
+        # The bracket once hid the `;`, and the notation swallowed the theory.
+        with pytest.raises(TermSyntaxError, match=r"jo\(an'.* at line 6, column 17$"):
+            load_domain(("# joan' ;", "# jo(an' ;"))
+
+    @pytest.mark.parametrize("notation", ["a ( %1", "end' #x", "%1 : %2", "%1 prec", "ab+"])
+    def test_notation_words_must_lex_as_one_token(self, notation):
+        with pytest.raises(TermSyntaxError, match="line 3"):
+            graph_with(f"theory T =\n  o : type ;\n  f : o -> o -> o # {notation} ;\nend\n")
+
+    def test_notation_ends_at_the_first_semicolon_or_end(self):
+        g = graph_with("theory T = o : type ; c : o # ⊤ end theory U = d : type # ⊥; end")
+        assert g.theory("T").declarations[1].notation == Notation(("⊤",))
+        assert g.theory("U").declarations[0].notation == Notation(("⊥",))
+
+    def test_longer_notation_symbols_win_over_structural_ones(self):
+        g = graph_with("theory T = o : type ; imp : o -> o -> o # %1 => %2 prec 5 ;"
+                       " c : o ; d : o = c=>c ; end")
+        assert g.flatten("T").lookup("d").definiens == app(Const("imp"), Const("c"), Const("c"))
 
     def test_comments_after_a_notation_are_stripped(self):
         g = graph_with(
@@ -244,3 +281,122 @@ class TestRoundTripThroughFiles:
         ]:
             t = parse_term(flat, text)
             assert alpha_eq(parse_term(flat, print_term(flat, t)), t)
+
+
+def _theory_texts() -> list[tuple[tuple, str]]:
+    """Each shipped theory or view file with the modules loaded before it, and
+    every theory or view written out in the tests, with none."""
+    cases = []
+    for name in FRAGMENTS:
+        d = fragment_dir(name)
+        entries = parse_manifest((d / "fragment.manifest").read_text(encoding="utf-8"))
+        graph = load_fragment(d).graph
+        modules = [*graph.theories.values(), *graph.views.values()]
+        names = [m.name for m in modules]
+        for key in ("theories", "language_theories", "views"):
+            for rel in filter(None, map(str.strip, entries.get(key, "").split(","))):
+                text = (d / rel).read_text(encoding="utf-8")
+                first = re.search(r"^(?:theory|view) (\w+)", text, re.M)[1]
+                cases.append((tuple(modules[:names.index(first)]), text))
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in python_ast.walk(python_ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, python_ast.Constant)
+                and isinstance(node.value, str)
+                and re.search(r"\b(theory|view) \w+ .*=.*\bend\b", node.value, re.S)
+            ):
+                cases.append(((), node.value))
+    return cases
+
+
+THEORY_TEXTS = _theory_texts()
+STRUCTURAL = tuple(";=#:()[]{},.%/'\n ") + ("//", "->", "end", "prec", "include")
+
+
+@st.composite
+def damaged_theories(draw):
+    """A theory or view text after up to three deletions, truncations or insertions."""
+    context, text = draw(st.sampled_from(THEORY_TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("delete", "truncate", "insert")))
+        if edit == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif edit == "truncate":
+            text = text[:at]
+        else:
+            text = text[:at] + draw(st.sampled_from(STRUCTURAL)) + text[at:]
+    return context, text
+
+
+def _lexes_apart(word: str) -> bool:
+    """Whether the term lexer would read a notation word as other than that one token."""
+    return Notation.placeholder_index(word) is None and bool(
+        word in RESERVED_TOKENS or word in KEYWORDS or re.search(r"[][(){}#]", word)
+        or IDENT_RE.match(word) and not IDENT_RE.fullmatch(word)
+    )
+
+
+def _modules_after(parse, context, text):
+    graph = TheoryGraph()
+    for module in context:
+        graph.add(module)
+    added = parse(graph, text)
+    return added, list(graph.theories.items()), list(graph.views.items())
+
+
+def _domain_case(*replacements):
+    """The life fragment's `logic/domain.thy`, edited, with its context."""
+    (context, text), = [c for c in THEORY_TEXTS if "theory LifeDT" in c[1]]
+    for old, new in replacements:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return context, text
+
+
+def load_domain(*replacements):
+    return _modules_after(parse_theory_file, *_domain_case(*replacements))
+
+
+class TestAgainstReferenceReader:
+    """`parse_theory_file` against the character-scanning reader it replaced."""
+
+    def check(self, context, text):
+        try:
+            want = _modules_after(reference_parse_theory_file, context, text)
+        except Exception:
+            with pytest.raises(GlfError):
+                _modules_after(parse_theory_file, context, text)
+            return
+        if any(
+            _lexes_apart(word)
+            for _, theory in want[1] for d in theory.declarations if d.notation
+            for word in d.notation.tokens
+        ):  # a bracket hid the `;` ending a notation, which swallowed what followed
+            with pytest.raises(GlfError):
+                _modules_after(parse_theory_file, context, text)
+            return
+        try:
+            got = _modules_after(parse_theory_file, context, text)
+        except TermSyntaxError as err:
+            # The reference cut a notation at a second `#` and dropped the rest.
+            word = text.split("\n")[err.line - 1][err.column - 1:].split()[0]
+            assert _lexes_apart(word), err
+        else:
+            assert got == want
+
+    def test_corpus_and_test_theories(self):
+        assert len(THEORY_TEXTS) > 20
+        for context, text in THEORY_TEXTS:
+            self.check(context, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(damaged_theories())
+    @example(_domain_case(("# joan' ;", "# jo(an' ;")))
+    @example(_domain_case(("o # love'", "o % love'")))
+    @example(_domain_case(("# run' ;", "# ru#n' ;")))
+    @example(_domain_case(("# run' ;", "# run' 'prec 4 ;")))
+    @example(_domain_case(("# mary' ;", "# mary' ( ;")))
+    @example(_domain_case(("# love' ;", "# love' // ;")))
+    def test_damaged_theories(self, case):
+        self.check(*case)

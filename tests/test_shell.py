@@ -162,6 +162,13 @@ class TestLoadFragment:
         with pytest.raises(FragmentLoadError, match="integer"):
             load_fragment(root)
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_step_budget_must_be_positive(self, tmp_path, budget):
+        root = doctored(tmp_path, "life", "fragment.manifest",
+                        "name = life", f"name = life\nstep_budget = {budget}")
+        with pytest.raises(FragmentLoadError, match="step_budget must be a positive integer"):
+            load_fragment(root)
+
     def test_logic_signature_reflects_manifest_choices(self, life):
         signature = logic_signature(life)
         assert signature.connectives == {"and": "and", "or": "or", "neg": "neg"}
@@ -192,6 +199,9 @@ def _edit(name, rel, old, new):
 #: Two edits that crashed the loader with a Python exception.
 NAMELESS_LIN = _edit("life", "grammar/life.gf", "lin act p a =", "lin =")
 UNTYPED_DECLARATION = _edit("life", "logic/domain.thy", "joan_DT : ι #", "joan_DT #")
+#: A bracket glued into a notation once hid the `;` after it, so the
+#: notation swallowed the rest of the theory and a later file took the blame.
+GLUED_NOTATION = _edit("life", "logic/domain.thy", "# joan' ;", "# jo(an' ;")
 STRUCTURAL = tuple('{}()[];=:,|"#%!.+-*>?\n ') + ("", "//", "--", "->")
 
 
@@ -236,6 +246,7 @@ class TestMalformedFragments:
     @given(case=fragment_edits())
     @example(case=NAMELESS_LIN)
     @example(case=UNTYPED_DECLARATION)
+    @example(case=GLUED_NOTATION)
     def test_load_raises_only_glf_errors(self, fragment_copies, case):
         name, rel, _ = case
         original = apply_edits(fragment_copies, case)
@@ -246,7 +257,7 @@ class TestMalformedFragments:
         finally:
             (fragment_copies / name / rel).write_text(original, encoding="utf-8")
 
-    @pytest.mark.parametrize("case", [NAMELESS_LIN, UNTYPED_DECLARATION])
+    @pytest.mark.parametrize("case", [NAMELESS_LIN, UNTYPED_DECLARATION, GLUED_NOTATION])
     def test_glf_load_reports_one_error_line(self, tmp_path, case):
         name, rel, _ = case
         shutil.copytree(fragment_dir(name), tmp_path / name)
