@@ -2,7 +2,10 @@
 
 Terms are immutable trees. The only term equality used anywhere in the
 framework is α-equivalence; plain ``==`` is structural equality and is an
-implementation detail (it agrees with α-equivalence on `alpha_normal` forms).
+implementation detail. The one α-algorithm is `alpha_normal`, which names
+the binder at depth d ``$d``, primed while that is a free variable of the
+term; `alpha_eq` compares α-normal forms. Every capture-avoiding rename
+goes through `rename_away`, which primes a binder until it is fresh.
 
 Each node caches its free variables in one extra slot, filled the first
 time `free_vars` meets the node. Terms are shared, so substitution pays for
@@ -11,13 +14,14 @@ not part of ``==``, ``hash``, ``repr`` or pattern matching: a node with its
 cache filled equals a freshly built one.
 
 The non-dependent arrow ``A -> B`` is not a separate constructor: it is a
-`Pi` whose binder does not occur free in the codomain (see `arrow`).
+`Pi` whose binder, ``_`` primed until fresh, does not occur free in the
+codomain (see `arrow`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import AbstractSet, Iterable, Union
 
 
 class _Node:
@@ -110,7 +114,7 @@ def arrow(*types: Term) -> Term:
         raise ValueError("arrow needs at least one type")
     result = types[-1]
     for dom in reversed(types[:-1]):
-        result = Pi("_", dom, result)
+        result = Pi(fresh_name("_", free_vars(result)), dom, result)
     return result
 
 
@@ -190,12 +194,24 @@ def constants(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
+def fresh_name(base: str, avoid: AbstractSet[str]) -> str:
     """The first of base', base'', ... not in `avoid`."""
     name = base
     while name in avoid:
         name += "'"
     return name
+
+
+def rename_away(binder: str, body: Term, avoid: AbstractSet[str]) -> tuple[str, Term]:
+    """`binder` and its `body`, with the binder primed until it is fresh.
+
+    Nothing changes unless `binder` is in `avoid`; otherwise the new name
+    avoids `avoid` and the free variables of `body`.
+    """
+    if binder not in avoid:
+        return binder, body
+    renamed = fresh_name(binder, avoid | free_vars(body))
+    return renamed, substitute(body, binder, Var(renamed))
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
@@ -215,18 +231,14 @@ def substitute(t: Term, x: str, s: Term) -> Term:
                 if binder == x:
                     return Lam(binder, bt, body)
                 if binder in fv_s and x in free_vars(body):
-                    renamed = fresh_name(binder, fv_s | free_vars(body) | {x})
-                    body = substitute(body, binder, Var(renamed))
-                    binder = renamed
+                    binder, body = rename_away(binder, body, fv_s)
                 return Lam(binder, bt, go(body))
             case Pi(binder, domain, codomain):
                 dom = go(domain)
                 if binder == x:
                     return Pi(binder, dom, codomain)
                 if binder in fv_s and x in free_vars(codomain):
-                    renamed = fresh_name(binder, fv_s | free_vars(codomain) | {x})
-                    codomain = substitute(codomain, binder, Var(renamed))
-                    binder = renamed
+                    binder, codomain = rename_away(binder, codomain, fv_s)
                 return Pi(binder, dom, go(codomain))
         raise TypeError(f"not a term: {t!r}")
 
@@ -235,61 +247,45 @@ def substitute(t: Term, x: str, s: Term) -> Term:
 
 def alpha_eq(t: Term, u: Term) -> bool:
     """True iff `t` and `u` are identical up to renaming of bound variables."""
-
-    def go(t: Term, u: Term, env_t: dict[str, int], env_u: dict[str, int], depth: int) -> bool:
-        match (t, u):
-            case (Var(a), Var(b)):
-                la, lb = env_t.get(a), env_u.get(b)
-                if la is None and lb is None:
-                    return a == b
-                return la == lb
-            case (Const(a), Const(b)):
-                return a == b
-            case (Sort(a), Sort(b)):
-                return a == b
-            case (App(f1, a1), App(f2, a2)):
-                return go(f1, f2, env_t, env_u, depth) and go(a1, a2, env_t, env_u, depth)
-            case (Lam(b1, t1, m1), Lam(b2, t2, m2)):
-                if (t1 is None) != (t2 is None):
-                    return False
-                if t1 is not None and not go(t1, t2, env_t, env_u, depth):
-                    return False
-                return go(m1, m2, {**env_t, b1: depth}, {**env_u, b2: depth}, depth + 1)
-            case (Pi(b1, d1, c1), Pi(b2, d2, c2)):
-                if not go(d1, d2, env_t, env_u, depth):
-                    return False
-                return go(c1, c2, {**env_t, b1: depth}, {**env_u, b2: depth}, depth + 1)
-        return False
-
-    return go(t, u, {}, {}, 0)
+    return t == u or alpha_normal(t) == alpha_normal(u)
 
 
 def alpha_normal(t: Term) -> Term:
-    """Canonical α-representative: binders renamed $0, $1, ... in traversal order.
-
-    Structural equality and hashing of alpha-normal terms coincide with
-    α-equivalence, which makes them usable as set / dict keys.
-    """
+    """Canonical α-representative: the binder at depth d named $d, primed
+    while that is free in `t`. Structural equality and hashing of α-normal
+    terms coincide with α-equivalence, so they serve as set / dict keys."""
+    avoid: AbstractSet[str] = _NO_VARS  # the names no binder may take
+    free: list[str] = []  # the free variable occurrences met
 
     def go(t: Term, env: dict[str, str], depth: int) -> Term:
         match t:
             case Var(name):
-                return Var(env.get(name, name))
+                if name in env:
+                    return Var(env[name])
+                free.append(name)
+                return t
             case Const() | Sort():
                 return t
             case App(fn, arg):
                 return App(go(fn, env, depth), go(arg, env, depth))
             case Lam(binder, binder_type, body):
                 bt = go(binder_type, env, depth) if binder_type is not None else None
-                fresh = f"${depth}"
+                fresh = fresh_name(f"${depth}", avoid)
                 return Lam(fresh, bt, go(body, {**env, binder: fresh}, depth + 1))
             case Pi(binder, domain, codomain):
                 dom = go(domain, env, depth)
-                fresh = f"${depth}"
+                fresh = fresh_name(f"${depth}", avoid)
                 return Pi(fresh, dom, go(codomain, {**env, binder: fresh}, depth + 1))
         raise TypeError(f"not a term: {t!r}")
 
-    return go(t, {}, 0)
+    normal = go(t, {}, 0)
+    # Only a free name starting with "$" can clash with a binder's. Checking
+    # the free occurrences met on the way spares a free-variable pass over
+    # every (usually closed) term.
+    if free and any(name.startswith("$") for name in free):
+        avoid = frozenset(free)
+        normal = go(t, {}, 0)
+    return normal
 
 
 def show(t: Term) -> str:

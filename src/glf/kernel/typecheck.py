@@ -8,6 +8,7 @@ expected Π domain into unannotated binders (how view assignments like
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import KeysView
 
 from glf.errors import (
     NotAFunction,
@@ -28,8 +29,7 @@ from glf.kernel.terms import (
     TYPE,
     Term,
     Var,
-    free_vars,
-    fresh_name,
+    rename_away,
     show,
     substitute,
 )
@@ -48,23 +48,14 @@ class Context:
     def extend(self, name: str, type_: Term) -> "Context":
         return Context(self.bindings + ((name, type_),))
 
-    def names(self) -> frozenset[str]:
-        return frozenset(self._types)
+    def names(self) -> KeysView[str]:
+        return self._types.keys()
 
     def __contains__(self, name: str) -> bool:
         return name in self._types
 
 
 EMPTY = Context()
-
-
-def _bind(ctx: Context, binder: str, body: Term) -> tuple[str, Term, Context]:
-    """Enter a binder, renaming it if it would shadow a context entry."""
-    if binder in ctx:
-        renamed = fresh_name(binder, ctx.names() | free_vars(body))
-        body = substitute(body, binder, Var(renamed))
-        binder = renamed
-    return binder, body, ctx
 
 
 def infer_type(sig: Signature, ctx: Context, t: Term) -> Term:
@@ -100,12 +91,12 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Term:
                     f"cannot infer the type of [{binder}] without an annotation"
                 )
             _check_is_type(sig, ctx, binder_type)
-            binder, body, ctx = _bind(ctx, binder, body)
+            binder, body = rename_away(binder, body, ctx.names())
             body_type = infer_type(sig, ctx.extend(binder, binder_type), body)
             return Pi(binder, normalize(sig, binder_type), body_type)
         case Pi(binder, domain, codomain):
             _check_is_type(sig, ctx, domain)
-            binder, codomain, ctx = _bind(ctx, binder, codomain)
+            binder, codomain = rename_away(binder, codomain, ctx.names())
             sort = infer_type(sig, ctx.extend(binder, domain), codomain)
             if not isinstance(sort, Sort):
                 raise TypeMismatch("type or kind", show(sort), show(t))
@@ -120,7 +111,7 @@ def check_type(sig: Signature, ctx: Context, t: Term, expected: Term) -> None:
         if t.binder_type is not None and not def_eq(sig, t.binder_type, expected_w.domain):
             raise TypeMismatch(show(expected_w.domain), show(t.binder_type),
                                f"binder [{t.binder}]")
-        binder, body, ctx = _bind(ctx, t.binder, t.body)
+        binder, body = rename_away(t.binder, t.body, ctx.names())
         body_expected = substitute(expected_w.codomain, expected_w.binder, Var(binder))
         check_type(sig, ctx.extend(binder, expected_w.domain), body, body_expected)
         return

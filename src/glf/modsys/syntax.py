@@ -46,6 +46,7 @@ from glf.kernel import (
     Term,
     TYPE,
     Var,
+    arrow,
     constants,
     free_vars,
     fresh_name,
@@ -165,10 +166,7 @@ def notation_table(signature: Signature) -> NotationTable:
     table = getattr(signature, "_notation_table", None)
     if table is None:
         table = NotationTable(signature)
-        try:
-            signature._notation_table = table  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
+        signature._notation_table = table  # type: ignore[attr-defined]
     return table
 
 
@@ -292,7 +290,7 @@ class _Parser:
             if tok.kind == "ARROW" and ARROW_PREC > rbp:
                 self.advance()
                 rhs = self.expr(ARROW_PREC - 1)
-                t = Pi(fresh_name("_", free_vars(rhs)), t, rhs)
+                t = arrow(t, rhs)
             elif self.starts_atom(tok) and APP_PREC > rbp:
                 t = App(t, self.atom())
             elif tok.kind == "LEXEME" and tok.text in self.table.led \

@@ -85,9 +85,6 @@ class FlatTheory(Signature):
     def __init__(self, name: str, declarations: tuple[Declaration, ...]):
         super().__init__(declarations)
         self.name = name
-        self.meta = None
-        self.includes: tuple[str, ...] = ()
-        self._notation_table = None  # filled lazily by the syntax layer
 
 
 class TheoryGraph:
@@ -145,8 +142,6 @@ class TheoryGraph:
 
         visit(top)
         flat = FlatTheory(top.name, tuple(declarations))
-        flat.meta = top.meta
-        flat.includes = top.includes
         if registered:
             self._flat[top.name] = flat
         return flat
@@ -225,23 +220,20 @@ def apply_view(graph: TheoryGraph, view: View, t: Term) -> Term:
 
 
 def validate_view(graph: TheoryGraph, view: View) -> None:
-    """Check each assignment against the view-translated source type.
+    """Check each assignment, inherited ones too, against the translated type.
 
-    Assignments whose translated type still mentions unassigned constants are
-    deferred (a later totality check reports those); assigning to a defined
-    constant is always an error.
+    An included view's assignment is checked again here, because this view
+    may translate its type further. Assignments whose translated type still
+    mentions unassigned constants are deferred (a later totality check
+    reports those); assigning to a defined constant is always an error.
     """
     source = graph.flatten(view.source)
     target = graph.flatten(view.target)
-    for name, term in view.assignments:
-        d = source.lookup(name)
-        if d is None:
-            raise UnresolvedReference(
-                f"view {view.name} assigns {name}, which is not in {source.name}"
-            )
+    for key, term in graph.merged_assignments(view).items():
+        d = source.lookup(key)
         if d.definiens is not None:
             raise ModuleError(
-                f"view {view.name} assigns the defined constant {name}"
+                f"view {view.name} assigns the defined constant {d.name}"
             )
         if d.type_ is None:
             continue

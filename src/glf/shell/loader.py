@@ -81,7 +81,8 @@ def _read(directory: Path, rel: str) -> str:
 def _parse_file(parse, into, directory: Path, rel: str) -> None:
     """`parse(into, text)` on the file `rel`, naming the file in any error."""
     try:
-        parse(into, _read(directory, rel))
+        with nesting_limit("the file"):
+            parse(into, _read(directory, rel))
     except FragmentLoadError:
         raise
     except GlfError as err:

@@ -135,6 +135,41 @@ def reference_free_vars(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
+def reference_alpha_eq(t: Term, u: Term) -> bool:
+    """True iff `t` and `u` are identical up to renaming of bound variables.
+
+    The environment walk `glf.kernel.alpha_eq` used before it became a
+    comparison of α-normal forms, kept verbatim as an oracle.
+    """
+
+    def go(t: Term, u: Term, env_t: dict[str, int], env_u: dict[str, int], depth: int) -> bool:
+        match (t, u):
+            case (Var(a), Var(b)):
+                la, lb = env_t.get(a), env_u.get(b)
+                if la is None and lb is None:
+                    return a == b
+                return la == lb
+            case (Const(a), Const(b)):
+                return a == b
+            case (Sort(a), Sort(b)):
+                return a == b
+            case (App(f1, a1), App(f2, a2)):
+                return go(f1, f2, env_t, env_u, depth) and go(a1, a2, env_t, env_u, depth)
+            case (Lam(b1, t1, m1), Lam(b2, t2, m2)):
+                if (t1 is None) != (t2 is None):
+                    return False
+                if t1 is not None and not go(t1, t2, env_t, env_u, depth):
+                    return False
+                return go(m1, m2, {**env_t, b1: depth}, {**env_u, b2: depth}, depth + 1)
+            case (Pi(b1, d1, c1), Pi(b2, d2, c2)):
+                if not go(d1, d2, env_t, env_u, depth):
+                    return False
+                return go(c1, c2, {**env_t, b1: depth}, {**env_u, b2: depth}, depth + 1)
+        return False
+
+    return go(t, u, {}, {}, 0)
+
+
 # --- random well-typed terms -------------------------------------------------
 
 def _peel(ty: Term) -> tuple[list[Term], Term]:
@@ -215,6 +250,24 @@ def untyped_terms(max_depth: int = 5):
             st.tuples(sub, sub).map(lambda p: App(*p)),
             st.tuples(_names, sub).map(lambda p: Lam(p[0], None, p[1])),
             st.tuples(_names, sub, sub).map(lambda p: Pi(p[0], p[1], p[2])),
+        ),
+        max_leaves=max_depth * 3,
+    )
+
+
+#: Names that collide with `alpha_normal`'s canonical binders and `arrow`'s.
+_clashing_names = st.sampled_from(["x", "y", "$0", "$1", "$0'", "_"])
+
+
+def clashing_terms(max_depth: int = 5):
+    """Untyped terms whose variables, bound or free, may be named like the
+    binders `alpha_normal` and `arrow` choose; binders may be annotated."""
+    return st.recursive(
+        st.one_of(_clashing_names.map(Var), _consts.map(Const)),
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: App(*p)),
+            st.tuples(_clashing_names, st.none() | sub, sub).map(lambda p: Lam(*p)),
+            st.tuples(_clashing_names, sub, sub).map(lambda p: Pi(*p)),
         ),
         max_leaves=max_depth * 3,
     )

@@ -42,6 +42,31 @@ def doctored(tmp_path, name, rel, old, new):
     return root
 
 
+def act_ill_typed_through_include(tmp_path):
+    """A copy of `life` whose lexicon view, not its grammar view, assigns
+    `Person`, and whose grammar view applies `act`'s arguments the wrong way
+    round: only the lexicon view can see that `act` is ill-typed."""
+    root = tmp_path / "life"
+    shutil.copytree(fragment_dir("life"), root)
+    path = root / "semantics" / "semantics.view"
+    text = path.read_text(encoding="utf-8")
+    for old, new in (
+        ("  Person = ι ;\n", ""),
+        ("  include LifeGrammarSemantics ;\n",
+         "  include LifeGrammarSemantics ;\n  Person = ι ;\n"),
+        ("[pers, action] action pers", "[pers, action] pers action"),
+    ):
+        assert old in text, f"fixture drift: {old!r} not found"
+        text = text.replace(old, new, 1)
+    path.write_text(text, encoding="utf-8")
+    return root
+
+
+#: `run_DT`'s type wrapped in more parentheses than the parser can recurse into.
+DEEP_THEORY = ("logic/domain.thy", "run_DT : ι -> o",
+               "run_DT : " + "(" * 600 + "ι -> o" + ")" * 600)
+
+
 #: Saturating this sentence in `quantified` takes more than 5 steps.
 OVER_BUDGET = "everyone and someone love someone"
 
@@ -142,6 +167,17 @@ class TestLoadFragment:
         deep = "(" * 600 + "run' joan'" + ")" * 600
         root = doctored(tmp_path, "life", "knowledge/facts.kb", "run' joan'", deep)
         with pytest.raises(FragmentLoadError, match=r"facts\.kb:2: .*nested too deeply"):
+            load_fragment(root)
+
+    def test_too_deep_theory_names_the_file(self, tmp_path):
+        root = doctored(tmp_path, "life", *DEEP_THEORY)
+        with pytest.raises(FragmentLoadError, match=r"^logic/domain\.thy: .*nested too deeply"):
+            load_fragment(root)
+
+    def test_inherited_view_assignment_is_type_checked(self, tmp_path):
+        root = act_ill_typed_through_include(tmp_path)
+        with pytest.raises(FragmentLoadError,
+                           match="^semantics/semantics.view: pers of type ind is applied"):
             load_fragment(root)
 
     def test_start_category_must_match_the_grammar(self, tmp_path):
@@ -534,6 +570,25 @@ class TestCli:
     def test_load_error_is_reported_on_stderr(self, tmp_path, capsys):
         assert main(["load", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_load_names_a_theory_file_nested_too_deeply(self, tmp_path):
+        run = run_cli("load", str(doctored(tmp_path, "life", *DEEP_THEORY)))
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, lines[:3]
+        assert lines[0].startswith("error: logic/domain.thy: ")
+        assert "nested too deeply" in lines[0]
+
+    def test_load_rejects_a_view_ill_typed_through_its_include(self, tmp_path):
+        root = str(act_ill_typed_through_include(tmp_path))
+        for command in (["load", root], ["construct", root, "Mary", "runs"]):
+            run = run_cli(*command)
+            assert run.returncode == 1
+            assert run.stdout == ""
+            assert run.stderr == (
+                "error: semantics/semantics.view: pers of type ind is applied to action\n"
+            )
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import pickle
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from glf.kernel import (
     App,
@@ -23,7 +23,7 @@ from glf.kernel import (
     spine,
     substitute,
 )
-from helpers import reference_free_vars, untyped_terms
+from helpers import clashing_terms, reference_alpha_eq, reference_free_vars, untyped_terms
 
 love = Const("love'")
 joan = Const("joan'")
@@ -116,6 +116,39 @@ class TestAlphaNormal:
         t = Lam("x", None, Var("x"))
         u = Lam("y", None, Var("y"))
         assert {alpha_normal(t), alpha_normal(u)} == {alpha_normal(t)}
+
+
+class TestOneAlphaAlgorithm:
+    """`alpha_eq` and `alpha_normal` against the environment walk, on names
+    that clash with the canonical binders."""
+
+    @given(clashing_terms(), clashing_terms())
+    @example(Lam("x", None, Var("$0")), Lam("y", None, Var("y")))
+    @example(Pi("x", Const("c"), Lam("y", None, Var("$1"))),
+             Pi("x", Const("c"), Lam("y", None, Var("y"))))
+    def test_both_agree_with_the_reference(self, t, u):
+        expected = reference_alpha_eq(t, u)
+        assert alpha_eq(t, u) == expected
+        assert (alpha_normal(t) == alpha_normal(u)) == expected
+
+    def test_a_free_canonical_name_is_not_a_bound_one(self):
+        t = Lam("x", None, Var("$0"))
+        u = Lam("y", None, Var("y"))
+        assert not reference_alpha_eq(t, u)
+        assert not alpha_eq(t, u)
+        assert alpha_normal(t) != alpha_normal(u)
+        assert free_vars(alpha_normal(t)) == {"$0"}
+
+    def test_alpha_normal_keeps_free_variables(self):
+        t = Pi("$0", Var("$0'"), Lam("_", None, app(Var("$0"), Var("_"), Var("$1"))))
+        normal = alpha_normal(t)
+        assert free_vars(normal) == free_vars(t) == {"$0'", "$1"}
+        assert reference_alpha_eq(normal, t)
+
+    def test_arrow_does_not_capture_a_free_underscore(self):
+        t = arrow(Const("o"), Var("_"))
+        assert free_vars(t) == {"_"}
+        assert t == Pi("_'", Const("o"), Var("_"))
 
 
 def rebuild(t):

@@ -321,6 +321,27 @@ class TestValidateView:
         with pytest.raises(DuplicateName):
             check_totality(g, clash)
 
+    def test_inherited_assignment_checked_under_the_including_view(self):
+        from glf.errors import NotAFunction
+        g = life_graph()
+        # `act` cannot be checked in the grammar view, which leaves Person
+        # unassigned; the lexicon view assigns it, and `act` is ill-typed.
+        grammar = View("Grammar", "LifeGrammar", "LogicSyntax", (), (
+            ("Stmt", O),
+            ("Action", arrow(I, O)),
+            ("act", lam(["pers", "action"], app(Var("pers"), Var("action")))),
+            ("and_Stmt", lam(["a", "b"], app(Const("and"), Var("a"), Var("b")))),
+        ))
+        lexicon = View("Lexicon", "LifeLex", "LogicSyntax", ("Grammar",), (
+            ("Person", I),
+            ("joan", Const("joan'")),
+        ))
+        g.add(grammar)
+        g.add(lexicon)
+        validate_view(g, grammar)
+        with pytest.raises(NotAFunction, match="pers of type ind is applied to action"):
+            validate_view(g, lexicon)
+
     def test_notation_arity_must_fit_type(self):
         from glf.kernel import Notation
         with pytest.raises(ModuleError):
