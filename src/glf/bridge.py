@@ -182,10 +182,10 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
                 )
                 failure.ast = ast
                 raise failure from err
-            key = alpha_normal(term)
-            if key in seen:
+            distinct = len(seen)
+            seen.add(alpha_normal(term))
+            if len(seen) == distinct:
                 continue
-            seen.add(key)
             ok, diagnostics = check_in_target_logic(fragment, term)
             readings.append(Reading(ast, raw, term, ok, diagnostics))
         return readings

@@ -37,7 +37,7 @@ from __future__ import annotations
 from glf.errors import TypeMismatch
 from glf.kernel import Declaration, Signature, Sort, Term
 from glf.kernel.terms import show
-from glf.kernel.typecheck import EMPTY, check_type, infer_type
+from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys.syntax import IDENT_RE, _Parser
 from glf.modsys.theory import Theory, TheoryGraph, View, validate_view
 
@@ -101,14 +101,15 @@ def _declaration(
     notation = p.notation(context) if p.accept("HASH") else None
     _close(p)
 
+    checker = Checker(flat)
     if type_ is None:
-        infer_type(flat, EMPTY, definiens)
+        checker.infer(EMPTY, definiens)
     else:
-        sort = infer_type(flat, EMPTY, type_)
+        sort = checker.infer(EMPTY, type_)
         if not isinstance(sort, Sort):
             raise TypeMismatch("a type or kind", show(sort), context)
         if definiens is not None:
-            check_type(flat, EMPTY, definiens, type_)
+            checker.check(EMPTY, definiens, type_)
     return Declaration(name, type_, definiens, notation)
 
 

@@ -1,14 +1,16 @@
 """Theories, includes, meta-theories, and views (theory morphisms).
 
 Theories and views are immutable after construction; the `TheoryGraph`
-registry resolves name references and caches flattening. The meta-theory
-`LF` is a built-in pseudo-reference contributing no declarations; any other
-meta name is resolved like an include.
+registry resolves name references and caches flattening and each view's
+merged assignments. The meta-theory `LF` is a built-in pseudo-reference
+contributing no declarations; any other meta name is resolved like an
+include.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 from glf.errors import (
     CyclicInclude,
@@ -29,7 +31,7 @@ from glf.kernel import (
     Var,
     alpha_eq,
 )
-from glf.kernel.typecheck import EMPTY, check_type
+from glf.kernel.typecheck import EMPTY, Checker
 
 LF = "LF"
 
@@ -88,12 +90,14 @@ class FlatTheory(Signature):
 
 
 class TheoryGraph:
-    """Registry of theories and views; flattening is cached per theory name."""
+    """Registry of theories and views; flattening is cached per theory name,
+    merged assignments per view name."""
 
     def __init__(self) -> None:
         self.theories: dict[str, Theory] = {}
         self.views: dict[str, View] = {}
         self._flat: dict[str, FlatTheory] = {}
+        self._merged: dict[str, Mapping[str, Term]] = {}
 
     def add(self, module: Theory | View) -> None:
         table = self.theories if isinstance(module, Theory) else self.views
@@ -101,6 +105,7 @@ class TheoryGraph:
             raise DuplicateName(f"module name {module.name} already registered")
         table[module.name] = module
         self._flat.clear()
+        self._merged.clear()
 
     def theory(self, name: str) -> Theory:
         try:
@@ -148,8 +153,14 @@ class TheoryGraph:
 
     # --- view machinery -----------------------------------------------------
 
-    def merged_assignments(self, view: View) -> dict[str, Term]:
-        """Assignments keyed by qualified source-constant name, includes first."""
+    def merged_assignments(self, view: View) -> Mapping[str, Term]:
+        """Assignments keyed by qualified source-constant name, includes first.
+
+        The map of a registered view is built once and shared; do not change it.
+        """
+        registered = self.views.get(view.name) is view
+        if registered and view.name in self._merged:
+            return self._merged[view.name]
         source = self.flatten(view.source)
         merged: dict[str, Term] = {}
 
@@ -171,6 +182,8 @@ class TheoryGraph:
                 absorb(key, term, view.name)
         for name, term in view.assignments:
             absorb(name, term, view.name)
+        if registered:
+            self._merged[view.name] = merged
         return merged
 
 
@@ -228,7 +241,7 @@ def validate_view(graph: TheoryGraph, view: View) -> None:
     reports those); assigning to a defined constant is always an error.
     """
     source = graph.flatten(view.source)
-    target = graph.flatten(view.target)
+    checker = Checker(graph.flatten(view.target))
     for key, term in graph.merged_assignments(view).items():
         d = source.lookup(key)
         if d.definiens is not None:
@@ -241,4 +254,4 @@ def validate_view(graph: TheoryGraph, view: View) -> None:
             expected = apply_view(graph, view, d.type_)
         except PartialView:
             continue
-        check_type(target, EMPTY, term, expected)
+        checker.check(EMPTY, term, expected)

@@ -32,7 +32,7 @@ from glf.bridge import Fragment, generate_language_theory
 from glf.errors import FragmentLoadError, GlfError, TotalityFailure, nesting_limit
 from glf.grammar import AbstractGrammar, GrammarRegistry, compile_cfg, parse_grammar_file
 from glf.kernel import Const, Term, alpha_eq
-from glf.kernel.typecheck import EMPTY, check_type
+from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.modsys.theory import Theory, check_totality
 from glf.tableau import CONNECTIVE_ROLES, BeliefState, LogicSignature, init_belief_state
@@ -280,6 +280,7 @@ def load_fragment(directory: str | Path) -> Fragment:
 
 def _load_knowledge(flat, directory: Path, rel: str, proposition_type: str) -> list[Term]:
     axioms: list[Term] = []
+    checker = Checker(flat)
     for lineno, raw in enumerate(_read(directory, rel).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -287,7 +288,7 @@ def _load_knowledge(flat, directory: Path, rel: str, proposition_type: str) -> l
         try:
             with nesting_limit("the axiom"):
                 t = parse_term(flat, line)
-                check_type(flat, EMPTY, t, Const(proposition_type))
+                checker.check(EMPTY, t, Const(proposition_type))
         except GlfError as err:
             raise FragmentLoadError(f"{rel}:{lineno}: {err}") from err
         axioms.append(t)

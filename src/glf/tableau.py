@@ -33,7 +33,7 @@ from glf.errors import (
     nesting_limit,
 )
 from glf.kernel import App, Const, Lam, Term, alpha_normal, normalize, spine
-from glf.kernel.typecheck import EMPTY, check_type
+from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import print_term
 from glf.modsys.theory import FlatTheory
 
@@ -294,9 +294,9 @@ def saturate(state: BeliefState) -> BeliefState:
     )
 
 
-def _check_proposition(signature: LogicSignature, t: Term, what: str) -> None:
+def _check_proposition(checker: Checker, signature: LogicSignature, t: Term, what: str) -> None:
     try:
-        check_type(signature.flat, EMPTY, t, Const(signature.proposition_type))
+        checker.check(EMPTY, t, Const(signature.proposition_type))
     except TypeError_ as err:
         raise IllTypedAxiom(f"{what} is not a proposition: {err}") from err
 
@@ -313,8 +313,9 @@ def init_belief_state(
     Contradictory axioms are legal and simply leave no open branch.
     """
     axioms = tuple(axioms)
+    checker = Checker(signature.flat)
     for ax in axioms:
-        _check_proposition(signature, ax, "axiom")
+        _check_proposition(checker, signature, ax, "axiom")
     grounded = tuple(
         ground_quantifiers(signature, normalize(signature.flat, ax))
         for ax in axioms
@@ -375,11 +376,12 @@ def _ac_key(signature: LogicSignature, t: Term) -> Hashable:
 def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefState:
     """Assert a sentence: one reading per branch copy, then saturate.
 
-    Readings are normalized first, and only the first of those equal up to
-    α-equivalence and AC of ∧ and ∨ is grounded and saturated, so syntactic
-    ambiguity that melts away semantically costs nothing and the models
-    come out as if every reading had been asserted. Closed branches are
-    dropped from the result.
+    Readings are type-checked by one checker, which infers each subterm
+    they share once. They are normalized first, and only the first of
+    those equal up to α-equivalence and AC of ∧ and ∨ is grounded and
+    saturated, so syntactic ambiguity that melts away semantically costs
+    nothing and the models come out as if every reading had been asserted.
+    Closed branches are dropped from the result.
     """
     with nesting_limit("a reading"):
         readings = tuple(readings)
@@ -387,9 +389,10 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
             raise EmptyReadings("a sentence must have at least one reading")
         flat = state.signature.flat
 
+        checker = Checker(flat)
         classes: dict[Hashable, Term] = {}
         for r in readings:
-            _check_proposition(state.signature, r, "reading")
+            _check_proposition(checker, state.signature, r, "reading")
             n = alpha_normal(normalize(flat, r))
             classes.setdefault(_ac_key(state.signature, n), n)
         grounded = [ground_quantifiers(state.signature, n) for n in classes.values()]

@@ -12,7 +12,15 @@ import hypothesis.strategies as st
 
 import glf
 
-from glf.errors import GrammarError, TermSyntaxError, TypeMismatch
+from glf.errors import (
+    GrammarError,
+    NotAFunction,
+    TermSyntaxError,
+    TypeError_,
+    TypeMismatch,
+    UnknownConstant,
+    UntypedBinder,
+)
 from glf.grammar import AbstractGrammar, FunDecl, GrammarRegistry
 from glf.grammar.concrete import (
     ArgField,
@@ -31,6 +39,7 @@ from glf.kernel import (
     App,
     Const,
     Declaration,
+    KIND,
     Lam,
     Notation,
     Pi,
@@ -42,12 +51,15 @@ from glf.kernel import (
     alpha_eq,
     app,
     arrow,
+    def_eq,
     lam,
+    normalize,
     spine,
     substitute,
+    whnf,
 )
-from glf.kernel.terms import show
-from glf.kernel.typecheck import EMPTY, check_type, infer_type
+from glf.kernel.terms import rename_away, show
+from glf.kernel.typecheck import EMPTY, Context, check_type, infer_type
 from glf.modsys.syntax import IDENT_RE, KEYWORDS, parse_term
 from glf.modsys.theory import Theory, TheoryGraph, View, validate_view
 
@@ -168,6 +180,80 @@ def reference_alpha_eq(t: Term, u: Term) -> bool:
         return False
 
     return go(t, u, {}, {}, 0)
+
+
+
+def reference_infer_type(sig: Signature, ctx: Context, t: Term) -> Term:
+    """β-normal type of `t` under standard LF rules.
+
+    The recursive checker `glf.kernel.infer_type` was before it shared work
+    through a `Checker`, kept verbatim as an oracle (its recursive calls
+    renamed, and `_fail` written as the `raise` it was).
+    """
+    match t:
+        case Sort("type"):
+            return KIND
+        case Sort():
+            raise TypeError_(f"{show(t)} has no classifier")
+        case Var(name):
+            ty = ctx.lookup(name)
+            if ty is None:
+                raise UnknownConstant(f"unbound variable {name}")
+            return normalize(sig, ty)
+        case Const(name):
+            d = sig.lookup(name)
+            if d is None:
+                raise UnknownConstant(f"unknown constant {name}")
+            if d.type_ is not None:
+                return normalize(sig, d.type_)
+            return reference_infer_type(sig, EMPTY, d.definiens)
+        case App(fn, arg):
+            fn_type = whnf(sig, reference_infer_type(sig, ctx, fn), delta="full")
+            if not isinstance(fn_type, Pi):
+                raise NotAFunction(
+                    f"{show(fn)} of type {show(fn_type)} is applied to {show(arg)}"
+                )
+            reference_check_type(sig, ctx, arg, fn_type.domain)
+            return normalize(sig, substitute(fn_type.codomain, fn_type.binder, arg))
+        case Lam(binder, binder_type, body):
+            if binder_type is None:
+                raise UntypedBinder(
+                    f"cannot infer the type of [{binder}] without an annotation"
+                )
+            _reference_check_is_type(sig, ctx, binder_type)
+            binder, body = rename_away(binder, body, ctx.names())
+            body_type = reference_infer_type(sig, ctx.extend(binder, binder_type), body)
+            return Pi(binder, normalize(sig, binder_type), body_type)
+        case Pi(binder, domain, codomain):
+            _reference_check_is_type(sig, ctx, domain)
+            binder, codomain = rename_away(binder, codomain, ctx.names())
+            sort = reference_infer_type(sig, ctx.extend(binder, domain), codomain)
+            if not isinstance(sort, Sort):
+                raise TypeMismatch("type or kind", show(sort), show(t))
+            return sort
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_check_type(sig: Signature, ctx: Context, t: Term, expected: Term) -> None:
+    """Check `t` against `expected`, pushing Π domains into unannotated λs."""
+    expected_w = whnf(sig, expected, delta="full")
+    if isinstance(t, Lam) and isinstance(expected_w, Pi):
+        if t.binder_type is not None and not def_eq(sig, t.binder_type, expected_w.domain):
+            raise TypeMismatch(show(expected_w.domain), show(t.binder_type),
+                               f"binder [{t.binder}]")
+        binder, body = rename_away(t.binder, t.body, ctx.names())
+        body_expected = substitute(expected_w.codomain, expected_w.binder, Var(binder))
+        reference_check_type(sig, ctx.extend(binder, expected_w.domain), body, body_expected)
+        return
+    actual = reference_infer_type(sig, ctx, t)
+    if not def_eq(sig, actual, expected):
+        raise TypeMismatch(show(expected), show(actual), show(t))
+
+
+def _reference_check_is_type(sig: Signature, ctx: Context, t: Term) -> None:
+    sort = reference_infer_type(sig, ctx, t)
+    if sort != TYPE:
+        raise TypeMismatch("a type", f"{show(t)} : {show(sort)}", show(t))
 
 
 # --- random well-typed terms -------------------------------------------------
@@ -426,9 +512,9 @@ def reference_saturate(state):
 def reference_update(state, readings):
     from dataclasses import replace
 
-    from glf.errors import EmptyReadings, nesting_limit
-    from glf.kernel import alpha_normal, normalize
-    from glf.tableau import _check_proposition, ground_quantifiers
+    from glf.errors import EmptyReadings, IllTypedAxiom, nesting_limit
+    from glf.kernel import alpha_normal
+    from glf.tableau import ground_quantifiers
 
     with nesting_limit("a reading"):
         readings = tuple(readings)
@@ -438,7 +524,10 @@ def reference_update(state, readings):
 
         distinct: dict[Term, None] = {}
         for r in readings:
-            _check_proposition(state.signature, r, "reading")
+            try:
+                reference_check_type(flat, EMPTY, r, Const(state.signature.proposition_type))
+            except TypeError_ as err:
+                raise IllTypedAxiom(f"reading is not a proposition: {err}") from err
             distinct.setdefault(alpha_normal(normalize(flat, r)))
         grounded = [ground_quantifiers(state.signature, n) for n in distinct]
 

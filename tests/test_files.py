@@ -258,6 +258,21 @@ class TestViewFiles:
         assert check_totality(g, g.view("Full")) == ()
         assert check_totality(g, g.view("Base")) == ("act",)
 
+    def test_conflicting_inherited_assignment_rejected_at_load(self):
+        # Base's merged assignments are built, and kept, when Base loads;
+        # Full must still see that it maps Person differently.
+        with pytest.raises(DuplicateName, match="assigns Person twice"):
+            graph_with(self.GRAMMAR + """
+            view Base : G -> Dom =
+              Stmt = o ;
+              Person = ι ;
+            end
+            view Full : G -> Dom =
+              include Base ;
+              Person = o ;
+            end
+            """)
+
     def test_malformed_assignment_rejected(self):
         with pytest.raises(TermSyntaxError):
             graph_with(self.GRAMMAR + """

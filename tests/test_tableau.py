@@ -10,7 +10,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from glf.errors import (
@@ -18,8 +18,10 @@ from glf.errors import (
     IllTypedAxiom,
     NoDomainType,
     TableauError,
+    TypeError_,
 )
-from glf.kernel import Const, Term, alpha_eq, app, spine
+from glf.kernel import App, Const, Lam, Term, Var, alpha_eq, app, spine
+from glf.kernel.typecheck import EMPTY
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.tableau import (
     BOTTOM,
@@ -42,10 +44,12 @@ from helpers import (
     evaluate,
     prop_signature,
     random_formula,
+    reference_check_type,
     reference_expand_step,
     reference_saturate,
     reference_update,
     satisfiable,
+    typed_terms,
 )
 
 FOL = """
@@ -485,6 +489,79 @@ class TestReadingClasses:
         signature = LogicSignature(PROP_SIG.flat, {"and": "both", "or": "both"})
         assert signature.role_of("both") == "and"
         assert signature.role_of("neg") is None
+
+
+PROP_T, IND_T = Const("prop"), Const("ind")
+#: TinyFol with a propositional atom, so that random terms of type o can stop.
+FOL_P_SIG = LogicSignature(
+    flat_of(FOL + "theory TinyFolP = include TinyFol ; p' : o ; end", "TinyFolP"),
+    FOL_CONNECTIVES, individual_type="ind",
+)
+
+
+def run_on(binder_type: Term, arg: Term) -> Term:
+    """`(λx : binder_type. run' x) arg`."""
+    return App(Lam("x", binder_type, App(Const("run'"), Var("x"))), arg)
+
+
+@st.composite
+def fol_readings(draw):
+    """Propositions over TinyFolP, perhaps with one ill-typed reading that
+    reuses a well-typed one inside it."""
+    readings = draw(st.lists(typed_terms(FOL_P_SIG.flat, PROP_T, depth=3, bases=(PROP_T, IND_T)),
+                             min_size=1, max_size=3))
+    if draw(st.booleans()):
+        shared = draw(st.sampled_from(readings))
+        bad = draw(st.sampled_from([
+            App(Const("run'"), shared),
+            run_on(PROP_T, shared),
+            app(AND, shared, Const("a'")),
+        ]))
+        readings.insert(draw(st.integers(0, len(readings))), bad)
+    return readings
+
+
+class TestSharedTypeChecking:
+    """`update_belief_state` checks all readings of a sentence, and
+    `init_belief_state` all axioms, with one checker; they must accept and
+    reject them as the reference checker does."""
+
+    @staticmethod
+    def outcome(update, readings):
+        try:
+            return rendered(update(init_belief_state(FOL_P_SIG), readings))
+        except IllTypedAxiom as err:
+            return str(err)
+
+    @staticmethod
+    def init_outcome(axioms):
+        try:
+            init_belief_state(FOL_P_SIG, axioms)
+        except IllTypedAxiom as err:
+            return str(err)
+        return None
+
+    @staticmethod
+    def reference_init_outcome(axioms):
+        for ax in axioms:
+            try:
+                reference_check_type(FOL_P_SIG.flat, EMPTY, ax, PROP_T)
+            except TypeError_ as err:
+                return f"axiom is not a proposition: {err}"
+        return None
+
+    @given(fol_readings())
+    # `run' x` is well-typed under x : ι, then met again under x : o.
+    @example([run_on(IND_T, Const("a'")), App(Const("run'"), Const("a'")),
+              run_on(PROP_T, App(Const("run'"), Const("a'")))])
+    # The third reading is ill-typed around a subterm both others share.
+    @example([fol("run' a' ∧ run' b'"), fol("(run' a' ∧ run' b') ∧ run' a'"),
+              App(Const("run'"), fol("run' a' ∧ run' b'"))])
+    @settings(max_examples=100, deadline=None)
+    def test_readings_as_the_reference_update(self, readings):
+        assert (self.outcome(update_belief_state, readings)
+                == self.outcome(reference_update, readings))
+        assert self.init_outcome(readings) == self.reference_init_outcome(readings)
 
 
 class TestExtractModels:

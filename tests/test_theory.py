@@ -282,6 +282,29 @@ class TestApplyView:
         assert alpha_eq(left, want)
 
 
+class TestMergedAssignments:
+    def test_cached_map_equals_a_fresh_one_after_an_unrelated_add(self):
+        g = life_graph()
+        view = g.view("LifeLexSemantics")
+        first = g.merged_assignments(view)
+        assert g.merged_assignments(view) is first
+        g.add(Theory("Unrelated", None, (), (d("u", TYPE),)))
+        fresh_graph = life_graph()
+        fresh = fresh_graph.merged_assignments(fresh_graph.view("LifeLexSemantics"))
+        assert g.merged_assignments(view) == fresh
+        assert list(g.merged_assignments(view)) == list(fresh)
+
+    def test_unregistered_view_is_not_cached(self):
+        g = life_graph()
+        stray = View("LifeLexSemantics", "LifeLex", "LogicSyntax", ("LifeGrammarSemantics",), (
+            ("joan", Const("mary'")),
+        ))
+        registered = g.view("LifeLexSemantics")
+        assert g.merged_assignments(registered)["LifeLex?joan"] == Const("joan'")
+        assert g.merged_assignments(stray)["LifeLex?joan"] == Const("mary'")
+        assert g.merged_assignments(registered)["LifeLex?joan"] == Const("joan'")
+
+
 class TestValidateView:
     def test_well_typed_view_passes(self):
         g = life_graph()

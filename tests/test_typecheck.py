@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
-from glf.errors import NotAFunction, TypeMismatch, UnknownConstant, UntypedBinder
+from glf.errors import GlfError, NotAFunction, TypeMismatch, UnknownConstant, UntypedBinder
 from glf.kernel import (
     App,
     Const,
@@ -10,6 +12,7 @@ from glf.kernel import (
     Signature,
     TYPE,
     KIND,
+    Term,
     Var,
     alpha_eq,
     app,
@@ -19,8 +22,17 @@ from glf.kernel import (
     infer_type,
     lam,
 )
-from glf.kernel.typecheck import Context, EMPTY
-from helpers import I, O, ksig
+from glf.kernel.terms import show
+from glf.kernel.typecheck import Checker, Context, EMPTY
+from helpers import (
+    I,
+    O,
+    clashing_terms,
+    ksig,
+    reference_check_type,
+    reference_infer_type,
+    typed_terms,
+)
 
 love = Const("love'")
 joan = Const("joan'")
@@ -175,3 +187,94 @@ class TestCheckProof:
     def test_explicit_judgment_override(self):
         sig = nd_sig()
         assert check_proof(sig, Const("a1"), App(run, mary), judgment="ded")
+
+
+def diff_sig() -> Signature:
+    """nd_sig plus the constants `clashing_terms` draws, a type alias, and a
+    constant typed only through its definiens."""
+    return Signature(list(nd_sig().declarations) + [
+        Declaration("c", I),
+        Declaration("f", arrow(I, O)),
+        Declaration("g", arrow(arrow(I, O), O)),
+        Declaration("pred", None, arrow(I, O)),
+        Declaration("h", Const("pred")),
+        Declaration("alias", None, App(run, joan)),
+    ])
+
+
+DIFF_SIG = diff_sig()
+CONTEXTS = (
+    EMPTY,
+    Context((("x", I),)),
+    Context((("x", I), ("y", O))),
+    Context((("$0", arrow(I, O)), ("x", O))),
+    Context((("x", O), ("x", I))),
+)
+EXPECTED = (O, I, arrow(I, O), arrow(O, O), TYPE)
+diff_terms = st.one_of(typed_terms(DIFF_SIG), clashing_terms())
+
+
+def outcome(run):
+    """What `run` returns, or the class and message of the error it raises."""
+    try:
+        return run()
+    except GlfError as err:
+        return type(err), str(err)
+
+
+def assert_same(got, want):
+    if got is None or want is None or isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+    else:
+        assert alpha_eq(got, want), (show(got), show(want))
+
+
+def in_context(binder_type: Term) -> Term:
+    """`(λx : binder_type. run' x) arg`, with an argument of that type."""
+    arg = {I: joan, O: Const("sunny'")}[binder_type]
+    return App(Lam("x", binder_type, App(run, Var("x"))), arg)
+
+
+#: `run' x` occurs under x : ι and under x : o. Keyed by its node alone,
+#: the memo would find the first occurrence's type for the second, which
+#: is ill-typed.
+RUN_X_UNDER_TWO_TYPES = app(and_, in_context(I), in_context(O))
+
+
+class TestAgainstTheReference:
+    """The memoizing checker against the recursive one it replaced: the
+    same type up to α, or the same error class with the same message."""
+
+    @given(diff_terms, st.sampled_from(CONTEXTS), st.sampled_from(EXPECTED))
+    @example(RUN_X_UNDER_TWO_TYPES, EMPTY, O)
+    @settings(max_examples=300, deadline=None)
+    def test_one_term(self, t, ctx, expected):
+        assert_same(outcome(lambda: infer_type(DIFF_SIG, ctx, t)),
+                    outcome(lambda: reference_infer_type(DIFF_SIG, ctx, t)))
+        assert_same(outcome(lambda: check_type(DIFF_SIG, ctx, t, expected)),
+                    outcome(lambda: reference_check_type(DIFF_SIG, ctx, t, expected)))
+
+    @given(
+        st.lists(st.tuples(diff_terms, st.sampled_from(CONTEXTS)), min_size=2, max_size=5),
+        st.sampled_from(EXPECTED),
+    )
+    @example([(in_context(I), EMPTY), (in_context(O), EMPTY)], O)
+    @example([(App(run, Var("x")), CONTEXTS[1]), (App(run, Var("x")), CONTEXTS[3])], O)
+    @settings(max_examples=150, deadline=None)
+    def test_terms_checked_by_one_checker(self, items, expected):
+        checker = Checker(DIFF_SIG)
+        for t, ctx in items:
+            assert_same(outcome(lambda: checker.check(ctx, t, expected)),
+                        outcome(lambda: reference_check_type(DIFF_SIG, ctx, t, expected)))
+            assert_same(outcome(lambda: checker.infer(ctx, t)),
+                        outcome(lambda: reference_infer_type(DIFF_SIG, ctx, t)))
+
+    def test_shared_subterms_are_inferred_once(self):
+        checker = Checker(DIFF_SIG)
+        left = app(and_, App(run, joan), App(run, mary))
+        checker.check(EMPTY, app(and_, left, App(run, joan)), O)
+        before = len(checker._app_types)
+        checker.check(EMPTY, app(and_, App(run, joan), app(and_, App(run, mary), App(run, joan))), O)
+        # Of the new bracketing's seven App nodes, only the three that
+        # bracket differently are inferred; the rest are looked up.
+        assert len(checker._app_types) == before + 3
