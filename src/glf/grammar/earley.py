@@ -14,10 +14,9 @@ nonterminal is predicted the first time an item waits on it, and a
 completion advances only the items waiting on its left-hand side at its
 origin. Ends of completed spans arrive in increasing order.
 
-Extraction hash-conses its trees through one table per parse, keyed by the
-function and the identities of the arguments, so equal trees are the same
-object and duplicates are dropped by identity. It still recurses once per
-level of embedding.
+Trees are interned terms, so equal trees are the same object and the
+duplicates a parse finds collapse as dict keys. Extraction still recurses
+once per level of embedding.
 
 The first input token is matched case-insensitively so sentence-initial
 capitalization does not require lexicon duplicates.
@@ -26,7 +25,7 @@ capitalization does not require lexicon duplicates.
 from __future__ import annotations
 
 from glf.grammar.cfg import CFG
-from glf.kernel import App, Const, Term
+from glf.kernel import Const, Term, app
 
 
 def tokenize(text: str) -> list[str]:
@@ -106,21 +105,13 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
     rhs_of, slots_of, by_lhs = cfg.rhs, cfg.slots, cfg.by_lhs
     productions = cfg.productions
     memo: dict[tuple[int, int, int], list[Term] | None] = {}
-    shared: dict[tuple, Term] = {}  # (fun, id(arg), ...) -> the one such tree
 
     def tree(idx: int, subs: tuple[Term, ...]) -> Term:
         p = productions[idx]
         args: list[Term | None] = [None] * p.arity
         for argi, sub in zip(slots_of[idx], subs):
             args[argi] = sub
-        key = (p.fun, *map(id, args))
-        t = shared.get(key)
-        if t is None:
-            t = Const(p.fun)
-            for a in args:
-                t = App(t, a)
-            shared[key] = t
-        return t
+        return app(Const(p.fun), *args)
 
     def parses(code: int, i: int, j: int) -> list[Term]:
         key = (code, i, j)
@@ -128,12 +119,11 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
             cached = memo[key]
             return [] if cached is None else cached  # None marks a cycle
         memo[key] = None
-        found: dict[int, Term] = {}
+        found: dict[Term, None] = {}
         for idx in by_lhs[code]:
             for subs in splits(rhs_of[idx], 0, i, j):
-                t = tree(idx, subs)
-                found.setdefault(id(t), t)
-        result = list(found.values())
+                found[tree(idx, subs)] = None
+        result = list(found)
         memo[key] = result
         return result
 
@@ -160,9 +150,9 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
                     out.append((sub, *tail))
         return out
 
-    results: dict[int, Term] = {}
+    results: dict[Term, None] = {}
     for s in cfg.starts:
         if n in completed.get((s, 0), ()):
             for t in parses(s, 0, n):
-                results.setdefault(id(t), t)
-    return list(results.values())
+                results[t] = None
+    return list(results)

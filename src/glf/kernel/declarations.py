@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from glf.errors import DuplicateName
 from glf.kernel.terms import Term
@@ -35,7 +36,7 @@ class Notation:
                 f"notation placeholders must be %1..%n, each exactly once: {self.tokens}"
             )
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return sum(1 for tok in self.tokens if _PLACEHOLDER.match(tok))
 

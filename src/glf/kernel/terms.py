@@ -1,17 +1,20 @@
 """Term representation for the logical framework.
 
-Terms are immutable trees. The only term equality used anywhere in the
-framework is α-equivalence; plain ``==`` is structural equality and is an
-implementation detail. The one α-algorithm is `alpha_normal`, which names
-the binder at depth d ``$d``, primed while that is a free variable of the
-term; `alpha_eq` compares α-normal forms. Every capture-avoiding rename
-goes through `rename_away`, which primes a binder until it is fresh.
+Terms are immutable trees, interned as they are built: calling `Const`,
+`Var`, `App`, `Lam`, `Pi` or `Sort` returns the one live node with those
+fields, so ``==`` and ``hash`` are plain identity, and identity is
+structural equality. Build terms from one thread at a time.
+
+The only term equality used anywhere in the framework is α-equivalence.
+The one α-algorithm is `alpha_normal`, which names the binder at depth d
+``$d``, primed while that is a free variable of the term; `alpha_eq`
+compares α-normal forms. Every capture-avoiding rename goes through
+`rename_away`, which primes a binder until it is fresh.
 
 Each node caches its free variables in one extra slot, filled the first
 time `free_vars` meets the node. Terms are shared, so substitution pays for
 a subterm's free variables once rather than on every β-step. The cache is
-not part of ``==``, ``hash``, ``repr`` or pattern matching: a node with its
-cache filled equals a freshly built one.
+not a field: not an argument, a match pattern, or part of ``repr``.
 
 The non-dependent arrow ``A -> B`` is not a separate constructor: it is a
 `Pi` whose binder, ``_`` primed until fresh, does not occur free in the
@@ -20,68 +23,130 @@ codomain (see `arrow`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Union
 
 
 class _Node:
     """Base of the term classes.
 
-    Copies and pickles rebuild a node from its fields, so they never read
-    a free-variable slot that `free_vars` has not filled yet.
+    Copies and pickles rebuild a node through its constructor, so they
+    return the interned node and never read a free-variable slot that
+    `free_vars` has not filled yet.
     """
 
-    __slots__ = ()
+    __slots__ = ("_free_vars", "__weakref__")  # the first unset until `free_vars` fills it
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the referent's key in its class's table
+
+
+# Looked up for a key with no entry: calling it gives None, like a dead ref.
+_MISSING = weakref.ref(set())
+
+
+def _interned(cls):
+    """Make `cls` a frozen, slotted dataclass compared by identity, whose
+    constructor returns the live node with the given fields, or makes one.
+
+    One constructor per field count, as this is the hot path. A dead node's
+    callback can run after a new node has taken its key, so it checks.
+    """
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    table: dict[object, _Ref] = {}
+    new = object.__new__
+
+    def forget(ref: _Ref) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    setters = [getattr(cls, name).__set__ for name in cls.__match_args__]
+    if len(setters) == 1:
+        (set_a,) = setters
+
+        def __new__(cls, a):
+            node = table.get(a, _MISSING)()
+            if node is None:
+                node = new(cls)
+                set_a(node, a)
+                ref = table[a] = _Ref(node, forget)
+                ref.key = a
+            return node
+    elif len(setters) == 2:
+        set_a, set_b = setters
+
+        def __new__(cls, a, b):
+            key = (a, b)
+            node = table.get(key, _MISSING)()
+            if node is None:
+                node = new(cls)
+                set_a(node, a)
+                set_b(node, b)
+                ref = table[key] = _Ref(node, forget)
+                ref.key = key
+            return node
+    else:
+        set_a, set_b, set_c = setters
+
+        def __new__(cls, a, b, c):
+            key = (a, b, c)
+            node = table.get(key, _MISSING)()
+            if node is None:
+                node = new(cls)
+                set_a(node, a)
+                set_b(node, b)
+                set_c(node, c)
+                ref = table[key] = _Ref(node, forget)
+                ref.key = key
+            return node
+
+    __new__.__qualname__ = f"{cls.__name__}.__new__"
+    cls.__new__ = __new__
+    return cls
+
+
+@_interned
 class Const(_Node):
     """A reference to a declared constant, by (possibly qualified) name."""
 
     name: str
-    # Every class has this slot: unset until `free_vars` fills it, and not
-    # an argument, a match pattern, or part of ==, hash or repr.
-    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
 class Var(_Node):
     name: str
-    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
 class App(_Node):
     fn: "Term"
     arg: "Term"
-    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
 class Lam(_Node):
     binder: str
     binder_type: Union["Term", None]
     body: "Term"
-    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
 class Pi(_Node):
     binder: str
     domain: "Term"
     codomain: "Term"
-    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
 class Sort(_Node):
     """The sort `type`, plus the internal classifier `kind` sitting above it."""
 
     name: str
-    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
 
 Term = Union[Const, Var, App, Lam, Pi, Sort]

@@ -8,10 +8,10 @@ All checking goes through a `Checker`, and its memo lives for one call:
 `infer_type` and `check_type` build a fresh one each time, and a caller
 that checks many terms over one signature (the readings of one sentence,
 the axioms of a belief state, the assignments of a view) shares one
-across them. Structurally equal nodes
-share a number, so an `App` already inferred in the same context is looked
-up, not inferred again. Only successful inferences are stored, so errors
-are raised where and as they would be without the memo.
+across them. Terms are interned, so an `App` already inferred in the same
+context is looked up by the node itself, not inferred again. Only
+successful inferences are stored, so errors are raised where and as they
+would be without the memo.
 """
 
 from __future__ import annotations
@@ -70,17 +70,13 @@ EMPTY = Context()
 class Checker:
     """Type inference and checking over one signature, for one call.
 
-    A checker remembers three things, and only for as long as it lives:
+    A checker remembers two things, and only for as long as it lives:
 
     - the β-normal type of each constant it has looked up;
-    - a number for each term node it has met. Structurally equal nodes get
-      the same small int, computed once per node object from its fields and
-      its children's numbers, so no key ever hashes a whole term. Contexts
-      are numbered the same way, from their bindings;
-    - the inferred type of each `App` node, keyed by (context number, node
-      number). Only successful inferences are stored, so an ill-typed term
-      fails at the same subterm, with the same message, whatever was
-      checked before it.
+    - the inferred type of each `App` node, keyed by the context's bindings
+      and the interned node. Only successful inferences are stored, so an
+      ill-typed term fails at the same subterm, with the same message,
+      whatever was checked before it.
 
     Terms checked by one checker share that work: the readings of an
     ambiguous sentence put the same subterms together in different ways,
@@ -90,61 +86,16 @@ class Checker:
     def __init__(self, sig: Signature):
         self.sig = sig
         self._const_types: dict[str, Term] = {}
-        self._numbers: dict[int, int] = {}  # id(node) -> number
-        self._numbered: list[Term] = []  # keeps numbered nodes alive, so ids stay theirs
-        self._shapes: dict[tuple, int] = {(Context,): 0}  # the empty context is 0
-        self._app_types: dict[tuple[int, int], Term] = {}
+        self._app_types: dict[tuple[tuple[tuple[str, Term], ...], Term], Term] = {}
 
     def infer(self, ctx: Context, t: Term) -> Term:
         """β-normal type of `t` under standard LF rules."""
-        return self._infer(ctx, self._context_number(ctx), t)
-
-    def check(self, ctx: Context, t: Term, expected: Term) -> None:
-        """Check `t` against `expected`, pushing Π domains into unannotated λs."""
-        self._check(ctx, self._context_number(ctx), t, expected)
-
-    def _number(self, t: Term) -> int:
-        number = self._numbers.get(id(t))
-        if number is not None:
-            return number
-        # Type tests, not a `match`: this runs once for every node a checker
-        # meets, and with class patterns a term checked on its own would
-        # cost more than it did without the memo.
-        cls = type(t)
-        if cls is App:
-            shape = (App, self._number(t.fn), self._number(t.arg))
-        elif cls is Lam:
-            bt = t.binder_type
-            shape = (Lam, t.binder, bt if bt is None else self._number(bt), self._number(t.body))
-        elif cls is Pi:
-            shape = (Pi, t.binder, self._number(t.domain), self._number(t.codomain))
-        elif cls is Const or cls is Var or cls is Sort:
-            shape = (cls, t.name)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        number = self._shapes.setdefault(shape, len(self._shapes))
-        self._numbers[id(t)] = number
-        self._numbered.append(t)
-        return number
-
-    def _extend(self, cn: int, name: str, type_: Term) -> int:
-        """The number of the context numbered `cn` extended by `name : type_`."""
-        shape = (Context, cn, name, self._number(type_))
-        return self._shapes.setdefault(shape, len(self._shapes))
-
-    def _context_number(self, ctx: Context) -> int:
-        cn = 0
-        for name, type_ in ctx.bindings:
-            cn = self._extend(cn, name, type_)
-        return cn
-
-    def _infer(self, ctx: Context, cn: int, t: Term) -> Term:
         sig = self.sig
         match t:
             case Sort("type"):
                 return KIND
             case Sort():
-                return _fail(f"{show(t)} has no classifier")
+                raise TypeError_(f"{show(t)} has no classifier")
             case Var(name):
                 ty = ctx.lookup(name)
                 if ty is None:
@@ -159,20 +110,20 @@ class Checker:
                     if d.type_ is not None:
                         ty = normalize(sig, d.type_)
                     else:
-                        ty = self._infer(EMPTY, 0, d.definiens)
+                        ty = self.infer(EMPTY, d.definiens)
                     self._const_types[name] = ty
                 return ty
             case App(fn, arg):
-                key = (cn, self._number(t))
+                key = (ctx.bindings, t)
                 ty = self._app_types.get(key)
                 if ty is not None:
                     return ty
-                fn_type = whnf(sig, self._infer(ctx, cn, fn), delta="full")
+                fn_type = whnf(sig, self.infer(ctx, fn), delta="full")
                 if not isinstance(fn_type, Pi):
                     raise NotAFunction(
                         f"{show(fn)} of type {show(fn_type)} is applied to {show(arg)}"
                     )
-                self._check(ctx, cn, arg, fn_type.domain)
+                self.check(ctx, arg, fn_type.domain)
                 ty = normalize(sig, substitute(fn_type.codomain, fn_type.binder, arg))
                 self._app_types[key] = ty
                 return ty
@@ -181,22 +132,21 @@ class Checker:
                     raise UntypedBinder(
                         f"cannot infer the type of [{binder}] without an annotation"
                     )
-                self._check_is_type(ctx, cn, binder_type)
+                self._check_is_type(ctx, binder_type)
                 binder, body = rename_away(binder, body, ctx.names())
-                body_type = self._infer(ctx.extend(binder, binder_type),
-                                        self._extend(cn, binder, binder_type), body)
+                body_type = self.infer(ctx.extend(binder, binder_type), body)
                 return Pi(binder, normalize(sig, binder_type), body_type)
             case Pi(binder, domain, codomain):
-                self._check_is_type(ctx, cn, domain)
+                self._check_is_type(ctx, domain)
                 binder, codomain = rename_away(binder, codomain, ctx.names())
-                sort = self._infer(ctx.extend(binder, domain),
-                                   self._extend(cn, binder, domain), codomain)
+                sort = self.infer(ctx.extend(binder, domain), codomain)
                 if not isinstance(sort, Sort):
                     raise TypeMismatch("type or kind", show(sort), show(t))
                 return sort
         raise TypeError(f"not a term: {t!r}")
 
-    def _check(self, ctx: Context, cn: int, t: Term, expected: Term) -> None:
+    def check(self, ctx: Context, t: Term, expected: Term) -> None:
+        """Check `t` against `expected`, pushing Π domains into unannotated λs."""
         sig = self.sig
         expected_w = whnf(sig, expected, delta="full")
         if isinstance(t, Lam) and isinstance(expected_w, Pi):
@@ -205,15 +155,14 @@ class Checker:
                                    f"binder [{t.binder}]")
             binder, body = rename_away(t.binder, t.body, ctx.names())
             body_expected = substitute(expected_w.codomain, expected_w.binder, Var(binder))
-            self._check(ctx.extend(binder, expected_w.domain),
-                        self._extend(cn, binder, expected_w.domain), body, body_expected)
+            self.check(ctx.extend(binder, expected_w.domain), body, body_expected)
             return
-        actual = self._infer(ctx, cn, t)
+        actual = self.infer(ctx, t)
         if not def_eq(sig, actual, expected):
             raise TypeMismatch(show(expected), show(actual), show(t))
 
-    def _check_is_type(self, ctx: Context, cn: int, t: Term) -> None:
-        sort = self._infer(ctx, cn, t)
+    def _check_is_type(self, ctx: Context, t: Term) -> None:
+        sort = self.infer(ctx, t)
         if sort != TYPE:
             raise TypeMismatch("a type", f"{show(t)} : {show(sort)}", show(t))
 
@@ -226,10 +175,6 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Term:
 def check_type(sig: Signature, ctx: Context, t: Term, expected: Term) -> None:
     """Check `t` against `expected`, pushing Π domains into unannotated λs."""
     Checker(sig).check(ctx, t, expected)
-
-
-def _fail(message: str) -> Term:
-    raise TypeError_(message)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from pathlib import Path
 
 from glf import corpus
 from glf.bridge import construct_semantics, parse_sentence
-from glf.errors import GlfError, nesting_limit
+from glf.errors import FragmentLoadError, GlfError, nesting_limit
 from glf.modsys import print_term
 from glf.shell.gold import parse_gold_file, run_gold
-from glf.shell.loader import initial_state, load_fragment
+from glf.shell.loader import initial_state, load_fragment, read_fragment_file
 from glf.shell.repl import run_repl
 from glf.tableau import extract_models, update_belief_state
 
@@ -134,6 +134,8 @@ def _gold_directories(root: Path) -> list[Path]:
 
 def _cmd_gold(args) -> int:
     root = Path(args.directory) if args.directory else corpus.corpus_root()
+    if not root.is_dir():
+        raise FragmentLoadError(f"{root} is not a directory")
     directories = _gold_directories(root)
     if not directories:
         print(f"no fragment.manifest under {root}", file=sys.stderr)
@@ -143,7 +145,7 @@ def _cmd_gold(args) -> int:
         fragment = load_fragment(directory)
         cases = []
         for gold_path in sorted((directory / "gold").glob("*.gold")):
-            cases.extend(parse_gold_file(gold_path.read_text(encoding="utf-8")))
+            cases.extend(parse_gold_file(read_fragment_file(directory, f"gold/{gold_path.name}")))
         report = run_gold(fragment, tuple(cases))
         print(report.render())
         ok = ok and report.ok

@@ -71,18 +71,29 @@ def _paths(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _read(directory: Path, rel: str) -> str:
+def read_fragment_file(directory: Path, rel: str) -> str:
+    """The UTF-8 text of the file `rel` under `directory`.
+
+    Every file of a fragment, its gold files included, is read here, so a
+    file that is missing, unreadable or not UTF-8 fails as a
+    `FragmentLoadError` naming it.
+    """
     path = directory / rel
     if not path.is_file():
         raise FragmentLoadError(f"missing file {rel}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FragmentLoadError(f"{rel}: not UTF-8 text (byte {err.start})") from None
+    except OSError as err:
+        raise FragmentLoadError(f"{rel}: cannot be read ({err.strerror})") from None
 
 
 def _parse_file(parse, into, directory: Path, rel: str) -> None:
     """`parse(into, text)` on the file `rel`, naming the file in any error."""
     try:
         with nesting_limit("the file"):
-            parse(into, _read(directory, rel))
+            parse(into, read_fragment_file(directory, rel))
     except FragmentLoadError:
         raise
     except GlfError as err:
@@ -154,10 +165,9 @@ def _verify_language_theories(
 def load_fragment(directory: str | Path) -> Fragment:
     """Read a fragment directory into a ready-to-use `Fragment`."""
     directory = Path(directory)
-    manifest_path = directory / "fragment.manifest"
-    if not manifest_path.is_file():
+    if not (directory / "fragment.manifest").is_file():
         raise FragmentLoadError(f"no fragment.manifest in {directory}")
-    entries = parse_manifest(manifest_path.read_text(encoding="utf-8"))
+    entries = parse_manifest(read_fragment_file(directory, "fragment.manifest"))
     for required in ("grammars", "abstract", "semantics_view"):
         if required not in entries:
             raise FragmentLoadError(f"manifest lacks the {required!r} key")
@@ -281,7 +291,7 @@ def load_fragment(directory: str | Path) -> Fragment:
 def _load_knowledge(flat, directory: Path, rel: str, proposition_type: str) -> list[Term]:
     axioms: list[Term] = []
     checker = Checker(flat)
-    for lineno, raw in enumerate(_read(directory, rel).splitlines(), 1):
+    for lineno, raw in enumerate(read_fragment_file(directory, rel).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -147,6 +147,27 @@ def reference_free_vars(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
+def reference_structural_eq(t: Term, u: Term) -> bool:
+    """Structural equality as the term classes' generated `__eq__` computed
+    it before terms were interned: the same class and equal fields, with
+    subterms compared by the same walk."""
+    match (t, u):
+        case (Var(a), Var(b)) | (Const(a), Const(b)) | (Sort(a), Sort(b)):
+            return a == b
+        case (App(f1, a1), App(f2, a2)):
+            return reference_structural_eq(f1, f2) and reference_structural_eq(a1, a2)
+        case (Lam(b1, t1, m1), Lam(b2, t2, m2)):
+            if t1 is None or t2 is None:
+                same_type = t1 is t2
+            else:
+                same_type = reference_structural_eq(t1, t2)
+            return b1 == b2 and same_type and reference_structural_eq(m1, m2)
+        case (Pi(b1, d1, c1), Pi(b2, d2, c2)):
+            return (b1 == b2 and reference_structural_eq(d1, d2)
+                    and reference_structural_eq(c1, c2))
+    return False
+
+
 def reference_alpha_eq(t: Term, u: Term) -> bool:
     """True iff `t` and `u` are identical up to renaming of bound variables.
 

@@ -305,6 +305,48 @@ class TestMalformedFragments:
         assert len(lines) == 1 and lines[0].startswith(f"error: {rel}: "), lines[:3]
 
 
+def ending_in_a_bad_byte(tmp_path, rel):
+    """A copy of `life` whose file `rel` ends in a byte that is not UTF-8."""
+    root = tmp_path / "life"
+    shutil.copytree(fragment_dir("life"), root)
+    with open(root / rel, "ab") as f:
+        f.write(b"\xff")
+    return root
+
+
+def assert_one_error_line(run, named):
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, lines[:3]
+    assert lines[0].startswith("error: ") and named in lines[0], lines[0]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("rel", ["logic/domain.thy", "fragment.manifest"])
+    def test_load_fragment_names_a_file_that_is_not_utf8(self, tmp_path, rel):
+        with pytest.raises(FragmentLoadError, match=f"^{rel}: not UTF-8 text"):
+            load_fragment(ending_in_a_bad_byte(tmp_path, rel))
+
+    @pytest.mark.parametrize("command,rel", [
+        ("load", "logic/domain.thy"),
+        ("load", "fragment.manifest"),
+        ("gold", "gold/life.gold"),
+    ])
+    def test_cli_names_a_file_that_is_not_utf8(self, tmp_path, command, rel):
+        run = run_cli(command, str(ending_in_a_bad_byte(tmp_path, rel)))
+        assert_one_error_line(run, f"{rel}: ")
+
+    def test_gold_names_a_root_that_does_not_exist(self, tmp_path):
+        root = str(tmp_path / "nonexistent")
+        assert_one_error_line(run_cli("gold", root), root)
+
+    def test_gold_names_a_root_that_is_a_file(self, tmp_path):
+        root = tmp_path / "README.md"
+        root.write_text("not a directory\n", encoding="utf-8")
+        assert_one_error_line(run_cli("gold", str(root)), str(root))
+
+
 class TestGoldFiles:
     def test_fields_and_multiple_readings(self):
         cases = parse_gold_file(

@@ -1,5 +1,8 @@
 import copy
+import itertools
 import pickle
+import sys
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -23,7 +26,13 @@ from glf.kernel import (
     spine,
     substitute,
 )
-from helpers import clashing_terms, reference_alpha_eq, reference_free_vars, untyped_terms
+from helpers import (
+    clashing_terms,
+    reference_alpha_eq,
+    reference_free_vars,
+    reference_structural_eq,
+    untyped_terms,
+)
 
 love = Const("love'")
 joan = Const("joan'")
@@ -152,7 +161,11 @@ class TestOneAlphaAlgorithm:
 
 
 def rebuild(t):
-    """A structurally equal copy of `t` made of new nodes, none of them cached."""
+    """`t` built again, bottom up, through the constructors.
+
+    Terms are interned, so this returns `t` itself, made of the same nodes,
+    with whatever free-variable caches they have filled.
+    """
     match t:
         case App(fn, arg):
             return App(rebuild(fn), rebuild(arg))
@@ -167,6 +180,35 @@ def rebuild(t):
             return Const(name)
         case Sort(name):
             return Sort(name)
+
+
+_suffixes = itertools.count()
+
+
+def uncached_copy(t):
+    """`t` with one new suffix on every name: the same shape, binding the
+    same way, made of nodes no live term shares, so none has a filled cache."""
+    suffix = f"#{next(_suffixes)}"
+
+    def walk(t):
+        match t:
+            case App(fn, arg):
+                node = App(walk(fn), walk(arg))
+            case Lam(binder, binder_type, body):
+                bt = walk(binder_type) if binder_type is not None else None
+                node = Lam(binder + suffix, bt, walk(body))
+            case Pi(binder, domain, codomain):
+                node = Pi(binder + suffix, walk(domain), walk(codomain))
+            case Var(name):
+                node = Var(name + suffix)
+            case Const(name):
+                node = Const(name + suffix)
+            case Sort(name):
+                node = Sort(name + suffix)
+        assert not hasattr(node, "_free_vars")
+        return node
+
+    return walk(t)
 
 
 class TestFreeVarCache:
@@ -185,20 +227,21 @@ class TestFreeVarCache:
 
     @given(untyped_terms())
     def test_cache_is_invisible_to_equality_hash_and_repr(self, t):
+        t = uncached_copy(t)
+        before = hash(t), repr(t)
         free_vars(t)
-        fresh = rebuild(t)
-        assert fresh == t and t == fresh
-        assert hash(fresh) == hash(t)
-        assert repr(fresh) == repr(t)
+        again = rebuild(t)
+        assert again == t and t == again
+        assert (hash(t), repr(t)) == before
 
     @given(untyped_terms())
     def test_copies_and_pickles_with_or_without_a_filled_cache(self, t):
-        unfilled = rebuild(t)
+        t = uncached_copy(t)
+        duplicates = (copy.copy, copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u)))
+        unfilled = [duplicate(t) for duplicate in duplicates]
         free_vars(t)
-        for term in (unfilled, t):
-            for duplicate in (copy.copy, copy.deepcopy,
-                              lambda u: pickle.loads(pickle.dumps(u))):
-                assert duplicate(term) == term
+        filled = [duplicate(t) for duplicate in duplicates]
+        assert unfilled == filled == [t] * len(duplicates)
 
     def test_cache_is_neither_a_constructor_argument_nor_a_pattern(self):
         assert App.__match_args__ == ("fn", "arg")
@@ -207,3 +250,61 @@ class TestFreeVarCache:
         assert Var.__match_args__ == Const.__match_args__ == Sort.__match_args__ == ("name",)
         with pytest.raises(TypeError):
             Var("x", frozenset({"x"}))
+
+
+class TestInterning:
+    @given(untyped_terms(), untyped_terms())
+    @example(Var("x"), Var("x"))
+    @example(App(Const("c"), Var("x")), App(Const("c"), Var("x")))
+    @example(Lam("x", None, Var("x")), Lam("x", Const("c"), Var("x")))
+    def test_identity_is_structural_equality(self, t, u):
+        expected = reference_structural_eq(t, u)
+        assert (t is u) == expected
+        assert (t == u) == expected
+
+    @given(clashing_terms(), clashing_terms())
+    @example(Pi("$0", Var("_"), Var("$0")), Pi("$0", Var("_"), Var("$0")))
+    def test_identity_is_structural_equality_on_clashing_names(self, t, u):
+        expected = reference_structural_eq(t, u)
+        assert (t is u) == expected
+        assert (t == u) == expected
+
+    @given(clashing_terms())
+    def test_rebuilding_returns_the_same_node(self, t):
+        assert rebuild(t) is t
+
+    @given(clashing_terms())
+    def test_copies_and_pickles_return_the_same_node(self, t):
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_no_term_class_defines_equality_or_hash(self):
+        for cls in (Const, Var, App, Lam, Pi, Sort):
+            assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+        t = App(Const("a"), Var("x"))
+        assert t is App(Const("a"), Var("x"))
+        assert hash(t) == object.__hash__(t)
+
+    def test_a_dropped_term_dies(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        t = Lam("dropped", Const("dropped-type"), App(Const("dropped-f"), Var("dropped")))
+        free_vars(t)
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+        assert not unraisable
+        again = Lam("dropped", Const("dropped-type"), App(Const("dropped-f"), Var("dropped")))
+        assert reference_free_vars(again) == free_vars(again) == frozenset()
+
+    def test_a_dropped_deep_chain_dies_without_recursion(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        t = innermost = App(Const("chain-f"), Var("chain-x"))
+        for _ in range(100_000):
+            t = App(Const("chain-f"), t)
+        refs = weakref.ref(t), weakref.ref(innermost)
+        del t, innermost
+        assert [r() for r in refs] == [None, None]
+        assert not unraisable
