@@ -27,6 +27,7 @@ from glf.kernel import (
     TYPE,
     Const,
     Lam,
+    Normalizer,
     Pi,
     Sort,
     Term,
@@ -34,7 +35,6 @@ from glf.kernel import (
     alpha_normal,
     arrow,
     constants,
-    normalize,
     spine,
 )
 from glf.kernel.declarations import Declaration
@@ -162,20 +162,23 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
     """Parse (if needed), apply the semantics view, normalize, and gate-check.
 
     One Reading per parse in parse order; readings whose normal forms are
-    α-equal are collapsed into the first.
+    α-equal are collapsed into the first. The readings share one
+    `Normalizer` and one `TargetLogicGate`, so each subterm they share is
+    normalized and gate-checked once.
     """
     with nesting_limit("the sentence"):
         if isinstance(sentence_or_ast, Term):
             asts = [term_to_ast(fragment.abstract, sentence_or_ast)]
         else:
             asts = parse_sentence(fragment, sentence_or_ast, language)
-        flat = fragment.target_flat
+        normal = Normalizer(fragment.target_flat)
+        gate = TargetLogicGate(fragment)
         readings: list[Reading] = []
         seen: set[Term] = set()
         for ast in asts:
             try:
                 raw = apply_view(fragment.graph, fragment.semantics_view, ast)
-                term = normalize(flat, raw)
+                term = normal(raw)
             except GlfError as err:
                 failure = BridgeError(
                     f"semantics construction failed on {print_term(fragment.language_flat, ast)}: {err}"
@@ -186,7 +189,7 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
             seen.add(alpha_normal(term))
             if len(seen) == distinct:
                 continue
-            ok, diagnostics = check_in_target_logic(fragment, term)
+            ok, diagnostics = gate(term)
             readings.append(Reading(ast, raw, term, ok, diagnostics))
         return readings
 
@@ -210,19 +213,38 @@ def check_in_target_logic(fragment: Fragment, t: Term) -> tuple[bool, tuple[str,
     type expects a function there. Binder chains under one such position
     count as that one argument.
     """
-    flat = fragment.target_flat
-    diagnostics: list[str] = []
+    return TargetLogicGate(fragment)(t)
 
-    def pretty(sub: Term) -> str:
-        return print_term(flat, sub)
 
-    def check_names(sub: Term) -> None:
+class TargetLogicGate:
+    """`check_in_target_logic` over one fragment, for one call.
+
+    A gate remembers, for as long as it lives, each subterm that passed in
+    a position with the same `sanctioned` flag, and the full δ-normal form
+    of each declared domain type it asked about. A pair that produced no
+    diagnostic once produces none again, so skipping it leaves each term's
+    diagnostics, and their order, as a fresh gate gives them. The readings
+    of one sentence share one gate, and each subterm they share is checked
+    once.
+    """
+
+    def __init__(self, fragment: Fragment):
+        self.flat = fragment.target_flat
+        self._full = Normalizer(self.flat, delta="full")
+        self._clean: set[tuple[Term, bool]] = set()
+
+    def __call__(self, t: Term) -> tuple[bool, tuple[str, ...]]:
+        diagnostics: list[str] = []
+        self._visit(t, False, diagnostics)
+        return (not diagnostics, tuple(diagnostics))
+
+    def _check_names(self, sub: Term, diagnostics: list[str]) -> None:
         for name in sorted(constants(sub)):
-            if name not in flat:
+            if name not in self.flat:
                 diagnostics.append(f"constant {name} is not in the target logic")
 
-    def domains_of(name: str) -> list[Term]:
-        d = flat.lookup(name)
+    def _domains_of(self, name: str) -> list[Term]:
+        d = self.flat.lookup(name)
         ty = d.type_ if d else None
         out = []
         while isinstance(ty, Pi):
@@ -230,40 +252,40 @@ def check_in_target_logic(fragment: Fragment, t: Term) -> tuple[bool, tuple[str,
             ty = ty.codomain
         return out
 
-    def is_function_type(ty: Term) -> bool:
-        return isinstance(normalize(flat, ty, delta="full"), Pi)
-
-    def visit(sub: Term, sanctioned: bool) -> None:
+    def _visit(self, sub: Term, sanctioned: bool, diagnostics: list[str]) -> None:
+        key = (sub, sanctioned)
+        if key in self._clean:
+            return
+        before = len(diagnostics)
+        flat = self.flat
         if isinstance(sub, Lam):
             if not sanctioned:
-                diagnostics.append(f"binder outside higher-order position: {pretty(sub)}")
-            if sub.binder_type is not None:
-                check_names(sub.binder_type)
-            visit(sub.body, isinstance(sub.body, Lam) and sanctioned)
-            return
-        if isinstance(sub, Pi):
-            check_names(sub)
-            return
-        if isinstance(sub, (Var, Sort)):
-            return
-        head, args = spine(sub)
-        if isinstance(head, Const):
-            if head.name not in flat:
-                diagnostics.append(f"constant {head.name} is not in the target logic")
-                domains = []
-            else:
-                domains = domains_of(head.name)
-            for i, arg in enumerate(args):
-                ok_here = (
-                    isinstance(arg, Lam)
-                    and i < len(domains)
-                    and is_function_type(domains[i])
+                diagnostics.append(
+                    f"binder outside higher-order position: {print_term(flat, sub)}"
                 )
-                visit(arg, ok_here)
-        else:
-            visit(head, False)
-            for arg in args:
-                visit(arg, False)
-
-    visit(t, False)
-    return (not diagnostics, tuple(diagnostics))
+            if sub.binder_type is not None:
+                self._check_names(sub.binder_type, diagnostics)
+            self._visit(sub.body, isinstance(sub.body, Lam) and sanctioned, diagnostics)
+        elif isinstance(sub, Pi):
+            self._check_names(sub, diagnostics)
+        elif not isinstance(sub, (Var, Sort)):
+            head, args = spine(sub)
+            if isinstance(head, Const):
+                if head.name not in flat:
+                    diagnostics.append(f"constant {head.name} is not in the target logic")
+                    domains = []
+                else:
+                    domains = self._domains_of(head.name)
+                for i, arg in enumerate(args):
+                    ok_here = (
+                        isinstance(arg, Lam)
+                        and i < len(domains)
+                        and isinstance(self._full(domains[i]), Pi)
+                    )
+                    self._visit(arg, ok_here, diagnostics)
+            else:
+                self._visit(head, False, diagnostics)
+                for arg in args:
+                    self._visit(arg, False, diagnostics)
+        if len(diagnostics) == before:
+            self._clean.add(key)

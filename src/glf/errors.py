@@ -178,6 +178,7 @@ class TotalityFailure(FragmentLoadError):
 
 
 class GoldFormatError(ShellError):
-    def __init__(self, message: str, line: int):
+    def __init__(self, message: str, line: int, path: str = "gold file"):
+        self.message = message
         self.line = line
-        super().__init__(f"gold file line {line}: {message}")
+        super().__init__(f"{path} line {line}: {message}")

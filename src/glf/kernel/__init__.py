@@ -22,7 +22,7 @@ from glf.kernel.terms import (
     substitute,
 )
 from glf.kernel.declarations import Declaration, Notation, Signature
-from glf.kernel.reduce import def_eq, normalize, whnf
+from glf.kernel.reduce import Normalizer, def_eq, normalize, whnf
 from glf.kernel.typecheck import Context, ProofCheck, check_proof, check_type, infer_type
 
 __all__ = [
@@ -30,6 +30,6 @@ __all__ = [
     "alpha_eq", "alpha_normal", "app", "arrow", "constants", "free_vars",
     "fresh_name", "lam", "spine", "substitute",
     "Declaration", "Notation", "Signature",
-    "def_eq", "normalize", "whnf",
+    "Normalizer", "def_eq", "normalize", "whnf",
     "Context", "ProofCheck", "check_proof", "check_type", "infer_type",
 ]

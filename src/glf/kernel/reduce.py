@@ -7,10 +7,19 @@
   - "full": every defined constant unfolds — used for definitional equality.
   - "none": pure β.
 
-All reduction shares one step budget; exceeding it raises
+Each term normalized gets its own step budget; exceeding it raises
 NonTerminationGuard rather than silently truncating. The budget only guards
 against diverging (ill-typed) inputs — well-typed LF terms normalize long
 before the default 100,000 steps.
+
+All full normalization goes through a `Normalizer`, and its memo lives
+for one call: `normalize` builds a fresh one each time, and a caller that
+normalizes many terms over one signature and δ policy (the readings of one
+sentence and their grounding, the types the target-logic gate asks about)
+shares one across them. Terms are interned, so a node normalized before is
+looked up by the node itself, and each subterm the terms share is
+normalized once. Only completed normal forms are stored, so a term that
+diverges or is not a term raises where and as it would without the memo.
 """
 
 from __future__ import annotations
@@ -67,27 +76,61 @@ def whnf(sig: Signature | None, t: Term, *, delta: str = "applied",
     return _whnf(t, sig, delta, _Budget(budget))
 
 
+class Normalizer:
+    """Full β(δ)-normal forms over one signature and δ policy, for one call.
+
+    It remembers the normal form of every node it has normalized, for as
+    long as it lives. Each call to it gets a fresh step budget. Memo hits
+    cost no steps, so a term may spend fewer steps than it would alone,
+    never more; a term that diverges exhausts its own budget whatever was
+    normalized before it.
+    """
+
+    def __init__(self, sig: Signature | None, *, delta: str = "applied",
+                 budget: int = DEFAULT_BUDGET):
+        self.sig = sig
+        self.delta = delta
+        self.budget = budget
+        self._normal: dict[Term, Term] = {}
+
+    def __call__(self, t: Term) -> Term:
+        sig, delta, memo = self.sig, self.delta, self._normal
+        done = memo.get(t)
+        if done is not None:
+            return done
+        bud = _Budget(self.budget)
+
+        def norm(t: Term) -> Term:
+            done = memo.get(t)
+            if done is not None:
+                return done
+            w = _whnf(t, sig, delta, bud)
+            match w:
+                case App():
+                    head, args = spine(w)
+                    done = app(head, *[norm(a) for a in args])
+                case Lam(binder, binder_type, body):
+                    bt = norm(binder_type) if binder_type is not None else None
+                    done = Lam(binder, bt, norm(body))
+                case Pi(binder, domain, codomain):
+                    done = Pi(binder, norm(domain), norm(codomain))
+                case Const() | Var() | Sort():
+                    done = w
+                case _:
+                    raise TypeError(f"not a term: {w!r}")
+            memo[t] = done
+            return done
+
+        try:
+            return norm(t)
+        finally:
+            del norm  # the closure refers to itself; free it with the call
+
+
 def normalize(sig: Signature | None, t: Term, *, delta: str = "applied",
               budget: int = DEFAULT_BUDGET) -> Term:
     """Full β(δ)-normal form, unique up to α for well-typed terms."""
-    bud = _Budget(budget)
-
-    def norm(t: Term) -> Term:
-        t = _whnf(t, sig, delta, bud)
-        match t:
-            case App():
-                head, args = spine(t)
-                return app(head, *[norm(a) for a in args])
-            case Lam(binder, binder_type, body):
-                bt = norm(binder_type) if binder_type is not None else None
-                return Lam(binder, bt, norm(body))
-            case Pi(binder, domain, codomain):
-                return Pi(binder, norm(domain), norm(codomain))
-            case Const() | Var() | Sort():
-                return t
-        raise TypeError(f"not a term: {t!r}")
-
-    return norm(t)
+    return Normalizer(sig, delta=delta, budget=budget)(t)
 
 
 def def_eq(sig: Signature | None, t: Term, u: Term, *,

@@ -27,7 +27,7 @@ from glf.errors import (
     UntypedBinder,
 )
 from glf.kernel.declarations import Declaration, Signature
-from glf.kernel.reduce import def_eq, normalize, whnf
+from glf.kernel.reduce import Normalizer, def_eq, normalize, whnf
 from glf.kernel.terms import (
     App,
     Const,
@@ -70,8 +70,9 @@ EMPTY = Context()
 class Checker:
     """Type inference and checking over one signature, for one call.
 
-    A checker remembers two things, and only for as long as it lives:
+    A checker remembers three things, and only for as long as it lives:
 
+    - the β-normal form of each type it has normalized, in a `Normalizer`;
     - the β-normal type of each constant it has looked up;
     - the inferred type of each `App` node, keyed by the context's bindings
       and the interned node. Only successful inferences are stored, so an
@@ -85,6 +86,7 @@ class Checker:
 
     def __init__(self, sig: Signature):
         self.sig = sig
+        self._normalize = Normalizer(sig)
         self._const_types: dict[str, Term] = {}
         self._app_types: dict[tuple[tuple[tuple[str, Term], ...], Term], Term] = {}
 
@@ -100,7 +102,7 @@ class Checker:
                 ty = ctx.lookup(name)
                 if ty is None:
                     raise UnknownConstant(f"unbound variable {name}")
-                return normalize(sig, ty)
+                return self._normalize(ty)
             case Const(name):
                 ty = self._const_types.get(name)
                 if ty is None:
@@ -108,7 +110,7 @@ class Checker:
                     if d is None:
                         raise UnknownConstant(f"unknown constant {name}")
                     if d.type_ is not None:
-                        ty = normalize(sig, d.type_)
+                        ty = self._normalize(d.type_)
                     else:
                         ty = self.infer(EMPTY, d.definiens)
                     self._const_types[name] = ty
@@ -124,7 +126,7 @@ class Checker:
                         f"{show(fn)} of type {show(fn_type)} is applied to {show(arg)}"
                     )
                 self.check(ctx, arg, fn_type.domain)
-                ty = normalize(sig, substitute(fn_type.codomain, fn_type.binder, arg))
+                ty = self._normalize(substitute(fn_type.codomain, fn_type.binder, arg))
                 self._app_types[key] = ty
                 return ty
             case Lam(binder, binder_type, body):
@@ -135,7 +137,7 @@ class Checker:
                 self._check_is_type(ctx, binder_type)
                 binder, body = rename_away(binder, body, ctx.names())
                 body_type = self.infer(ctx.extend(binder, binder_type), body)
-                return Pi(binder, normalize(sig, binder_type), body_type)
+                return Pi(binder, self._normalize(binder_type), body_type)
             case Pi(binder, domain, codomain):
                 self._check_is_type(ctx, domain)
                 binder, codomain = rename_away(binder, codomain, ctx.names())

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from glf import corpus
 from glf.bridge import construct_semantics, parse_sentence
-from glf.errors import FragmentLoadError, GlfError, nesting_limit
+from glf.errors import FragmentLoadError, GlfError, GoldFormatError, nesting_limit
 from glf.modsys import print_term
 from glf.shell.gold import parse_gold_file, run_gold
 from glf.shell.loader import initial_state, load_fragment, read_fragment_file
@@ -138,14 +138,17 @@ def _cmd_gold(args) -> int:
         raise FragmentLoadError(f"{root} is not a directory")
     directories = _gold_directories(root)
     if not directories:
-        print(f"no fragment.manifest under {root}", file=sys.stderr)
-        return 1
+        raise FragmentLoadError(f"no fragment.manifest under {root}")
     ok, total = True, 0
     for directory in directories:
         fragment = load_fragment(directory)
         cases = []
         for gold_path in sorted((directory / "gold").glob("*.gold")):
-            cases.extend(parse_gold_file(read_fragment_file(directory, f"gold/{gold_path.name}")))
+            text = read_fragment_file(directory, f"gold/{gold_path.name}")
+            try:
+                cases.extend(parse_gold_file(text))
+            except GoldFormatError as err:
+                raise GoldFormatError(err.message, err.line, str(gold_path)) from None
         report = run_gold(fragment, tuple(cases))
         print(report.render())
         ok = ok and report.ok

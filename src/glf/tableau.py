@@ -32,7 +32,7 @@ from glf.errors import (
     TypeError_,
     nesting_limit,
 )
-from glf.kernel import App, Const, Lam, Term, alpha_normal, normalize, spine
+from glf.kernel import App, Const, Lam, Normalizer, Term, alpha_normal, spine
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import print_term
 from glf.modsys.theory import FlatTheory
@@ -146,29 +146,28 @@ def ground_quantifiers(signature: LogicSignature, t: Term) -> Term:
     Quantifiers buried inside atoms (e.g. under a modal operator) are left
     alone -- such subterms are opaque to a propositional tableau anyway.
     """
-    flat = signature.flat
+    return _ground(signature, t, Normalizer(signature.flat))
 
-    def go(t: Term) -> Term:
-        head, args = spine(t)
-        if not isinstance(head, Const):
-            return t
-        role = signature.role_of(head.name)
-        if role in ("forall", "exists") and len(args) == 1:
-            domain = signature._domain
-            if not domain:
-                return TOP if role == "forall" else BOTTOM
-            parts = [
-                go(normalize(flat, App(args[0], c))) for c in domain
-            ]
-            joiner = signature.constant("and" if role == "forall" else "or")
-            return _fold(joiner, parts)
-        if role in ("and", "or", "impl") and len(args) == 2:
-            return App(App(head, go(args[0])), go(args[1]))
-        if role == "neg" and len(args) == 1:
-            return App(head, go(args[0]))
+
+def _ground(signature: LogicSignature, t: Term, normal: Normalizer) -> Term:
+    """`ground_quantifiers`, normalizing each instance with `normal`."""
+    head, args = spine(t)
+    if not isinstance(head, Const):
         return t
-
-    return go(t)
+    role = signature.role_of(head.name)
+    if role in ("forall", "exists") and len(args) == 1:
+        domain = signature._domain
+        if not domain:
+            return TOP if role == "forall" else BOTTOM
+        parts = [_ground(signature, normal(App(args[0], c)), normal) for c in domain]
+        joiner = signature.constant("and" if role == "forall" else "or")
+        return _fold(joiner, parts)
+    if role in ("and", "or", "impl") and len(args) == 2:
+        return App(App(head, _ground(signature, args[0], normal)),
+                   _ground(signature, args[1], normal))
+    if role == "neg" and len(args) == 1:
+        return App(head, _ground(signature, args[0], normal))
+    return t
 
 
 def _negate(signature: LogicSignature, t: Term) -> Term:
@@ -316,10 +315,8 @@ def init_belief_state(
     checker = Checker(signature.flat)
     for ax in axioms:
         _check_proposition(checker, signature, ax, "axiom")
-    grounded = tuple(
-        ground_quantifiers(signature, normalize(signature.flat, ax))
-        for ax in axioms
-    )
+    normal = Normalizer(signature.flat)
+    grounded = tuple(_ground(signature, normal(ax), normal) for ax in axioms)
     state = BeliefState(
         signature=signature,
         world_knowledge=axioms,
@@ -331,7 +328,7 @@ def init_belief_state(
     return replace(state, branches=state.open_branches)
 
 
-def _ac_key(signature: LogicSignature, t: Term) -> Hashable:
+def _ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> Hashable:
     """A key shared by formulas equal modulo AC of the role-mapped ∧ and ∨.
 
     A chain of one of them keys as the multiset of its operands' keys. It
@@ -342,6 +339,14 @@ def _ac_key(signature: LogicSignature, t: Term) -> Hashable:
     Formulas with equal keys saturate to the same set of open-branch
     literal sets, which is all :func:`extract_models` reads.
     """
+    key = memo.get(t)
+    if key is None:
+        key = memo[t] = _new_ac_key(signature, t, memo)
+    return key
+
+
+def _new_ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> Hashable:
+    """`_ac_key` of a node not in `memo`."""
     head, args = spine(t)
     role = signature.role_of(head.name) if isinstance(head, Const) else None
     if role in ("and", "or") and len(args) == 2:
@@ -353,31 +358,32 @@ def _ac_key(signature: LogicSignature, t: Term) -> Hashable:
             if part_head == head and len(part_args) == 2:
                 todo.extend(part_args)
                 continue
-            key = _ac_key(signature, part)
+            key = _ac_key(signature, part, memo)
             if type(key) is tuple and key[0] == role:  # ¬¬ around a chain
                 operands.update(dict(key[1]))
             else:
                 operands[key] += 1
         return role, frozenset(operands.items())
     if role == "neg" and len(args) == 1:
-        inner = _ac_key(signature, args[0])
+        inner = _ac_key(signature, args[0], memo)
         if type(inner) is tuple and inner[0] == "neg":
             return inner[1]
         return "neg", inner
     if role == "impl" and len(args) == 2:
-        return "impl", _ac_key(signature, args[0]), _ac_key(signature, args[1])
+        return "impl", _ac_key(signature, args[0], memo), _ac_key(signature, args[1], memo)
     if role in ("forall", "exists") and len(args) == 1:
-        return role, _ac_key(signature, args[0])
+        return role, _ac_key(signature, args[0], memo)
     if isinstance(t, Lam):
-        return "λ", t.binder, t.binder_type, _ac_key(signature, t.body)
+        return "λ", t.binder, t.binder_type, _ac_key(signature, t.body, memo)
     return t
 
 
 def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefState:
     """Assert a sentence: one reading per branch copy, then saturate.
 
-    Readings are type-checked by one checker, which infers each subterm
-    they share once. They are normalized first, and only the first of
+    Readings are type-checked by one checker, normalized and grounded by
+    one normalizer, and AC-keyed with one memo, so each subterm they share
+    is inferred, normalized and keyed once. Only the first of
     those equal up to α-equivalence and AC of ∧ and ∨ is grounded and
     saturated, so syntactic ambiguity that melts away semantically costs
     nothing and the models come out as if every reading had been asserted.
@@ -390,12 +396,14 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
         flat = state.signature.flat
 
         checker = Checker(flat)
+        normal = Normalizer(flat)
+        keys: dict[Term, Hashable] = {}
         classes: dict[Hashable, Term] = {}
         for r in readings:
             _check_proposition(checker, state.signature, r, "reading")
-            n = alpha_normal(normalize(flat, r))
-            classes.setdefault(_ac_key(state.signature, n), n)
-        grounded = [ground_quantifiers(state.signature, n) for n in classes.values()]
+            n = alpha_normal(normal(r))
+            classes.setdefault(_ac_key(state.signature, n, keys), n)
+        grounded = [_ground(state.signature, n, normal) for n in classes.values()]
 
         branches = tuple(
             replace(b, pending=b.pending + (g,))

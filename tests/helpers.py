@@ -51,6 +51,7 @@ from glf.kernel import (
     alpha_eq,
     app,
     arrow,
+    constants,
     def_eq,
     lam,
     normalize,
@@ -58,8 +59,10 @@ from glf.kernel import (
     substitute,
     whnf,
 )
+from glf.kernel.reduce import DEFAULT_BUDGET, _Budget, _whnf
 from glf.kernel.terms import rename_away, show
 from glf.kernel.typecheck import EMPTY, Context, check_type, infer_type
+from glf.modsys import print_term
 from glf.modsys.syntax import IDENT_RE, KEYWORDS, parse_term
 from glf.modsys.theory import Theory, TheoryGraph, View, validate_view
 
@@ -126,6 +129,92 @@ def applicative_normalize(sig, t: Term, budget: int = 100_000) -> Term:
                 return t
 
     return norm(t)
+
+
+def reference_normalize(sig, t: Term, *, delta: str = "applied",
+                        budget: int = DEFAULT_BUDGET) -> Term:
+    """`normalize` before it was memoized: every subterm normalized afresh,
+    one step budget for the whole term."""
+    bud = _Budget(budget)
+
+    def norm(t: Term) -> Term:
+        t = _whnf(t, sig, delta, bud)
+        match t:
+            case App():
+                head, args = spine(t)
+                return app(head, *[norm(a) for a in args])
+            case Lam(binder, binder_type, body):
+                bt = norm(binder_type) if binder_type is not None else None
+                return Lam(binder, bt, norm(body))
+            case Pi(binder, domain, codomain):
+                return Pi(binder, norm(domain), norm(codomain))
+            case Const() | Var() | Sort():
+                return t
+        raise TypeError(f"not a term: {t!r}")
+
+    return norm(t)
+
+
+def reference_check_in_target_logic(fragment, t: Term) -> tuple[bool, tuple[str, ...]]:
+    """`check_in_target_logic` before it was memoized: one walk over the
+    whole term, every subterm checked afresh."""
+    flat = fragment.target_flat
+    diagnostics: list[str] = []
+
+    def pretty(sub: Term) -> str:
+        return print_term(flat, sub)
+
+    def check_names(sub: Term) -> None:
+        for name in sorted(constants(sub)):
+            if name not in flat:
+                diagnostics.append(f"constant {name} is not in the target logic")
+
+    def domains_of(name: str) -> list[Term]:
+        d = flat.lookup(name)
+        ty = d.type_ if d else None
+        out = []
+        while isinstance(ty, Pi):
+            out.append(ty.domain)
+            ty = ty.codomain
+        return out
+
+    def is_function_type(ty: Term) -> bool:
+        return isinstance(reference_normalize(flat, ty, delta="full"), Pi)
+
+    def visit(sub: Term, sanctioned: bool) -> None:
+        if isinstance(sub, Lam):
+            if not sanctioned:
+                diagnostics.append(f"binder outside higher-order position: {pretty(sub)}")
+            if sub.binder_type is not None:
+                check_names(sub.binder_type)
+            visit(sub.body, isinstance(sub.body, Lam) and sanctioned)
+            return
+        if isinstance(sub, Pi):
+            check_names(sub)
+            return
+        if isinstance(sub, (Var, Sort)):
+            return
+        head, args = spine(sub)
+        if isinstance(head, Const):
+            if head.name not in flat:
+                diagnostics.append(f"constant {head.name} is not in the target logic")
+                domains = []
+            else:
+                domains = domains_of(head.name)
+            for i, arg in enumerate(args):
+                ok_here = (
+                    isinstance(arg, Lam)
+                    and i < len(domains)
+                    and is_function_type(domains[i])
+                )
+                visit(arg, ok_here)
+        else:
+            visit(head, False)
+            for arg in args:
+                visit(arg, False)
+
+    visit(t, False)
+    return (not diagnostics, tuple(diagnostics))
 
 
 def reference_free_vars(t: Term) -> frozenset[str]:

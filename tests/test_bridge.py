@@ -4,10 +4,17 @@ Integration-level tests run against the shipped example fragments; the
 unit-level ones build tiny grammars and theories inline.
 """
 
+import gc
+import weakref
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from glf.bridge import (
     Fragment,
+    Reading,
+    TargetLogicGate,
     check_in_target_logic,
     construct_semantics,
     generate_language_theory,
@@ -26,10 +33,12 @@ from glf.grammar import (
     compile_cfg,
     parse_grammar_file,
 )
-from glf.kernel import TYPE, App, Const, Var, alpha_eq, app, arrow, lam, normalize
-from glf.modsys import TheoryGraph, check_totality, parse_term, parse_theory_file
+from glf.kernel import (
+    TYPE, App, Const, Lam, Var, alpha_eq, alpha_normal, app, arrow, lam, normalize,
+)
+from glf.modsys import TheoryGraph, apply_view, check_totality, parse_term, parse_theory_file
 from glf.shell import load_fragment, parse_gold_file
-from helpers import enumerate_asts
+from helpers import enumerate_asts, reference_check_in_target_logic, reference_normalize
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +249,109 @@ class TestTargetLogicGate:
         t = parse_term(quantified.target_flat, "∀ [x : ι] run' x")
         ok, diagnostics = check_in_target_logic(quantified, t)
         assert ok, diagnostics
+
+
+def reference_construct(fragment, sentence: str) -> list[Reading]:
+    """`construct_semantics` tree by tree: every reading viewed, normalized
+    and gate-checked afresh, with nothing shared between them."""
+    readings, seen = [], set()
+    for ast in parse_sentence(fragment, sentence):
+        raw = apply_view(fragment.graph, fragment.semantics_view, ast)
+        term = reference_normalize(fragment.target_flat, raw)
+        key = alpha_normal(term)
+        if key in seen:
+            continue
+        seen.add(key)
+        ok, diagnostics = reference_check_in_target_logic(fragment, term)
+        readings.append(Reading(ast, raw, term, ok, diagnostics))
+    return readings
+
+
+def coordination(n: int, verb_phrase: str) -> str:
+    """`N1 and … and Nn VP`, nouns placed as in the benchmark's workload."""
+    nouns = ["someone" if i == n // 2 else "everyone" if i % 3 == 1 else ("John", "Mary")[i % 2]
+             for i in range(n)]
+    return " and ".join(nouns) + " " + verb_phrase
+
+
+def belief_chain(depth: int) -> str:
+    words = [("Mary believes that", "John doesn't believe that")[i % 2] for i in range(depth)]
+    return " ".join(words) + " John has to run"
+
+
+class TestSharedConstruction:
+    """All readings of a sentence share one normalizer and one gate; the
+    result is what constructing each tree on its own gives."""
+
+    @pytest.mark.parametrize("verb_phrase", ["run", "love everyone", "love someone"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_coordination_matches_per_tree_construction(self, quantified, n, verb_phrase):
+        self.assert_matches(quantified, coordination(n, verb_phrase))
+
+    @pytest.mark.parametrize("depth", [10, 50])
+    def test_belief_chain_matches_per_tree_construction(self, modal, depth):
+        self.assert_matches(modal, belief_chain(depth))
+
+    @staticmethod
+    def assert_matches(fragment, sentence):
+        got = construct_semantics(fragment, sentence)
+        want = reference_construct(fragment, sentence)
+        assert got and got == want
+        for g, w in zip(got, want):
+            assert g.term is w.term
+            assert check_in_target_logic(fragment, g.term) == (g.in_target_logic, g.diagnostics)
+
+
+def gate_fixtures(fragment) -> list:
+    """Clean readings mixed with terms that fail the gate, some of them
+    built from the clean readings' own subterms."""
+    clean = [r.term for s in ("everyone runs", "John and someone love everyone", "Mary runs")
+             for r in construct_semantics(fragment, s)]
+    everyone_runs, john_and_someone, mary_runs = clean
+    run, mary = mary_runs.fn, mary_runs.arg
+    and_ = john_and_someone.arg.body.fn.fn
+    sanctioned = everyone_runs.arg  # passes as the argument of ∀
+    foreign = App(run, Const("blorp'"))
+    unreduced = parse_term(fragment.target_flat, "[p] p john'")
+    return clean + [
+        unreduced,
+        foreign,
+        App(run, sanctioned),  # the same λ, now in a first-order position
+        app(and_, mary_runs, foreign),
+        app(and_, foreign, App(run, sanctioned)),
+        app(and_, everyone_runs, App(unreduced, run)),
+        app(and_, mary_runs, everyone_runs),
+        App(run, mary),
+    ]
+
+
+class TestSharedGate:
+    @given(order=st.permutations(range(11)))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_gate_gives_the_one_shot_diagnostics(self, quantified, order):
+        terms = gate_fixtures(quantified)
+        assert len(terms) == 11
+        gate = TargetLogicGate(quantified)
+        for i in order:
+            want = reference_check_in_target_logic(quantified, terms[i])
+            assert check_in_target_logic(quantified, terms[i]) == want
+            assert gate(terms[i]) == want
+        assert sum(not gate(t)[0] for t in terms) == 6
+
+    def test_a_gate_holds_its_memo_for_its_own_life(self, quantified):
+        (everyone_runs,) = [r.term for r in construct_semantics(quantified, "everyone runs")]
+        forall, binder = everyone_runs.fn, everyone_runs.arg
+        # A binder name no other test uses, so only this test holds the node.
+        t = App(forall, Lam("only_here", binder.binder_type, App(binder.body.fn, Var("only_here"))))
+        gate = TargetLogicGate(quantified)
+        assert gate(t) == (True, ())
+        held = weakref.ref(t)
+        gc.disable()
+        try:
+            del gate, t
+            assert held() is None
+        finally:
+            gc.enable()
 
 
 class TestFragmentByHand:

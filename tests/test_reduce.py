@@ -1,3 +1,7 @@
+import gc
+import weakref
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -6,6 +10,7 @@ from glf.kernel import (
     App,
     Const,
     Lam,
+    Normalizer,
     Var,
     alpha_eq,
     app,
@@ -15,7 +20,7 @@ from glf.kernel import (
     normalize,
 )
 from glf.kernel.typecheck import EMPTY
-from helpers import applicative_normalize, ksig, typed_terms
+from helpers import O, applicative_normalize, ksig, reference_normalize, typed_terms
 
 love = Const("love'")
 joan = Const("joan'")
@@ -117,3 +122,85 @@ class TestProperties:
         before = infer_type(sig, EMPTY, t)
         after = infer_type(sig, EMPTY, normalize(sig, t))
         assert alpha_eq(normalize(sig, before), normalize(sig, after))
+
+
+DELTAS = ("applied", "full", "none")
+OMEGA = App(Lam("x", None, App(Var("x"), Var("x"))), Lam("x", None, App(Var("x"), Var("x"))))
+
+
+@st.composite
+def shared_propositions(draw):
+    """Propositions, some built from others, some repeated, in any order."""
+    base = draw(st.lists(typed_terms(ksig(), O), min_size=1, max_size=4))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base)), max_size=4))
+    terms = base + [app(Const(c), a, b) for (a, b), c in zip(pairs, ["and", "or"] * 2)]
+    terms += draw(st.lists(st.sampled_from(terms), max_size=3))
+    return draw(st.permutations(terms))
+
+
+class TestSharedNormalizer:
+    """One `Normalizer` across many terms returns what a fresh,
+    unmemoized normalization of each returns: the very same node."""
+
+    @given(shared_propositions(), st.sampled_from(DELTAS))
+    @settings(max_examples=100, deadline=None)
+    def test_same_nodes_as_the_reference(self, terms, delta):
+        sig = ksig()
+        normal = Normalizer(sig, delta=delta)
+        for t in terms:
+            assert normal(t) is reference_normalize(sig, t, delta=delta)
+
+    @given(shared_propositions(), st.integers(0, 8), st.sampled_from(DELTAS))
+    @settings(max_examples=50, deadline=None)
+    def test_divergence_raises_wherever_it_comes(self, terms, at, delta):
+        sig = ksig()
+        diverging = app(Const("and"), Const("sunny'"), OMEGA)
+        normal = Normalizer(sig, delta=delta, budget=500)
+        before, after = terms[:at], terms[at:]
+        for t in before:
+            assert normal(t) is reference_normalize(sig, t, delta=delta, budget=500)
+        for _ in range(2):
+            with pytest.raises(NonTerminationGuard):
+                normal(diverging)
+        for t in after:
+            assert normal(t) is reference_normalize(sig, t, delta=delta, budget=500)
+
+    def test_nodes_that_print_alike_stay_apart(self, sig):
+        # `sunny'` the variable and `sunny'` the constant print alike.
+        twice = Lam("p", None, app(and_, Var("p"), Var("p")))
+        normal = Normalizer(sig)
+        for arg in (Var("sunny'"), Const("sunny'")):
+            assert normal(App(twice, arg)) is app(and_, arg, arg)
+
+    def test_diverging_term_alone(self):
+        with pytest.raises(NonTerminationGuard):
+            Normalizer(None, budget=500)(OMEGA)
+
+    def test_each_term_gets_its_own_budget(self, sig):
+        # Two β-steps each: a budget shared across terms would run out.
+        t = App(Lam("x", None, Var("x")), App(Lam("y", None, Var("y")), Const("c")))
+        u = App(Lam("x", None, Var("x")), App(Lam("y", None, Var("y")), Const("d")))
+        normal = Normalizer(sig, budget=2)
+        assert normal(t) is Const("c")
+        assert normal(u) is Const("d")
+
+    def test_non_terms_fail_every_time(self, sig):
+        t = App(Const("run'"), "john")
+        normal = Normalizer(sig)
+        for _ in range(2):
+            with pytest.raises(TypeError, match="not a term: 'john'"):
+                normal(t)
+
+    def test_the_memo_dies_with_its_normalizer(self, sig):
+        # Without the cyclic collector, only reference counting can free
+        # the memo, and with it the redex that is one of its keys.
+        t = App(Lam("p", None, app(and_, Var("p"), Var("p"))), App(run, mary))
+        held = weakref.ref(t)
+        gc.disable()
+        try:
+            normal = Normalizer(sig)
+            assert normal(t) is app(and_, App(run, mary), App(run, mary))
+            del normal, t
+            assert held() is None
+        finally:
+            gc.enable()

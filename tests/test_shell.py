@@ -337,6 +337,22 @@ class TestUnreadableFiles:
         run = run_cli(command, str(ending_in_a_bad_byte(tmp_path, rel)))
         assert_one_error_line(run, f"{rel}: ")
 
+    def test_gold_names_the_gold_file_with_a_bad_line(self, tmp_path):
+        root = tmp_path / "life"
+        shutil.copytree(fragment_dir("life"), root)
+        gold = root / "gold" / "life.gold"
+        lines = gold.read_text(encoding="utf-8").splitlines()
+        gold.write_text("\n".join(lines + ["Eng\tStmt\tJoan runs"]) + "\n", encoding="utf-8")
+        run = run_cli("gold", str(root))
+        assert_one_error_line(run, str(gold))
+        assert run.stderr == (
+            f"error: {gold} line {len(lines) + 1}: expected 4 tab-separated fields, found 3\n"
+        )
+
+    def test_gold_without_fragments_prints_one_error_line(self, tmp_path):
+        run = run_cli("gold", str(tmp_path))
+        assert_one_error_line(run, f"no fragment.manifest under {tmp_path}")
+
     def test_gold_names_a_root_that_does_not_exist(self, tmp_path):
         root = str(tmp_path / "nonexistent")
         assert_one_error_line(run_cli("gold", root), root)
