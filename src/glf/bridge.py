@@ -38,7 +38,7 @@ from glf.kernel import (
     spine,
 )
 from glf.kernel.declarations import Declaration
-from glf.modsys import Theory, TheoryGraph, View, apply_view, print_term
+from glf.modsys import Theory, TheoryGraph, View, ViewApplier, print_term
 from glf.modsys.syntax import KEYWORDS
 
 # Names the theory-file syntax reserves; a grammar using one of these could
@@ -162,22 +162,24 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
     """Parse (if needed), apply the semantics view, normalize, and gate-check.
 
     One Reading per parse in parse order; readings whose normal forms are
-    α-equal are collapsed into the first. The readings share one
-    `Normalizer` and one `TargetLogicGate`, so each subterm they share is
-    normalized and gate-checked once.
+    α-equal are collapsed into the first. The trees share one `ViewApplier`,
+    and the readings one `Normalizer` and one `TargetLogicGate`, so each
+    subtree they share is translated once, and each subterm normalized and
+    gate-checked once.
     """
     with nesting_limit("the sentence"):
         if isinstance(sentence_or_ast, Term):
             asts = [term_to_ast(fragment.abstract, sentence_or_ast)]
         else:
             asts = parse_sentence(fragment, sentence_or_ast, language)
+        view = ViewApplier(fragment.graph, fragment.semantics_view)
         normal = Normalizer(fragment.target_flat)
         gate = TargetLogicGate(fragment)
         readings: list[Reading] = []
         seen: set[Term] = set()
         for ast in asts:
             try:
-                raw = apply_view(fragment.graph, fragment.semantics_view, ast)
+                raw = view(ast)
                 term = normal(raw)
             except GlfError as err:
                 failure = BridgeError(

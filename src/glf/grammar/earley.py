@@ -16,7 +16,9 @@ origin. Ends of completed spans arrive in increasing order.
 
 Trees are interned terms, so equal trees are the same object and the
 duplicates a parse finds collapse as dict keys. Extraction still recurses
-once per level of embedding.
+once per level of embedding, through two closures that refer to each
+other; they are deleted when the parse ends, so a parse leaves no
+reference cycle behind.
 
 The first input token is matched case-insensitively so sentence-initial
 capitalization does not require lexicon duplicates.
@@ -151,8 +153,11 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
         return out
 
     results: dict[Term, None] = {}
-    for s in cfg.starts:
-        if n in completed.get((s, 0), ()):
-            for t in parses(s, 0, n):
-                results[t] = None
+    try:
+        for s in cfg.starts:
+            if n in completed.get((s, 0), ()):
+                for t in parses(s, 0, n):
+                    results[t] = None
+    finally:
+        del parses, splits  # the closures refer to each other; free them with the call
     return list(results)

@@ -13,8 +13,18 @@ compares α-normal forms. Every capture-avoiding rename goes through
 
 Each node caches its free variables in one extra slot, filled the first
 time `free_vars` meets the node. Terms are shared, so substitution pays for
-a subterm's free variables once rather than on every β-step. The cache is
-not a field: not an argument, a match pattern, or part of ``repr``.
+a subterm's free variables once rather than on every β-step. A second slot
+holds the node's α-normal form, filled the first time `alpha_normal` is
+asked for it, so a term α-normalized again (a reading deduplicated, then
+asserted; an atom keyed on every tableau step) is a lookup. When the
+α-normal form is the node itself the slot holds a marker, not the node, so
+no node refers to itself and the cyclic collector is never needed to free
+one. Neither cache is a field: not an argument, a match pattern, or part
+of ``repr``, ``==`` or ``hash``.
+
+The recursive walks (`substitute`, `alpha_normal`) recurse through a
+closure that refers to itself; each deletes it when its call ends, so a
+call leaves no reference cycle behind.
 
 The non-dependent arrow ``A -> B`` is not a separate constructor: it is a
 `Pi` whose binder, ``_`` primed until fresh, does not occur free in the
@@ -32,11 +42,12 @@ class _Node:
     """Base of the term classes.
 
     Copies and pickles rebuild a node through its constructor, so they
-    return the interned node and never read a free-variable slot that
-    `free_vars` has not filled yet.
+    return the interned node and never read a cache slot that has not been
+    filled yet.
     """
 
-    __slots__ = ("_free_vars", "__weakref__")  # the first unset until `free_vars` fills it
+    # The caches stay unset until `free_vars` and `alpha_normal` fill them.
+    __slots__ = ("_free_vars", "_alpha_normal", "__weakref__")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -284,30 +295,37 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     fv_s = free_vars(s)
 
     def go(t: Term) -> Term:
-        if x not in free_vars(t):
+        try:
+            fv = t._free_vars
+        except AttributeError:
+            fv = free_vars(t)
+        if x not in fv:
             return t
-        match t:
-            case Var():
-                return s
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Lam(binder, binder_type, body):
-                bt = go(binder_type) if binder_type is not None else None
-                if binder == x:
-                    return Lam(binder, bt, body)
-                if binder in fv_s and x in free_vars(body):
-                    binder, body = rename_away(binder, body, fv_s)
-                return Lam(binder, bt, go(body))
-            case Pi(binder, domain, codomain):
-                dom = go(domain)
-                if binder == x:
-                    return Pi(binder, dom, codomain)
-                if binder in fv_s and x in free_vars(codomain):
-                    binder, codomain = rename_away(binder, codomain, fv_s)
-                return Pi(binder, dom, go(codomain))
-        raise TypeError(f"not a term: {t!r}")
+        cls = t.__class__
+        if cls is App:
+            return App(go(t.fn), go(t.arg))
+        if cls is Var:
+            return s
+        if cls is Lam:
+            binder, binder_type, body = t.binder, t.binder_type, t.body
+            bt = go(binder_type) if binder_type is not None else None
+            if binder == x:
+                return Lam(binder, bt, body)
+            if binder in fv_s and x in free_vars(body):
+                binder, body = rename_away(binder, body, fv_s)
+            return Lam(binder, bt, go(body))
+        binder, domain, codomain = t.binder, t.domain, t.codomain  # a Pi
+        dom = go(domain)
+        if binder == x:
+            return Pi(binder, dom, codomain)
+        if binder in fv_s and x in free_vars(codomain):
+            binder, codomain = rename_away(binder, codomain, fv_s)
+        return Pi(binder, dom, go(codomain))
 
-    return go(t)
+    try:
+        return go(t)
+    finally:
+        del go  # the closure refers to itself; free it with the call
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
@@ -315,41 +333,68 @@ def alpha_eq(t: Term, u: Term) -> bool:
     return t == u or alpha_normal(t) == alpha_normal(u)
 
 
+# In a node's `_alpha_normal` slot: the node is its own α-normal form.
+_ITSELF = object()
+
+
 def alpha_normal(t: Term) -> Term:
     """Canonical α-representative: the binder at depth d named $d, primed
     while that is free in `t`. Structural equality and hashing of α-normal
-    terms coincide with α-equivalence, so they serve as set / dict keys."""
+    terms coincide with α-equivalence, so they serve as set / dict keys.
+
+    Computed once per node: the result is cached on `t`, and marked on
+    itself as α-normal, so asking again, of `t` or of the result, is a
+    lookup that returns the same node."""
+    try:
+        normal = t._alpha_normal
+    except AttributeError:
+        pass
+    else:
+        return t if normal is _ITSELF else normal
     avoid: AbstractSet[str] = _NO_VARS  # the names no binder may take
     free: list[str] = []  # the free variable occurrences met
 
     def go(t: Term, env: dict[str, str], depth: int) -> Term:
-        match t:
-            case Var(name):
-                if name in env:
-                    return Var(env[name])
-                free.append(name)
-                return t
-            case Const() | Sort():
-                return t
-            case App(fn, arg):
-                return App(go(fn, env, depth), go(arg, env, depth))
-            case Lam(binder, binder_type, body):
-                bt = go(binder_type, env, depth) if binder_type is not None else None
-                fresh = fresh_name(f"${depth}", avoid)
-                return Lam(fresh, bt, go(body, {**env, binder: fresh}, depth + 1))
-            case Pi(binder, domain, codomain):
-                dom = go(domain, env, depth)
-                fresh = fresh_name(f"${depth}", avoid)
-                return Pi(fresh, dom, go(codomain, {**env, binder: fresh}, depth + 1))
+        cls = t.__class__
+        if cls is App:
+            return App(go(t.fn, env, depth), go(t.arg, env, depth))
+        if cls is Var:
+            name = t.name
+            if name in env:
+                return Var(env[name])
+            free.append(name)
+            return t
+        if cls is Const or cls is Sort:
+            return t
+        if cls is Lam:
+            bt = t.binder_type
+            if bt is not None:
+                bt = go(bt, env, depth)
+            fresh = fresh_name(f"${depth}", avoid)
+            return Lam(fresh, bt, go(t.body, {**env, t.binder: fresh}, depth + 1))
+        if cls is Pi:
+            dom = go(t.domain, env, depth)
+            fresh = fresh_name(f"${depth}", avoid)
+            return Pi(fresh, dom, go(t.codomain, {**env, t.binder: fresh}, depth + 1))
         raise TypeError(f"not a term: {t!r}")
 
-    normal = go(t, {}, 0)
-    # Only a free name starting with "$" can clash with a binder's. Checking
-    # the free occurrences met on the way spares a free-variable pass over
-    # every (usually closed) term.
-    if free and any(name.startswith("$") for name in free):
-        avoid = frozenset(free)
+    try:
         normal = go(t, {}, 0)
+        # Only a free name starting with "$" can clash with a binder's.
+        # Checking the free occurrences met on the way spares a
+        # free-variable pass over every (usually closed) term.
+        if free and any(name.startswith("$") for name in free):
+            avoid = frozenset(free)
+            normal = go(t, {}, 0)
+    finally:
+        del go  # the closure refers to itself; free it with the call
+    # α-normal forms are their own: the free variables, and so the names
+    # the binders avoid, are the same.
+    if normal is t:
+        object.__setattr__(t, "_alpha_normal", _ITSELF)
+    else:
+        object.__setattr__(t, "_alpha_normal", normal)
+        object.__setattr__(normal, "_alpha_normal", _ITSELF)
     return normal
 
 

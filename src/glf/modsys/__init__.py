@@ -5,6 +5,7 @@ from glf.modsys.theory import (
     Theory,
     TheoryGraph,
     View,
+    ViewApplier,
     apply_view,
     check_totality,
     validate_view,
@@ -13,7 +14,7 @@ from glf.modsys.syntax import parse_term, print_term
 from glf.modsys.files import parse_theory_file
 
 __all__ = [
-    "FlatTheory", "Theory", "TheoryGraph", "View",
+    "FlatTheory", "Theory", "TheoryGraph", "View", "ViewApplier",
     "apply_view", "check_totality", "validate_view",
     "parse_term", "print_term", "parse_theory_file",
 ]

@@ -145,7 +145,10 @@ class TheoryGraph:
             done.add(t.name)
             declarations.extend(t.declarations)
 
-        visit(top)
+        try:
+            visit(top)
+        finally:
+            del visit  # the closure refers to itself; free it with the call
         flat = FlatTheory(top.name, tuple(declarations))
         if registered:
             self._flat[top.name] = flat
@@ -204,32 +207,62 @@ def apply_view(graph: TheoryGraph, view: View, t: Term) -> Term:
     unfold and translate; constants not declared in the source pass through
     unchanged (identity on ambient symbols).
     """
-    source = graph.flatten(view.source)
-    assignments = graph.merged_assignments(view)
+    return ViewApplier(graph, view)(t)
 
-    def go(t: Term) -> Term:
-        match t:
-            case Const(name):
-                d = source.lookup(name)
+
+class ViewApplier:
+    """`apply_view` along one view, for one call.
+
+    It remembers the image of every node it has translated, for as long as
+    it lives. A view is a homomorphism, so a node's image does not depend
+    on where the node stands, and terms are interned, so a node translated
+    before is looked up by the node itself: the trees of one sentence share
+    one applier, and each subtree they share is translated once. Only
+    completed images are stored, so a node whose translation raises raises
+    wherever it comes.
+    """
+
+    def __init__(self, graph: TheoryGraph, view: View):
+        self.source = graph.flatten(view.source)
+        self.assignments = graph.merged_assignments(view)
+        self._image: dict[Term, Term] = {}
+
+    def __call__(self, t: Term) -> Term:
+        source, assignments, memo = self.source, self.assignments, self._image
+
+        def go(t: Term) -> Term:
+            done = memo.get(t)
+            if done is not None:
+                return done
+            cls = t.__class__
+            if cls is App:
+                done = App(go(t.fn), go(t.arg))
+            elif cls is Const:
+                d = source.lookup(t.name)
                 if d is None:
-                    return t
-                if d.qualified in assignments:
-                    return assignments[d.qualified]
-                if d.definiens is not None:
-                    return go(d.definiens)
-                raise PartialView(d.name)
-            case Var() | Sort():
+                    done = t
+                elif d.qualified in assignments:
+                    done = assignments[d.qualified]
+                elif d.definiens is not None:
+                    done = go(d.definiens)
+                else:
+                    raise PartialView(d.name)
+            elif cls is Var or cls is Sort:
                 return t
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Lam(binder, binder_type, body):
-                bt = go(binder_type) if binder_type is not None else None
-                return Lam(binder, bt, go(body))
-            case Pi(binder, domain, codomain):
-                return Pi(binder, go(domain), go(codomain))
-        raise TypeError(f"not a term: {t!r}")
+            elif cls is Lam:
+                bt = go(t.binder_type) if t.binder_type is not None else None
+                done = Lam(t.binder, bt, go(t.body))
+            elif cls is Pi:
+                done = Pi(t.binder, go(t.domain), go(t.codomain))
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            memo[t] = done
+            return done
 
-    return go(t)
+        try:
+            return go(t)
+        finally:
+            del go  # the closure refers to itself; free it with the call
 
 
 def validate_view(graph: TheoryGraph, view: View) -> None:

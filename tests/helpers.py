@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import AbstractSet
 
 import hypothesis.strategies as st
 
@@ -15,6 +17,7 @@ import glf
 from glf.errors import (
     GrammarError,
     NotAFunction,
+    PartialView,
     TermSyntaxError,
     TypeError_,
     TypeMismatch,
@@ -53,6 +56,8 @@ from glf.kernel import (
     arrow,
     constants,
     def_eq,
+    free_vars,
+    fresh_name,
     lam,
     normalize,
     spine,
@@ -290,6 +295,140 @@ def reference_alpha_eq(t: Term, u: Term) -> bool:
         return False
 
     return go(t, u, {}, {}, 0)
+
+
+def reference_substitute(t: Term, x: str, s: Term) -> Term:
+    """Capture-avoiding substitution of `s` for free occurrences of `x`.
+
+    `glf.kernel.substitute` as it was before it dispatched on the node's
+    class and freed its closure, kept verbatim as an oracle.
+    """
+    fv_s = free_vars(s)
+
+    def go(t: Term) -> Term:
+        if x not in free_vars(t):
+            return t
+        match t:
+            case Var():
+                return s
+            case App(fn, arg):
+                return App(go(fn), go(arg))
+            case Lam(binder, binder_type, body):
+                bt = go(binder_type) if binder_type is not None else None
+                if binder == x:
+                    return Lam(binder, bt, body)
+                if binder in fv_s and x in free_vars(body):
+                    binder, body = rename_away(binder, body, fv_s)
+                return Lam(binder, bt, go(body))
+            case Pi(binder, domain, codomain):
+                dom = go(domain)
+                if binder == x:
+                    return Pi(binder, dom, codomain)
+                if binder in fv_s and x in free_vars(codomain):
+                    binder, codomain = rename_away(binder, codomain, fv_s)
+                return Pi(binder, dom, go(codomain))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t)
+
+
+def reference_alpha_normal(t: Term) -> Term:
+    """Canonical α-representative: the binder at depth d named $d, primed
+    while that is free in `t`.
+
+    `glf.kernel.alpha_normal` as it was before it cached its result on the
+    node, kept verbatim as an oracle.
+    """
+    avoid: AbstractSet[str] = frozenset()  # the names no binder may take
+    free: list[str] = []  # the free variable occurrences met
+
+    def go(t: Term, env: dict[str, str], depth: int) -> Term:
+        match t:
+            case Var(name):
+                if name in env:
+                    return Var(env[name])
+                free.append(name)
+                return t
+            case Const() | Sort():
+                return t
+            case App(fn, arg):
+                return App(go(fn, env, depth), go(arg, env, depth))
+            case Lam(binder, binder_type, body):
+                bt = go(binder_type, env, depth) if binder_type is not None else None
+                fresh = fresh_name(f"${depth}", avoid)
+                return Lam(fresh, bt, go(body, {**env, binder: fresh}, depth + 1))
+            case Pi(binder, domain, codomain):
+                dom = go(domain, env, depth)
+                fresh = fresh_name(f"${depth}", avoid)
+                return Pi(fresh, dom, go(codomain, {**env, binder: fresh}, depth + 1))
+        raise TypeError(f"not a term: {t!r}")
+
+    normal = go(t, {}, 0)
+    # Only a free name starting with "$" can clash with a binder's. Checking
+    # the free occurrences met on the way spares a free-variable pass over
+    # every (usually closed) term.
+    if free and any(name.startswith("$") for name in free):
+        avoid = frozenset(free)
+        normal = go(t, {}, 0)
+    return normal
+
+
+def reference_apply_view(graph: TheoryGraph, view: View, t: Term) -> Term:
+    """Homomorphic translation along the view; the result is NOT normalized.
+
+    `glf.modsys.apply_view` as it was before it remembered images, kept
+    verbatim as an oracle.
+    """
+    source = graph.flatten(view.source)
+    assignments = graph.merged_assignments(view)
+
+    def go(t: Term) -> Term:
+        match t:
+            case Const(name):
+                d = source.lookup(name)
+                if d is None:
+                    return t
+                if d.qualified in assignments:
+                    return assignments[d.qualified]
+                if d.definiens is not None:
+                    return go(d.definiens)
+                raise PartialView(d.name)
+            case Var() | Sort():
+                return t
+            case App(fn, arg):
+                return App(go(fn), go(arg))
+            case Lam(binder, binder_type, body):
+                bt = go(binder_type) if binder_type is not None else None
+                return Lam(binder, bt, go(body))
+            case Pi(binder, domain, codomain):
+                return Pi(binder, go(domain), go(codomain))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t)
+
+
+def cyclic_garbage(fn) -> int:
+    """The number of unreachable objects `fn()` leaves for the cyclic
+    collector: what a collection finds afterwards, with the collector off
+    while `fn` runs and every unreachable object saved rather than freed.
+
+    Garbage already there is collected first; the collector's state is
+    restored however `fn` ends.
+    """
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    before = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return len(gc.garbage) - before
+    finally:
+        del gc.garbage[before:]
+        gc.set_debug(flags)
+        if was_enabled:
+            gc.enable()
 
 
 

@@ -32,13 +32,23 @@ from glf.grammar import (
     ast_category,
     compile_cfg,
     parse_grammar_file,
+    parse_tokens,
+    tokenize,
 )
 from glf.kernel import (
     TYPE, App, Const, Lam, Var, alpha_eq, alpha_normal, app, arrow, lam, normalize,
 )
 from glf.modsys import TheoryGraph, apply_view, check_totality, parse_term, parse_theory_file
 from glf.shell import load_fragment, parse_gold_file
-from helpers import enumerate_asts, reference_check_in_target_logic, reference_normalize
+from glf.shell.loader import initial_state
+from glf.tableau import update_belief_state
+from helpers import (
+    cyclic_garbage,
+    enumerate_asts,
+    reference_apply_view,
+    reference_check_in_target_logic,
+    reference_normalize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -280,8 +290,9 @@ def belief_chain(depth: int) -> str:
 
 
 class TestSharedConstruction:
-    """All readings of a sentence share one normalizer and one gate; the
-    result is what constructing each tree on its own gives."""
+    """All trees of a sentence share one view applier, and all readings one
+    normalizer and one gate; the result is what constructing each tree on
+    its own gives."""
 
     @pytest.mark.parametrize("verb_phrase", ["run", "love everyone", "love someone"])
     @pytest.mark.parametrize("n", range(2, 8))
@@ -299,7 +310,41 @@ class TestSharedConstruction:
         assert got and got == want
         for g, w in zip(got, want):
             assert g.term is w.term
+            assert g.raw is apply_view(fragment.graph, fragment.semantics_view, g.ast)
+            assert g.raw is reference_apply_view(fragment.graph, fragment.semantics_view, g.ast)
             assert check_in_target_logic(fragment, g.term) == (g.in_target_logic, g.diagnostics)
+
+
+class TestNoCyclicGarbage:
+    """With the cyclic collector off, each step from sentence to models
+    frees everything it made as soon as its last reference goes."""
+
+    SENTENCE = "John and Mary and everyone and someone and John love everyone"
+
+    def test_parse_tokens(self, quantified):
+        cfg = quantified.cfg(quantified.default_language())
+        tokens = tokenize(self.SENTENCE)
+        assert len(parse_tokens(cfg, tokens)) == 14
+        assert cyclic_garbage(lambda: parse_tokens(cfg, tokens)) == 0
+
+    def test_apply_view(self, quantified):
+        trees = parse_sentence(quantified, self.SENTENCE)
+        graph, view = quantified.graph, quantified.semantics_view
+        assert cyclic_garbage(lambda: [apply_view(graph, view, t) for t in trees]) == 0
+
+    def test_construct_semantics(self, quantified):
+        assert cyclic_garbage(lambda: construct_semantics(quantified, self.SENTENCE)) == 0
+
+    # The first closes every branch, against the knowledge that nobody
+    # loves themself; the second leaves branches open.
+    @pytest.mark.parametrize("sentence, stays_open", [
+        (SENTENCE, False), ("Mary and someone and everyone run", True)])
+    def test_update_belief_state(self, quantified, sentence, stays_open):
+        readings = [r.term for r in construct_semantics(quantified, sentence)
+                    if r.in_target_logic]
+        state = initial_state(quantified)
+        assert bool(update_belief_state(state, readings).open_branches) == stays_open
+        assert cyclic_garbage(lambda: update_belief_state(state, readings)) == 0
 
 
 def gate_fixtures(fragment) -> list:

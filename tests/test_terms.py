@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 import sys
@@ -6,7 +7,7 @@ import weakref
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from glf.kernel import (
     App,
@@ -28,9 +29,12 @@ from glf.kernel import (
 )
 from helpers import (
     clashing_terms,
+    cyclic_garbage,
     reference_alpha_eq,
+    reference_alpha_normal,
     reference_free_vars,
     reference_structural_eq,
+    reference_substitute,
     untyped_terms,
 )
 
@@ -205,7 +209,7 @@ def uncached_copy(t):
                 node = Const(name + suffix)
             case Sort(name):
                 node = Sort(name + suffix)
-        assert not hasattr(node, "_free_vars")
+        assert not hasattr(node, "_free_vars") and not hasattr(node, "_alpha_normal")
         return node
 
     return walk(t)
@@ -230,6 +234,7 @@ class TestFreeVarCache:
         t = uncached_copy(t)
         before = hash(t), repr(t)
         free_vars(t)
+        alpha_normal(t)
         again = rebuild(t)
         assert again == t and t == again
         assert (hash(t), repr(t)) == before
@@ -240,6 +245,7 @@ class TestFreeVarCache:
         duplicates = (copy.copy, copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u)))
         unfilled = [duplicate(t) for duplicate in duplicates]
         free_vars(t)
+        alpha_normal(t)
         filled = [duplicate(t) for duplicate in duplicates]
         assert unfilled == filled == [t] * len(duplicates)
 
@@ -250,6 +256,80 @@ class TestFreeVarCache:
         assert Var.__match_args__ == Const.__match_args__ == Sort.__match_args__ == ("name",)
         with pytest.raises(TypeError):
             Var("x", frozenset({"x"}))
+
+
+class TestAlphaNormalCache:
+    """`alpha_normal` caches its result on the node; the cached form is the
+    one the uncached walk computes."""
+
+    @given(clashing_terms())
+    @example(Lam("x", None, Var("$0")))
+    @example(Pi("$0", Var("$0'"), Lam("_", None, app(Var("$0"), Var("_"), Var("$1")))))
+    def test_cached_form_is_the_reference(self, t):
+        for term in (t, uncached_copy(t)):
+            want = reference_alpha_normal(term)
+            assert alpha_normal(term) is want
+            assert alpha_normal(term) is want
+
+    @given(clashing_terms())
+    def test_a_second_call_returns_the_same_node(self, t):
+        t = uncached_copy(t)
+        first = alpha_normal(t)
+        assert alpha_normal(t) is first
+        assert alpha_normal(rebuild(t)) is first
+
+    @given(clashing_terms())
+    @example(Lam("x", None, Var("$0")))
+    def test_alpha_normal_forms_are_their_own(self, t):
+        for term in (t, uncached_copy(t)):
+            normal = alpha_normal(term)
+            assert alpha_normal(normal) is normal
+            assert reference_alpha_normal(normal) is normal
+
+    def test_a_term_that_is_its_own_normal_form_dies_with_its_last_reference(self):
+        own = App(Const("own-normal-f"), Var("own-normal-x"))
+        other = Lam("own-normal-y", None, App(Const("own-normal-f"), Var("own-normal-y")))
+        assert alpha_normal(own) is own
+        normal = alpha_normal(other)
+        assert normal is not other and alpha_normal(normal) is normal
+        refs = [weakref.ref(t) for t in (own, other, normal)]
+        gc.disable()
+        try:
+            del own, other, normal
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    # Each example costs two full collections, so each runs a batch.
+    @given(st.lists(clashing_terms(), min_size=1, max_size=20))
+    @settings(max_examples=10)
+    def test_alpha_normal_leaves_no_cyclic_garbage(self, ts):
+        ts = [uncached_copy(t) for t in ts]
+        assert cyclic_garbage(lambda: [alpha_normal(t) for t in ts]) == 0
+
+
+class TestSubstituteAgainstReference:
+    @given(clashing_terms(), clashing_terms(), st.sampled_from(["x", "y", "$0", "_"]))
+    @example(Lam("x", None, app(Const("f"), Var("x"), Var("y"))), Var("x"), "y")
+    @example(Lam("x", None, Lam("x'", None, app(Var("x"), Var("x'"), Var("y")))),
+             App(Var("x"), Var("x'")), "y")
+    @example(Pi("x", Var("y"), App(Var("x"), Var("y"))), Var("x"), "y")
+    @example(Lam("x", Var("y"), Var("x")), Var("x"), "x")
+    def test_substitute_is_the_reference(self, t, s, x):
+        assert substitute(t, x, s) is reference_substitute(t, x, s)
+
+    def test_a_capture_renames_every_binder_in_the_way(self):
+        t = Pi("x", Var("y"), Lam("x'", None, app(Var("x"), Var("x'"), Var("y"))))
+        s = App(Var("x"), Var("x'"))
+        got = substitute(t, "y", s)
+        assert got is reference_substitute(t, "y", s)
+        assert got == Pi("x''", s, Lam("x'''", None, app(Var("x''"), Var("x'''"), s)))
+
+    @given(st.lists(st.tuples(clashing_terms(), clashing_terms(),
+                              st.sampled_from(["x", "y", "$0", "_"])), min_size=1, max_size=20))
+    @settings(max_examples=10)
+    def test_substitute_leaves_no_cyclic_garbage(self, cases):
+        assert cyclic_garbage(lambda: [substitute(t, x, s) for t, s, x in cases]) == 0
 
 
 class TestInterning:

@@ -27,10 +27,12 @@ from glf.modsys import (
     Theory,
     TheoryGraph,
     View,
+    ViewApplier,
     apply_view,
     check_totality,
     validate_view,
 )
+from helpers import cyclic_garbage, reference_apply_view
 
 O = Const("prop")
 I = Const("ind")
@@ -280,6 +282,59 @@ class TestApplyView:
             app(Const("love'"), Const("mary'"), Const("mary'")),
         )
         assert alpha_eq(left, want)
+
+
+def life_trees() -> list:
+    """Trees over `LifeLex` that share subtrees, and a tree containing each."""
+    a = app(Const("act"), Const("mary"), Const("run"))
+    b = app(Const("act"), Const("joan"), app(Const("love"), Const("mary")))
+    c = app(Const("act"), Const("mary"), Const("loveOneself"))
+    ab = app(Const("and_Stmt"), a, b)
+    return [a, b, c, ab, app(Const("and_Stmt"), ab, c), app(Const("and_Stmt"), c, ab)]
+
+
+class TestViewApplier:
+    """One applier shared across trees gives each tree the image that
+    translating it on its own gives."""
+
+    @pytest.mark.parametrize("order", [range(6), reversed(range(6)), (3, 0, 5, 1, 4, 2)])
+    def test_a_shared_applier_gives_the_one_shot_images(self, order):
+        g = life_graph()
+        v = g.view("LifeLexSemantics")
+        trees = life_trees()
+        view = ViewApplier(g, v)
+        for i in order:
+            image = view(trees[i])
+            assert image is reference_apply_view(g, v, trees[i])
+            assert image is apply_view(g, v, trees[i])
+            assert view(trees[i]) is image
+
+    def test_a_node_that_fails_fails_wherever_it_comes(self):
+        g = life_graph()
+        v = g.view("LifeGrammarSemantics")
+        partial = View("P2", "LifeGrammar", "LogicSyntax", (),
+                       tuple(a for a in v.assignments if a[0] != "and_Stmt"))
+        g.add(partial)
+        person = Const("Person")
+        # `act` is assigned, `and_Stmt` is not.
+        ok = app(Const("act"), Var("p"), Var("a"))
+        failing = app(Const("and_Stmt"), ok, ok)
+        view = ViewApplier(g, partial)
+        assert view(ok) is reference_apply_view(g, partial, ok)
+        for t in (failing, Lam("x", person, failing), failing):
+            with pytest.raises(PartialView) as exc:
+                view(t)
+            assert exc.value.constant == "and_Stmt"
+        assert view(ok) is reference_apply_view(g, partial, ok)
+        assert view(person) is reference_apply_view(g, partial, person)
+
+    def test_apply_view_leaves_no_cyclic_garbage(self):
+        g = life_graph()
+        v = g.view("LifeLexSemantics")
+        trees = life_trees()
+        assert cyclic_garbage(lambda: [apply_view(g, v, t) for t in trees]) == 0
+        view = ViewApplier(g, v)
+        assert cyclic_garbage(lambda: [view(t) for t in trees]) == 0
 
 
 class TestMergedAssignments:
