@@ -26,19 +26,25 @@ class Notation:
     precedence: int = 0
 
     def __post_init__(self) -> None:
-        seen: list[int] = []
-        for tok in self.tokens:
-            m = _PLACEHOLDER.match(tok)
-            if m:
-                seen.append(int(m.group(1)))
-        if sorted(seen) != list(range(1, len(seen) + 1)):
+        seen = sorted(i for i in self.placeholders if i is not None)
+        if seen != list(range(1, len(seen) + 1)):
             raise ValueError(
                 f"notation placeholders must be %1..%n, each exactly once: {self.tokens}"
             )
 
     @cached_property
+    def placeholders(self) -> tuple[int | None, ...]:
+        """Per token, the argument `%i` stands for, as i, or None for a lexeme."""
+        return tuple(map(self.placeholder_index, self.tokens))
+
+    @cached_property
     def arity(self) -> int:
-        return sum(1 for tok in self.tokens if _PLACEHOLDER.match(tok))
+        return sum(1 for i in self.placeholders if i is not None)
+
+    @cached_property
+    def open_ended(self) -> bool:
+        """Whether an argument stands first or last, outside every lexeme."""
+        return self.placeholders[0] is not None or self.placeholders[-1] is not None
 
     @staticmethod
     def placeholder_index(token: str) -> int | None:

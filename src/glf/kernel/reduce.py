@@ -7,6 +7,16 @@
   - "full": every defined constant unfolds — used for definitional equality.
   - "none": pure β.
 
+A redex spine `(λx₁…xₖ. B) a₁…aₖ` whose arguments are closed is contracted
+in one walk over B that substitutes all of them at once
+(`substitute_closed`). A closed argument has no free variable for a binder
+of B to capture, so no binder is renamed and the result is the very node k
+one-binder substitutions give; collecting stops at a binder that shadows an
+earlier one, and an open argument is substituted alone by `substitute`.
+Each contraction still spends one step. The weak head normal form is handed
+on as its head and its arguments, so `norm` builds each application spine
+once, from its normalized arguments.
+
 Each term normalized gets its own step budget; exceeding it raises
 NonTerminationGuard rather than silently truncating. The budget only guards
 against diverging (ill-typed) inputs — well-typed LF terms normalize long
@@ -26,7 +36,9 @@ from __future__ import annotations
 
 from glf.errors import NonTerminationGuard
 from glf.kernel.declarations import Signature
-from glf.kernel.terms import App, Const, Lam, Pi, Sort, Term, Var, app, alpha_eq, spine, substitute
+from glf.kernel.terms import (
+    App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, substitute, substitute_closed,
+)
 
 DEFAULT_BUDGET = 100_000
 
@@ -46,34 +58,50 @@ class _Budget:
             )
 
 
-def _whnf(t: Term, sig: Signature | None, delta: str, budget: _Budget) -> Term:
-    """Weak head normal form; iterative so deep redex chains cannot overflow."""
+def _whnf(t: Term, sig: Signature | None, delta: str,
+          budget: _Budget) -> tuple[Term, list[Term]]:
+    """Weak head normal form, as its head and its arguments, last first;
+    iterative so deep redex chains cannot overflow."""
     args: list[Term] = []
     while True:
-        if isinstance(t, App):
+        cls = t.__class__
+        if cls is App:
             args.append(t.arg)
             t = t.fn
             continue
-        if isinstance(t, Lam) and args:
+        if cls is Lam and args:
             budget.spend()
-            t = substitute(t.body, t.binder, args.pop())
+            arg = args.pop()
+            if free_vars(arg):
+                t = substitute(t.body, t.binder, arg)
+                continue
+            # Contract the binders that closed arguments meet in one walk,
+            # up to a binder that shadows an earlier one.
+            values = {t.binder: arg}
+            t = t.body
+            while (t.__class__ is Lam and args and t.binder not in values
+                   and not free_vars(args[-1])):
+                budget.spend()
+                values[t.binder] = args.pop()
+                t = t.body
+            t = substitute_closed(t, values)
             continue
-        if isinstance(t, Const) and sig is not None and delta != "none":
+        if cls is Const and sig is not None and delta != "none":
             d = sig.lookup(t.name)
             if d is not None and d.definiens is not None:
                 if delta == "full" or (args and isinstance(d.definiens, Lam)):
                     budget.spend()
                     t = d.definiens
                     continue
-        break
-    for a in reversed(args):
-        t = App(t, a)
-    return t
+        return t, args
 
 
 def whnf(sig: Signature | None, t: Term, *, delta: str = "applied",
          budget: int = DEFAULT_BUDGET) -> Term:
-    return _whnf(t, sig, delta, _Budget(budget))
+    t, args = _whnf(t, sig, delta, _Budget(budget))
+    for a in reversed(args):
+        t = App(t, a)
+    return t
 
 
 class Normalizer:
@@ -104,20 +132,22 @@ class Normalizer:
             done = memo.get(t)
             if done is not None:
                 return done
-            w = _whnf(t, sig, delta, bud)
-            match w:
-                case App():
-                    head, args = spine(w)
-                    done = app(head, *[norm(a) for a in args])
-                case Lam(binder, binder_type, body):
-                    bt = norm(binder_type) if binder_type is not None else None
-                    done = Lam(binder, bt, norm(body))
-                case Pi(binder, domain, codomain):
-                    done = Pi(binder, norm(domain), norm(codomain))
-                case Const() | Var() | Sort():
-                    done = w
-                case _:
-                    raise TypeError(f"not a term: {w!r}")
+            head, args = _whnf(t, sig, delta, bud)
+            if args:
+                done = head
+                for a in reversed(args):
+                    done = App(done, norm(a))
+            else:
+                match head:
+                    case Lam(binder, binder_type, body):
+                        bt = norm(binder_type) if binder_type is not None else None
+                        done = Lam(binder, bt, norm(body))
+                    case Pi(binder, domain, codomain):
+                        done = Pi(binder, norm(domain), norm(codomain))
+                    case Const() | Var() | Sort():
+                        done = head
+                    case _:
+                        raise TypeError(f"not a term: {head!r}")
             memo[t] = done
             return done
 

@@ -24,7 +24,9 @@ of ``repr``, ``==`` or ``hash``.
 
 The recursive walks (`substitute`, `alpha_normal`) recurse through a
 closure that refers to itself; each deletes it when its call ends, so a
-call leaves no reference cycle behind.
+call leaves no reference cycle behind. `substitute_closed`, which
+substitutes closed terms for several variables in one walk, recurses
+through itself as a module function and so makes no closure at all.
 
 The non-dependent arrow ``A -> B`` is not a separate constructor: it is a
 `Pi` whose binder, ``_`` primed until fresh, does not occur free in the
@@ -326,6 +328,38 @@ def substitute(t: Term, x: str, s: Term) -> Term:
         return go(t)
     finally:
         del go  # the closure refers to itself; free it with the call
+
+
+def substitute_closed(t: Term, values: dict[str, Term]) -> Term:
+    """Substitute `values[x]` for the free occurrences of every `x` at once.
+
+    Every value must be closed. Then no binder can capture one, so none is
+    renamed, and the result is the node that substituting the values one
+    after another gives. A binder shadows only its own name.
+    """
+    try:
+        fv = t._free_vars
+    except AttributeError:
+        fv = free_vars(t)
+    if fv.isdisjoint(values):
+        return t
+    cls = t.__class__
+    if cls is App:
+        return App(substitute_closed(t.fn, values), substitute_closed(t.arg, values))
+    if cls is Var:
+        return values[t.name]
+    if cls is Lam:
+        binder, binder_type = t.binder, t.binder_type
+        if binder_type is not None:
+            binder_type = substitute_closed(binder_type, values)
+        if binder in values:
+            values = {x: s for x, s in values.items() if x != binder}
+        return Lam(binder, binder_type, substitute_closed(t.body, values))
+    binder = t.binder  # a Pi
+    domain = substitute_closed(t.domain, values)
+    if binder in values:
+        values = {x: s for x, s in values.items() if x != binder}
+    return Pi(binder, domain, substitute_closed(t.codomain, values))
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

@@ -30,10 +30,10 @@ alpha-equivalent to `t` for well-formed closed terms.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from glf.errors import AmbiguousParse, DuplicateName, TermSyntaxError
+from glf.errors import AmbiguousParse, TermSyntaxError
 from glf.kernel import (
     App,
     Const,
@@ -88,18 +88,24 @@ class _Token(NamedTuple):
 
 
 class NotationTable:
-    """Prefix/infix rules of a flat theory, with ambiguity checks."""
+    """Prefix/infix rules of a flat theory, with ambiguity checks, and the
+    declaration each constant name prints as (`decls`)."""
 
     def __init__(self, signature: Signature):
         self.nud: dict[str, tuple[Declaration, Notation]] = {}
         self.led: dict[str, tuple[Declaration, Notation]] = {}
         delimiters: set[str] = set()
+        # The signature's own indexes: the table is cached on the signature,
+        # so holding the signature would make a cycle.
+        self._by_name = signature._by_name
+        self._by_qualified = signature._by_qualified
 
         for d in signature:
             n = d.notation
             if n is None:
                 continue
-            literals = [t for t in n.tokens if Notation.placeholder_index(t) is None]
+            places = n.placeholders
+            literals = [t for t, i in zip(n.tokens, places) if i is None]
             if not literals:
                 raise AmbiguousParse(
                     f"notation for {d.qualified} has no literal token"
@@ -109,22 +115,17 @@ class NotationTable:
                     raise AmbiguousParse(
                         f"notation for {d.qualified} uses reserved token {lit!r}"
                     )
-            for a, b in zip(n.tokens, n.tokens[1:]):
-                if (Notation.placeholder_index(a) is not None
-                        and Notation.placeholder_index(b) is not None):
+            for a, b in zip(places, places[1:]):
+                if a is not None and b is not None:
                     raise AmbiguousParse(
                         f"notation for {d.qualified} has adjacent placeholders"
                     )
-            open_ended = (
-                Notation.placeholder_index(n.tokens[0]) is not None
-                or Notation.placeholder_index(n.tokens[-1]) is not None
-            )
-            if n.arity > 0 and open_ended and n.precedence < MIN_NOTATION_PREC:
+            if n.arity > 0 and n.open_ended and n.precedence < MIN_NOTATION_PREC:
                 raise AmbiguousParse(
                     f"notation for {d.qualified} has precedence {n.precedence}; "
                     f"open-ended notations need at least {MIN_NOTATION_PREC} (above ->)"
                 )
-            if Notation.placeholder_index(n.tokens[0]) is None:
+            if places[0] is None:
                 key, inner = n.tokens[0], n.tokens[1:]
                 table = self.nud
             else:
@@ -151,6 +152,18 @@ class NotationTable:
         self.word_lexemes = {t for t in lexemes if IDENT_RE.fullmatch(t)}
         self.kinds = {**_KINDS, **dict.fromkeys(lexemes, "LEXEME")} if lexemes else _KINDS
         self.matcher = _matcher(frozenset(lexemes - self.word_lexemes))
+
+    @cached_property
+    def decls(self) -> dict[str, Declaration | None]:
+        """What `Signature.lookup` gives for each name it knows, or None where
+        a plain name is ambiguous; built when the signature is first printed."""
+        decls: dict[str, Declaration | None] = {
+            name: d for name, d in self._by_qualified.items() if "?" in name
+        }
+        for name, candidates in self._by_name.items():
+            if "?" not in name:
+                decls[name] = candidates[0] if len(candidates) == 1 else None
+        return decls
 
 
 @lru_cache(maxsize=256)
@@ -436,9 +449,9 @@ def _binder_ok(name: str, table: NotationTable) -> bool:
 
 
 class _Printer:
-    def __init__(self, signature: Signature, table: NotationTable):
-        self.sig = signature
+    def __init__(self, table: NotationTable):
         self.table = table
+        self.decls = table.decls
 
     def render(self, t: Term, prec: int, right_open: bool) -> str:
         match t:
@@ -457,21 +470,15 @@ class _Printer:
         raise TypeError(f"not a term: {t!r}")
 
     def const(self, t: Const) -> str:
-        d = self.decl(t.name)
+        d = self.decls.get(t.name)
         if d is not None and d.notation is not None and d.notation.arity == 0:
             return " ".join(d.notation.tokens)
         return t.name
 
-    def decl(self, name: str) -> Declaration | None:
-        try:
-            return self.sig.lookup(name)
-        except DuplicateName:
-            return None
-
     def application(self, t: App, prec: int, right_open: bool) -> str:
         head, args = spine(t)
         if isinstance(head, Const):
-            d = self.decl(head.name)
+            d = self.decls.get(head.name)
             if d is not None and d.notation is not None and 0 < d.notation.arity <= len(args):
                 n = d.notation
                 rest = args[n.arity:]
@@ -484,8 +491,7 @@ class _Printer:
     def notation(self, n: Notation, args: list[Term], prec: int, right_open: bool) -> str:
         parts: list[str] = []
         last = len(n.tokens) - 1
-        for i, tok in enumerate(n.tokens):
-            index = Notation.placeholder_index(tok)
+        for i, (tok, index) in enumerate(zip(n.tokens, n.placeholders)):
             if index is None:
                 parts.append(tok)
             elif i == 0:
@@ -495,11 +501,7 @@ class _Printer:
             else:
                 parts.append(self.render(args[index - 1], 0, True))
         text = " ".join(parts)
-        open_ended = (
-            Notation.placeholder_index(n.tokens[0]) is not None
-            or Notation.placeholder_index(n.tokens[-1]) is not None
-        )
-        if open_ended and n.precedence < prec:
+        if n.open_ended and n.precedence < prec:
             return f"({text})"
         return text
 
@@ -560,4 +562,4 @@ class _Printer:
 
 def print_term(signature: Signature, t: Term) -> str:
     """Render a term so that parsing the result gives back an alpha-equal term."""
-    return _Printer(signature, notation_table(signature)).render(t, 0, True)
+    return _Printer(notation_table(signature)).render(t, 0, True)

@@ -226,16 +226,21 @@ def _with_literal(branch: Branch, lit: Literal, rest: tuple[Term, ...]) -> Branc
 
 
 def _expand(
-    signature: LogicSignature, branch: Branch
+    signature: LogicSignature, branch: Branch, classified: dict[Term, tuple]
 ) -> tuple[tuple[Branch, ...], str, str]:
     """Apply one rule to the first pending formula of an open branch.
 
     Returns the branches it becomes, in order, and the two halves of the
     step's history note, which go either side of the branch's index.
     Branches are built directly: `replace` would cost more than the rule.
+    `classified` remembers `_classify` of each formula met so far, as the
+    branches of one update share a few formulas.
     """
     t, rest = branch.pending[0], branch.pending[1:]
-    kind, parts = _classify(signature, t)
+    found = classified.get(t)
+    if found is None:
+        found = classified[t] = _classify(signature, t)
+    kind, parts = found
     if kind == "alpha":
         new = (Branch(branch.literals, parts + rest, False, branch.polarity),)
         return new, "α-expand", f" ({len(parts)} part(s))"
@@ -274,6 +279,7 @@ def saturate(state: BeliefState) -> BeliefState:
     todo = list(reversed(state.branches))
     done: list[Branch] = []
     notes: list[str] = []
+    classified: dict[Term, tuple] = {}
     while todo:
         branch = todo.pop()
         if branch.closed or not branch.pending:
@@ -282,7 +288,7 @@ def saturate(state: BeliefState) -> BeliefState:
             todo.append(branch)
             break
         else:
-            new, verb, detail = _expand(state.signature, branch)
+            new, verb, detail = _expand(state.signature, branch, classified)
             notes.append(f"{verb} on branch {len(done)}{detail}")
             todo.extend(reversed(new))
     return replace(

@@ -15,7 +15,9 @@ import hypothesis.strategies as st
 import glf
 
 from glf.errors import (
+    DuplicateName,
     GrammarError,
+    NonTerminationGuard,
     NotAFunction,
     PartialView,
     TermSyntaxError,
@@ -64,11 +66,19 @@ from glf.kernel import (
     substitute,
     whnf,
 )
-from glf.kernel.reduce import DEFAULT_BUDGET, _Budget, _whnf
+from glf.kernel.reduce import DEFAULT_BUDGET
 from glf.kernel.terms import rename_away, show
 from glf.kernel.typecheck import EMPTY, Context, check_type, infer_type
 from glf.modsys import print_term
-from glf.modsys.syntax import IDENT_RE, KEYWORDS, parse_term
+from glf.modsys.syntax import (
+    APP_PREC,
+    ARROW_PREC,
+    IDENT_RE,
+    KEYWORDS,
+    NotationTable,
+    notation_table,
+    parse_term,
+)
 from glf.modsys.theory import Theory, TheoryGraph, View, validate_view
 
 O = Const("o")
@@ -136,6 +146,48 @@ def applicative_normalize(sig, t: Term, budget: int = 100_000) -> Term:
     return norm(t)
 
 
+class _Budget:
+    __slots__ = ("left", "total")
+
+    def __init__(self, n: int):
+        self.left = n
+        self.total = n
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise NonTerminationGuard(
+                f"reduction exceeded the step budget of {self.total}"
+            )
+
+
+def reference_whnf(t: Term, sig: Signature | None, delta: str, budget: _Budget) -> Term:
+    """Weak head normal form as glf computed it before redex spines were
+    contracted in one walk: one `substitute` per binder, and the spine it
+    stops on rebuilt."""
+    args: list[Term] = []
+    while True:
+        if isinstance(t, App):
+            args.append(t.arg)
+            t = t.fn
+            continue
+        if isinstance(t, Lam) and args:
+            budget.spend()
+            t = substitute(t.body, t.binder, args.pop())
+            continue
+        if isinstance(t, Const) and sig is not None and delta != "none":
+            d = sig.lookup(t.name)
+            if d is not None and d.definiens is not None:
+                if delta == "full" or (args and isinstance(d.definiens, Lam)):
+                    budget.spend()
+                    t = d.definiens
+                    continue
+        break
+    for a in reversed(args):
+        t = App(t, a)
+    return t
+
+
 def reference_normalize(sig, t: Term, *, delta: str = "applied",
                         budget: int = DEFAULT_BUDGET) -> Term:
     """`normalize` before it was memoized: every subterm normalized afresh,
@@ -143,7 +195,7 @@ def reference_normalize(sig, t: Term, *, delta: str = "applied",
     bud = _Budget(budget)
 
     def norm(t: Term) -> Term:
-        t = _whnf(t, sig, delta, bud)
+        t = reference_whnf(t, sig, delta, bud)
         match t:
             case App():
                 head, args = spine(t)
@@ -371,6 +423,147 @@ def reference_alpha_normal(t: Term) -> Term:
         avoid = frozenset(free)
         normal = go(t, {}, 0)
     return normal
+
+
+def _reference_binder_ok(name: str, table: NotationTable) -> bool:
+    return (
+        IDENT_RE.fullmatch(name) is not None
+        and "?" not in name
+        and name not in KEYWORDS
+        and name not in table.word_lexemes
+    )
+
+
+class _ReferencePrinter:
+    """The printer before notations kept their placeholders: each token
+    matched against ``%n`` as it is printed, each constant looked up in the
+    signature."""
+
+    def __init__(self, signature: Signature, table: NotationTable):
+        self.sig = signature
+        self.table = table
+
+    def render(self, t: Term, prec: int, right_open: bool) -> str:
+        match t:
+            case Sort(name):
+                return name
+            case Var(name):
+                return name
+            case Const():
+                return self.const(t)
+            case App():
+                return self.application(t, prec, right_open)
+            case Lam():
+                return self.lam(t, right_open)
+            case Pi():
+                return self.pi(t, prec, right_open)
+        raise TypeError(f"not a term: {t!r}")
+
+    def const(self, t: Const) -> str:
+        d = self.decl(t.name)
+        if d is not None and d.notation is not None and d.notation.arity == 0:
+            return " ".join(d.notation.tokens)
+        return t.name
+
+    def decl(self, name: str) -> Declaration | None:
+        try:
+            return self.sig.lookup(name)
+        except DuplicateName:
+            return None
+
+    def application(self, t: App, prec: int, right_open: bool) -> str:
+        head, args = spine(t)
+        if isinstance(head, Const):
+            d = self.decl(head.name)
+            if d is not None and d.notation is not None and 0 < d.notation.arity <= len(args):
+                n = d.notation
+                rest = args[n.arity:]
+                if not rest:
+                    return self.notation(n, args, prec, right_open)
+                inner = self.notation(n, args[: n.arity], APP_PREC, False)
+                return self.juxtapose(inner, rest, prec, right_open)
+        return self.juxtapose(self.render(head, APP_PREC, False), args, prec, right_open)
+
+    def notation(self, n: Notation, args: list[Term], prec: int, right_open: bool) -> str:
+        parts: list[str] = []
+        last = len(n.tokens) - 1
+        for i, tok in enumerate(n.tokens):
+            index = Notation.placeholder_index(tok)
+            if index is None:
+                parts.append(tok)
+            elif i == 0:
+                parts.append(self.render(args[index - 1], n.precedence, False))
+            elif i == last:
+                parts.append(self.render(args[index - 1], n.precedence + 1, right_open))
+            else:
+                parts.append(self.render(args[index - 1], 0, True))
+        text = " ".join(parts)
+        open_ended = (
+            Notation.placeholder_index(n.tokens[0]) is not None
+            or Notation.placeholder_index(n.tokens[-1]) is not None
+        )
+        if open_ended and n.precedence < prec:
+            return f"({text})"
+        return text
+
+    def juxtapose(self, fn: str, args: list[Term], prec: int, right_open: bool) -> str:
+        if not args:
+            return fn
+        parts = [fn]
+        for i, arg in enumerate(args):
+            ro = right_open and i == len(args) - 1
+            parts.append(self.render(arg, APP_PREC + 1, ro))
+        text = " ".join(parts)
+        if APP_PREC < prec:
+            return f"({text})"
+        return text
+
+    def lam(self, t: Lam, right_open: bool) -> str:
+        groups: list[str] = []
+        while isinstance(t, Lam):
+            t = self.fix_binder(t)
+            if t.binder_type is None:
+                groups.append(t.binder)
+            else:
+                groups.append(f"{t.binder} : {self.render(t.binder_type, 0, True)}")
+            t = t.body
+        text = f"[{', '.join(groups)}] {self.render(t, 0, True)}"
+        if not right_open:
+            return f"({text})"
+        return text
+
+    def pi(self, t: Pi, prec: int, right_open: bool) -> str:
+        if t.binder not in free_vars(t.codomain):
+            left = self.render(t.domain, ARROW_PREC + 1, False)
+            right = self.render(t.codomain, ARROW_PREC, right_open)
+            text = f"{left} -> {right}"
+            if ARROW_PREC < prec:
+                return f"({text})"
+            return text
+        groups: list[str] = []
+        while isinstance(t, Pi) and t.binder in free_vars(t.codomain):
+            t = self.fix_binder(t)
+            groups.append(f"{t.binder} : {self.render(t.domain, 0, True)}")
+            t = t.codomain
+        text = f"{{{', '.join(groups)}}} {self.render(t, 0, True)}"
+        if not right_open:
+            return f"({text})"
+        return text
+
+    def fix_binder(self, t: Lam | Pi) -> Lam | Pi:
+        if _reference_binder_ok(t.binder, self.table):
+            return t
+        body = t.body if isinstance(t, Lam) else t.codomain
+        fresh = fresh_name("x", free_vars(body) | constants(body))
+        renamed = substitute(body, t.binder, Var(fresh))
+        if isinstance(t, Lam):
+            return Lam(fresh, t.binder_type, renamed)
+        return Pi(fresh, t.domain, renamed)
+
+
+def reference_print_term(signature: Signature, t: Term) -> str:
+    """`print_term` as it was before notations kept their placeholders."""
+    return _ReferencePrinter(signature, notation_table(signature)).render(t, 0, True)
 
 
 def reference_apply_view(graph: TheoryGraph, view: View, t: Term) -> Term:
@@ -605,6 +798,31 @@ def clashing_terms(max_depth: int = 5):
             st.tuples(_clashing_names, sub, sub).map(lambda p: Pi(*p)),
         ),
         max_leaves=max_depth * 3,
+    )
+
+
+def signature_terms(sig: Signature, max_leaves: int = 12):
+    """Terms, not necessarily well typed, over the constants of `sig` by
+    plain and by qualified name, and over names it does not declare.
+
+    Heads take any number of arguments, fewer or more than their notation
+    has places. Binders may be named like a keyword, a notation's word or
+    an `alpha_normal` binder, which the printer must rename.
+    """
+    words = {t for d in sig if d.notation for t in d.notation.tokens if IDENT_RE.fullmatch(t)}
+    names = sorted({d.name for d in sig} | {d.qualified for d in sig} | {"unknown", "T?unknown"})
+    binders = st.sampled_from(sorted({"x", "y", "x'", "$0", "type"} | words))
+    consts = st.sampled_from(names).map(Const)
+    leaves = st.one_of(consts, binders.map(Var), st.just(TYPE))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(consts | sub, st.lists(sub, min_size=1, max_size=4))
+            .map(lambda p: app(p[0], *p[1])),
+            st.tuples(binders, st.none() | sub, sub).map(lambda p: Lam(*p)),
+            st.tuples(binders, sub, sub).map(lambda p: Pi(*p)),
+        ),
+        max_leaves=max_leaves,
     )
 
 

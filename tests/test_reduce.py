@@ -3,7 +3,7 @@ import weakref
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
 from glf.errors import NonTerminationGuard
 from glf.kernel import (
@@ -18,9 +18,21 @@ from glf.kernel import (
     infer_type,
     lam,
     normalize,
+    whnf,
 )
+from glf.kernel.reduce import DEFAULT_BUDGET
 from glf.kernel.typecheck import EMPTY
-from helpers import O, applicative_normalize, ksig, reference_normalize, typed_terms
+from helpers import (
+    O,
+    _Budget,
+    applicative_normalize,
+    clashing_terms,
+    cyclic_garbage,
+    ksig,
+    reference_normalize,
+    reference_whnf,
+    typed_terms,
+)
 
 love = Const("love'")
 joan = Const("joan'")
@@ -204,3 +216,116 @@ class TestSharedNormalizer:
             assert held() is None
         finally:
             gc.enable()
+
+
+_spine_names = st.sampled_from(["x", "y", "z"])
+_closed_args = st.sampled_from([Const("c"), Const("d"), Lam("x", O, Var("x")),
+                                Lam("y", None, app(Const("f"), Var("y"), Const("c")))])
+
+
+@st.composite
+def redex_spines(draw):
+    """`(λx₁…xₖ. B) a₁…aₙ` and the β-steps its normal form takes.
+
+    Binder names repeat, so one binder can shadow another; binders may be
+    typed. Arguments are closed terms, or variables that a binder inside
+    B captures unless it is renamed. B holds no redex and no argument
+    lands at the head of one, so each binder an argument meets is one
+    step and there are no others.
+    """
+    binders = draw(st.lists(st.tuples(_spine_names, st.none() | st.just(O)),
+                            min_size=1, max_size=4))
+    body = app(Const("f"), *draw(st.lists(_spine_names.map(Var), max_size=4)))
+    inner = draw(st.none() | _spine_names)
+    if inner is not None:
+        binders.append((inner, None))
+        body = app(body, Var(inner))
+    args = draw(st.lists(_closed_args | _spine_names.map(Var), max_size=5))
+    return app(lam(binders, body), *args), min(len(binders), len(args))
+
+
+def untyped_spines():
+    """Redex spines over untyped terms; they may diverge or grow."""
+    return st.tuples(clashing_terms(), st.lists(clashing_terms(3), max_size=4)).map(
+        lambda p: app(p[0], *p[1]))
+
+
+def outcome(normalize_, *args, **kwargs):
+    """What a normalizer gives: the node, or the guard's class."""
+    try:
+        return normalize_(*args, **kwargs)
+    except NonTerminationGuard:
+        return NonTerminationGuard
+
+
+OMEGA2 = app(Lam("x", None, Lam("y", None, app(Var("x"), Var("x"), Var("y")))),
+             Lam("x", None, Lam("y", None, app(Var("x"), Var("x"), Var("y")))), Const("c"))
+
+
+class TestOneWalkContraction:
+    """Contracting a spine's closed arguments in one walk, and handing the
+    weak head normal form to `norm` unbuilt, changes no result and no
+    step count: the reference contracts one binder at a time and rebuilds
+    every spine."""
+
+    @given(redex_spines())
+    @example((app(lam(["x", "x"], app(Const("f"), Var("x"))), Const("c"), Const("d")), 2))
+    @example((App(Lam("x", None, Lam("y", None, app(Var("x"), Var("y")))), Var("y")), 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_nodes_as_the_reference(self, case):
+        t, _ = case
+        want = reference_normalize(None, t)
+        assert normalize(None, t) is want
+        assert Normalizer(None)(t) is want
+
+    @given(untyped_spines())
+    @settings(max_examples=150, deadline=None)
+    def test_untyped_spines_give_the_reference(self, t):
+        want = outcome(reference_normalize, None, t, budget=200)
+        assume(want is not NonTerminationGuard)
+        assert normalize(None, t, budget=200) is want
+
+    @given(typed_terms(ksig()) | redex_spines().map(lambda case: case[0]),
+           st.sampled_from(DELTAS))
+    @settings(max_examples=150, deadline=None)
+    def test_whnf_is_the_reference(self, t, delta):
+        sig = ksig()
+        assert whnf(sig, t, delta=delta) is reference_whnf(t, sig, delta, _Budget(DEFAULT_BUDGET))
+
+    @given(redex_spines())
+    @example((app(Const("or"), Const("sunny'"), Const("windy'")), 3))
+    @example((app(Lam("p", None, app(Const("or"), Var("p"), Var("p"))), Const("sunny'")), 4))
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_the_steps_the_reference_spends(self, case):
+        t, steps = case
+        assume(steps > 0)
+        sig = ksig()
+        want = reference_normalize(sig, t, budget=steps)
+        for normalize_ in (reference_normalize, normalize):
+            assert normalize_(sig, t, budget=steps) is want
+            with pytest.raises(NonTerminationGuard):
+                normalize_(sig, t, budget=steps - 1)
+        assert Normalizer(sig, budget=steps)(t) is want
+        with pytest.raises(NonTerminationGuard):
+            Normalizer(sig, budget=steps - 1)(t)
+        head = reference_whnf(t, sig, "applied", _Budget(steps))
+        assert whnf(sig, t, budget=steps) is head
+        for whnf_ in (lambda: whnf(sig, t, budget=steps - 1),
+                      lambda: reference_whnf(t, sig, "applied", _Budget(steps - 1))):
+            with pytest.raises(NonTerminationGuard):
+                whnf_()
+
+    @pytest.mark.parametrize("t", [OMEGA, OMEGA2], ids=["one binder", "two binders"])
+    def test_self_application_still_diverges(self, t):
+        for run in (lambda: whnf(None, t), lambda: normalize(None, t),
+                    lambda: Normalizer(None, budget=500)(t)):
+            with pytest.raises(NonTerminationGuard):
+                run()
+
+    # Each example costs two full collections, so each runs a batch.
+    @given(st.lists(redex_spines(), min_size=1, max_size=20))
+    @settings(max_examples=10, deadline=None)
+    def test_leaves_no_cyclic_garbage(self, cases):
+        sig = ksig()
+        assert cyclic_garbage(lambda: [normalize(sig, t) for t, _ in cases]) == 0
+        assert cyclic_garbage(lambda: [whnf(sig, t) for t, _ in cases]) == 0

@@ -5,6 +5,8 @@ shunting-yard implementation on randomly generated token strings, so the
 two algorithms vouch for each other.
 """
 
+from functools import cache
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,10 @@ from glf.kernel import (
     arrow,
     lam,
 )
+from glf.corpus import fragment_dir
 from glf.modsys import Theory, TheoryGraph, parse_term, print_term
-from helpers import typed_terms
+from glf.shell import load_fragment
+from helpers import reference_print_term, signature_terms, typed_terms
 
 O = Const("prop")
 I = Const("ind")
@@ -429,3 +433,73 @@ class TestAmbiguityChecks:
         flat = build_flat(Declaration("norm", arrow(O, O), None, n("|", "%1", "|")))
         with pytest.raises(AmbiguousParse):
             parse_term(flat, "p")
+
+
+def ambiguous_flat():
+    """Two theories that declare `c` and `g`, each with its own notation."""
+    g = TheoryGraph()
+    g.add(Theory("P", None, (), (
+        Declaration("c", TYPE, None, n("⋆")),
+        Declaration("g", arrow(TYPE, TYPE, TYPE), None, n("%1", "⊕", "%2", prec=10)),
+    )))
+    g.add(Theory("Q", None, (), (
+        Declaration("c", TYPE, None, n("⋄")),
+        Declaration("g", arrow(TYPE, TYPE), None, n("⊗", "%1", prec=20)),
+    )))
+    g.add(Theory("Both", None, ("P", "Q"), ()))
+    return g.flatten("Both")
+
+
+@cache
+def printing_flats():
+    flats = {"test": FLAT, "ambiguous": ambiguous_flat()}
+    for name in ("life", "quantified", "modal"):
+        fragment = load_fragment(fragment_dir(name))
+        flats[f"{name}.target"] = fragment.target_flat
+        flats[f"{name}.language"] = fragment.language_flat
+    return flats
+
+
+class TestPrinterAgainstReference:
+    """`print_term` prints what the printer that matched every token
+    against ``%n`` and looked every constant up in the signature printed."""
+
+    @pytest.mark.parametrize("name", [
+        "test", "ambiguous", "life.target", "life.language", "quantified.target",
+        "quantified.language", "modal.target", "modal.language",
+    ])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_text_as_the_reference(self, name, data):
+        flat = printing_flats()[name]
+        t = data.draw(signature_terms(flat))
+        assert print_term(flat, t) == reference_print_term(flat, t)
+
+    @pytest.mark.parametrize("t, text", [
+        (Const("c"), "c"),
+        (Const("P?c"), "⋆"),
+        (Const("Q?c"), "⋄"),
+        (app(Const("P?g"), Const("P?c"), Const("Q?c")), "⋆ ⊕ ⋄"),
+        (app(Const("Q?g"), Const("P?c"), Const("Q?c")), "(⊗ ⋆) ⋄"),
+        (app(Const("g"), Const("P?c"), Const("Q?c")), "g ⋆ ⋄"),
+    ])
+    def test_ambiguous_names_print_as_themselves(self, t, text):
+        flat = ambiguous_flat()
+        assert print_term(flat, t) == text == reference_print_term(flat, t)
+
+    def test_each_signature_prints_its_own_notation(self):
+        def signature(notation):
+            return Signature([
+                Declaration("ty", TYPE, None, n("ty")),
+                Declaration("a", Const("ty")),
+                Declaration("b", Const("ty")),
+                Declaration("op", arrow(Const("ty"), Const("ty"), Const("ty")), None, notation),
+            ])
+
+        infix = signature(n("%1", "⊕", "%2", prec=10))
+        prefix = signature(n("⊗", "%1", "⊘", "%2", prec=10))
+        t = app(Const("op"), Const("a"), app(Const("op"), Const("b"), Const("a")))
+        for _ in range(2):
+            assert print_term(infix, t) == "a ⊕ (b ⊕ a)"
+            assert print_term(prefix, t) == "⊗ a ⊘ (⊗ b ⊘ a)"
+            assert print_term(infix, Const("ty")) == print_term(prefix, Const("ty")) == "ty"

@@ -27,6 +27,7 @@ from glf.kernel import (
     spine,
     substitute,
 )
+from glf.kernel.terms import substitute_closed
 from helpers import (
     clashing_terms,
     cyclic_garbage,
@@ -330,6 +331,38 @@ class TestSubstituteAgainstReference:
     @settings(max_examples=10)
     def test_substitute_leaves_no_cyclic_garbage(self, cases):
         assert cyclic_garbage(lambda: [substitute(t, x, s) for t, s, x in cases]) == 0
+
+
+def closed(t):
+    """`t` with its free variables bound, in name order, by untyped λs."""
+    return lam(sorted(free_vars(t)), t)
+
+
+class TestSubstituteClosed:
+    @given(clashing_terms(),
+           st.dictionaries(st.sampled_from(["x", "y", "$0", "_"]), clashing_terms().map(closed),
+                           min_size=1, max_size=4))
+    @example(Lam("x", Var("y"), app(Var("x"), Var("y"), Var("z"))),
+             {"x": Const("c"), "y": Const("d"), "z": Lam("x", None, Var("x"))})
+    @example(Pi("x", Var("x"), Lam("y", None, app(Var("x"), Var("y")))),
+             {"x": Const("c"), "y": Const("d")})
+    def test_one_walk_is_one_substitution_after_another(self, t, values):
+        sequential = t
+        for x, s in values.items():
+            sequential = reference_substitute(sequential, x, s)
+        assert substitute_closed(t, values) is sequential
+
+    def test_a_binder_shadows_only_its_own_name(self):
+        t = app(Var("x"), Lam("x", Var("y"), app(Var("x"), Var("y"))), Var("y"))
+        c, d = Const("c"), Const("d")
+        assert substitute_closed(t, {"x": c, "y": d}) == app(c, Lam("x", d, app(Var("x"), d)), d)
+
+    @given(st.lists(st.tuples(clashing_terms(), clashing_terms().map(closed),
+                              clashing_terms().map(closed)), min_size=1, max_size=20))
+    @settings(max_examples=10)
+    def test_substitute_closed_leaves_no_cyclic_garbage(self, cases):
+        assert cyclic_garbage(
+            lambda: [substitute_closed(t, {"x": a, "y": b}) for t, a, b in cases]) == 0
 
 
 class TestInterning:
