@@ -13,9 +13,12 @@ in one walk over B that substitutes all of them at once
 of B to capture, so no binder is renamed and the result is the very node k
 one-binder substitutions give; collecting stops at a binder that shadows an
 earlier one, and an open argument is substituted alone by `substitute`.
-Each contraction still spends one step. The weak head normal form is handed
-on as its head and its arguments, so `norm` builds each application spine
-once, from its normalized arguments.
+Each contraction still spends one step. When the body left after the
+binders is an application spine, its head and each of its arguments are
+substituted apart, and the arguments go straight onto the argument stack:
+the substituted spine is never built, only to be taken apart again. The
+weak head normal form is handed on as its head and its arguments, so
+`norm` builds each application spine once, from its normalized arguments.
 
 Each term normalized gets its own step budget; exceeding it raises
 NonTerminationGuard rather than silently truncating. The budget only guards
@@ -73,7 +76,11 @@ def _whnf(t: Term, sig: Signature | None, delta: str,
             budget.spend()
             arg = args.pop()
             if free_vars(arg):
-                t = substitute(t.body, t.binder, arg)
+                x, t = t.binder, t.body
+                while t.__class__ is App:
+                    args.append(substitute(t.arg, x, arg))
+                    t = t.fn
+                t = substitute(t, x, arg)
                 continue
             # Contract the binders that closed arguments meet in one walk,
             # up to a binder that shadows an earlier one.
@@ -84,6 +91,9 @@ def _whnf(t: Term, sig: Signature | None, delta: str,
                 budget.spend()
                 values[t.binder] = args.pop()
                 t = t.body
+            while t.__class__ is App:
+                args.append(substitute_closed(t.arg, values))
+                t = t.fn
             t = substitute_closed(t, values)
             continue
         if cls is Const and sig is not None and delta != "none":

@@ -294,6 +294,8 @@ def rename_away(binder: str, body: Term, avoid: AbstractSet[str]) -> tuple[str, 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
     """Capture-avoiding substitution of `s` for free occurrences of `x`."""
+    if x not in free_vars(t):
+        return t
     fv_s = free_vars(s)
 
     def go(t: Term) -> Term:

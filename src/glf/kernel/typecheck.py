@@ -45,11 +45,18 @@ from glf.kernel.terms import (
 
 
 class Context:
-    """Ordered (name, type) bindings for free variables."""
+    """Ordered (name, type) bindings for free variables.
+
+    `key` stands for the bindings in memo keys. It is a one-element
+    frozenset, which, unlike a tuple, keeps its hash once computed: the
+    bindings are hashed once, when the context is made by `extend`, and a
+    lookup costs the same at any binder depth.
+    """
 
     def __init__(self, bindings: tuple[tuple[str, Term], ...] = ()):
         self.bindings = bindings
         self._types = dict(bindings)
+        self.key = frozenset((bindings,))
 
     def lookup(self, name: str) -> Term | None:
         return self._types.get(name)
@@ -74,7 +81,7 @@ class Checker:
 
     - the β-normal form of each type it has normalized, in a `Normalizer`;
     - the β-normal type of each constant it has looked up;
-    - the inferred type of each `App` node, keyed by the context's bindings
+    - the inferred type of each `App` node, keyed by the context's `key`
       and the interned node. Only successful inferences are stored, so an
       ill-typed term fails at the same subterm, with the same message,
       whatever was checked before it.
@@ -88,7 +95,7 @@ class Checker:
         self.sig = sig
         self._normalize = Normalizer(sig)
         self._const_types: dict[str, Term] = {}
-        self._app_types: dict[tuple[tuple[tuple[str, Term], ...], Term], Term] = {}
+        self._app_types: dict[tuple[frozenset, Term], Term] = {}
 
     def infer(self, ctx: Context, t: Term) -> Term:
         """β-normal type of `t` under standard LF rules."""
@@ -116,7 +123,7 @@ class Checker:
                     self._const_types[name] = ty
                 return ty
             case App(fn, arg):
-                key = (ctx.bindings, t)
+                key = (ctx.key, t)
                 ty = self._app_types.get(key)
                 if ty is not None:
                     return ty

@@ -25,11 +25,23 @@ also end a term.
 
 The printer inverts the parser: `parse_term(flat, print_term(flat, t))` is
 alpha-equivalent to `t` for well-formed closed terms.
+
+A node's text depends only on the node, the precedence and openness to
+the right it is printed at, and the notation table. So each table keeps,
+per (precedence, right-openness), a `weakref.WeakKeyDictionary` from node
+to text, and printing a live subterm again is a lookup: across the
+readings of one sentence, and between a model's sort key and its
+rendering. An entry dies with its node, which it does not keep alive. The
+memo hangs off one table, which is cached on its signature and holds
+neither the signature nor any node, so it makes no reference cycle, and
+one table's text is never read for another's. Variables, sorts and
+constants print without it.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -88,12 +100,14 @@ class _Token(NamedTuple):
 
 
 class NotationTable:
-    """Prefix/infix rules of a flat theory, with ambiguity checks, and the
-    declaration each constant name prints as (`decls`)."""
+    """Prefix/infix rules of a flat theory, with ambiguity checks, the
+    declaration each constant name prints as (`decls`), and the text each
+    live node printed under this table has (`printed`)."""
 
     def __init__(self, signature: Signature):
         self.nud: dict[str, tuple[Declaration, Notation]] = {}
         self.led: dict[str, tuple[Declaration, Notation]] = {}
+        self.printed: dict[tuple[int, bool], weakref.WeakKeyDictionary[Term, str]] = {}
         delimiters: set[str] = set()
         # The signature's own indexes: the table is cached on the signature,
         # so holding the signature would make a cycle.
@@ -452,22 +466,29 @@ class _Printer:
     def __init__(self, table: NotationTable):
         self.table = table
         self.decls = table.decls
+        self.printed = table.printed
 
     def render(self, t: Term, prec: int, right_open: bool) -> str:
-        match t:
-            case Sort(name):
-                return name
-            case Var(name):
-                return name
-            case Const():
-                return self.const(t)
-            case App():
-                return self.application(t, prec, right_open)
-            case Lam():
-                return self.lam(t, right_open)
-            case Pi():
-                return self.pi(t, prec, right_open)
-        raise TypeError(f"not a term: {t!r}")
+        cls = t.__class__
+        if cls is Var or cls is Sort:
+            return t.name
+        if cls is Const:
+            return self.const(t)
+        if cls is not App and cls is not Lam and cls is not Pi:
+            raise TypeError(f"not a term: {t!r}")
+        memo = self.printed.get((prec, right_open))
+        if memo is None:
+            memo = self.printed[prec, right_open] = weakref.WeakKeyDictionary()
+        text = memo.get(t)
+        if text is None:
+            if cls is App:
+                text = self.application(t, prec, right_open)
+            elif cls is Lam:
+                text = self.lam(t, right_open)
+            else:
+                text = self.pi(t, prec, right_open)
+            memo[t] = text
+        return text
 
     def const(self, t: Const) -> str:
         d = self.decls.get(t.name)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from glf.errors import (
@@ -411,16 +412,17 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
             classes.setdefault(_ac_key(state.signature, n, keys), n)
         grounded = [_ground(state.signature, n, normal) for n in classes.values()]
 
+        open_branches = state.open_branches
         branches = tuple(
-            replace(b, pending=b.pending + (g,))
+            Branch(b.literals, b.pending + (g,), False, b.polarity)
             for g in grounded
-            for b in state.open_branches
+            for b in open_branches
         )
         state = replace(
             state,
             branches=branches,
             history=state.history
-            + (f"update with {len(classes)} reading(s) over {len(state.open_branches)} branch(es)",),
+            + (f"update with {len(classes)} reading(s) over {len(open_branches)} branch(es)",),
         )
         state = saturate(state)
         return replace(state, branches=state.open_branches)
@@ -433,22 +435,24 @@ def extract_models(state: BeliefState) -> tuple[tuple[Literal, ...], ...]:
     the printed form of its atom, so output is stable across runs.
     """
     flat = state.signature.flat
-    texts: dict[Term, str] = {}
-
-    def key(lit: Literal) -> tuple[int, str]:
-        text = texts.get(lit.atom)
-        if text is None:
-            text = texts[lit.atom] = print_term(flat, lit.atom)
-        return (0 if lit.positive else 1, text)
-
     models: list[tuple[Literal, ...]] = []
     seen: set[tuple[tuple[int, str], ...]] = set()
+    seen_sets: set[frozenset[Literal]] = set()
     for branch in state.branches:
         if branch.closed:
             continue
-        lits = tuple(sorted(branch.literals, key=key))
-        fingerprint = tuple(map(key, lits))
+        # Equal literal sets sort to equal fingerprints.
+        literal_set = frozenset(branch.literals)
+        if literal_set in seen_sets:
+            continue
+        seen_sets.add(literal_set)
+        keyed = sorted(
+            (((0 if lit.positive else 1, print_term(flat, lit.atom)), lit)
+             for lit in branch.literals),
+            key=itemgetter(0),
+        )
+        fingerprint = tuple(k for k, _ in keyed)
         if fingerprint not in seen:
             seen.add(fingerprint)
-            models.append(lits)
+            models.append(tuple(lit for _, lit in keyed))
     return tuple(models)

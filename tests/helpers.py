@@ -561,9 +561,11 @@ class _ReferencePrinter:
         return Pi(fresh, t.domain, renamed)
 
 
-def reference_print_term(signature: Signature, t: Term) -> str:
-    """`print_term` as it was before notations kept their placeholders."""
-    return _ReferencePrinter(signature, notation_table(signature)).render(t, 0, True)
+def reference_print_term(signature: Signature, t: Term, prec: int = 0,
+                         right_open: bool = True) -> str:
+    """`print_term` as it was before notations kept their placeholders, at
+    any precedence and openness to the right; the defaults are the top's."""
+    return _ReferencePrinter(signature, notation_table(signature)).render(t, prec, right_open)
 
 
 def reference_apply_view(graph: TheoryGraph, view: View, t: Term) -> Term:
@@ -1011,6 +1013,31 @@ def reference_update(state, readings):
         )
         state = reference_saturate(state)
         return replace(state, branches=state.open_branches)
+
+
+def reference_extract_models(state):
+    """`extract_models` as it was before literals were keyed once per branch
+    and printed through the notation table's memo."""
+    flat = state.signature.flat
+    texts: dict[Term, str] = {}
+
+    def key(lit) -> tuple[int, str]:
+        text = texts.get(lit.atom)
+        if text is None:
+            text = texts[lit.atom] = reference_print_term(flat, lit.atom)
+        return (0 if lit.positive else 1, text)
+
+    models = []
+    seen: set[tuple[tuple[int, str], ...]] = set()
+    for branch in state.branches:
+        if branch.closed:
+            continue
+        lits = tuple(sorted(branch.literals, key=key))
+        fingerprint = tuple(map(key, lits))
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            models.append(lits)
+    return tuple(models)
 
 
 CLI_MODULE = "glf.shell.cli"

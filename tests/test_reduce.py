@@ -244,6 +244,42 @@ def redex_spines(draw):
     return app(lam(binders, body), *args), min(len(binders), len(args))
 
 
+_spine_heads = st.sampled_from([Lam("x", None, Var("x")), Const("or"),
+                                Lam("y", None, Lam("z", None, app(Const("g"), Var("z"), Var("y"))))])
+
+
+@st.composite
+def spine_body_redexes(draw):
+    """`(λx₁…xₖ. h b₁…bₘ) a₁…aₙ`, whose body after the binders is a spine.
+
+    Its head may be a bound variable that an argument makes a redex, and
+    its arguments may hold a binder that captures an open argument unless
+    `rename_away` renames it. Arguments are closed terms, λs that a head
+    applies, or variables.
+    """
+    binders = draw(st.lists(st.tuples(_spine_names, st.none() | st.just(O)),
+                            min_size=1, max_size=3))
+    head = draw(_spine_names.map(Var) | st.just(Const("f")))
+    capturing = st.tuples(_spine_names, _spine_names).map(
+        lambda p: Lam(p[0], None, app(Const("f"), Var(p[1]), Var(p[0]))))
+    spine_args = draw(st.lists(_spine_names.map(Var) | _closed_args | capturing,
+                               min_size=1, max_size=3))
+    args = draw(st.lists(_closed_args | _spine_heads | _spine_names.map(Var),
+                         min_size=1, max_size=5))
+    return app(lam(binders, app(head, *spine_args)), *args)
+
+
+def least_budget(run) -> int:
+    """The least step budget that `run(budget)` completes within."""
+    budget = 0
+    while True:
+        try:
+            run(budget)
+            return budget
+        except NonTerminationGuard:
+            budget += 1
+
+
 def untyped_spines():
     """Redex spines over untyped terms; they may diverge or grow."""
     return st.tuples(clashing_terms(), st.lists(clashing_terms(3), max_size=4)).map(
@@ -323,9 +359,45 @@ class TestOneWalkContraction:
                 run()
 
     # Each example costs two full collections, so each runs a batch.
-    @given(st.lists(redex_spines(), min_size=1, max_size=20))
+    @given(st.lists(redex_spines(), min_size=1, max_size=20),
+           st.lists(spine_body_redexes(), min_size=1, max_size=20))
     @settings(max_examples=10, deadline=None)
-    def test_leaves_no_cyclic_garbage(self, cases):
+    def test_leaves_no_cyclic_garbage(self, cases, spine_bodies):
         sig = ksig()
-        assert cyclic_garbage(lambda: [normalize(sig, t) for t, _ in cases]) == 0
-        assert cyclic_garbage(lambda: [whnf(sig, t) for t, _ in cases]) == 0
+        terms = [t for t, _ in cases] + spine_bodies
+        assert cyclic_garbage(lambda: [normalize(sig, t) for t in terms]) == 0
+        assert cyclic_garbage(lambda: [whnf(sig, t) for t in terms]) == 0
+
+    @given(spine_body_redexes())
+    @example(app(Lam("x", None, app(Var("x"), Lam("y", None, app(Const("f"), Var("x"), Var("y"))))),
+                 Var("y")))
+    @example(app(lam(["x", "y"], app(Var("x"), Var("y"), Const("c"))),
+                 Lam("z", None, Lam("y", None, app(Const("g"), Var("y"), Var("z")))), Var("y")))
+    @settings(max_examples=150, deadline=None)
+    def test_spine_bodies_give_the_reference_nodes(self, t):
+        # The body left after the binders is a spine: its head and its
+        # arguments are substituted apart, and never rebuilt into a spine.
+        sig = ksig()
+        want = reference_normalize(sig, t)
+        assert normalize(sig, t) is want
+        assert Normalizer(sig)(t) is want
+        for delta in DELTAS:
+            assert whnf(sig, t, delta=delta) is reference_whnf(
+                t, sig, delta, _Budget(DEFAULT_BUDGET))
+
+    @given(spine_body_redexes())
+    @settings(max_examples=100, deadline=None)
+    def test_spine_bodies_spend_the_reference_steps(self, t):
+        sig = ksig()
+        steps = least_budget(lambda b: reference_normalize(sig, t, budget=b))
+        assert normalize(sig, t, budget=steps) is reference_normalize(sig, t)
+        for run in (lambda: normalize(sig, t, budget=steps - 1),
+                    lambda: Normalizer(sig, budget=steps - 1)(t)):
+            with pytest.raises(NonTerminationGuard):
+                run()
+        head_steps = least_budget(lambda b: reference_whnf(t, sig, "applied", _Budget(b)))
+        assert whnf(sig, t, budget=head_steps) is reference_whnf(
+            t, sig, "applied", _Budget(head_steps))
+        if head_steps:
+            with pytest.raises(NonTerminationGuard):
+                whnf(sig, t, budget=head_steps - 1)

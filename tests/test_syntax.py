@@ -5,6 +5,8 @@ shunting-yard implementation on randomly generated token strings, so the
 two algorithms vouch for each other.
 """
 
+import gc
+import weakref
 from functools import cache
 
 import hypothesis.strategies as st
@@ -29,8 +31,9 @@ from glf.kernel import (
 )
 from glf.corpus import fragment_dir
 from glf.modsys import Theory, TheoryGraph, parse_term, print_term
+from glf.modsys.syntax import _Printer, notation_table
 from glf.shell import load_fragment
-from helpers import reference_print_term, signature_terms, typed_terms
+from helpers import cyclic_garbage, reference_print_term, signature_terms, typed_terms
 
 O = Const("prop")
 I = Const("ind")
@@ -452,7 +455,8 @@ def ambiguous_flat():
 
 @cache
 def printing_flats():
-    flats = {"test": FLAT, "ambiguous": ambiguous_flat()}
+    flats = {"test": FLAT, "ambiguous": ambiguous_flat(),
+             "op.infix": OP_SIGNATURE, "op.prefix": op_signature(n("⊗", "%1", "⊘", "%2", prec=10))}
     for name in ("life", "quantified", "modal"):
         fragment = load_fragment(fragment_dir(name))
         flats[f"{name}.target"] = fragment.target_flat
@@ -488,18 +492,78 @@ class TestPrinterAgainstReference:
         assert print_term(flat, t) == text == reference_print_term(flat, t)
 
     def test_each_signature_prints_its_own_notation(self):
-        def signature(notation):
-            return Signature([
-                Declaration("ty", TYPE, None, n("ty")),
-                Declaration("a", Const("ty")),
-                Declaration("b", Const("ty")),
-                Declaration("op", arrow(Const("ty"), Const("ty"), Const("ty")), None, notation),
-            ])
-
-        infix = signature(n("%1", "⊕", "%2", prec=10))
-        prefix = signature(n("⊗", "%1", "⊘", "%2", prec=10))
+        infix = op_signature(n("%1", "⊕", "%2", prec=10))
+        prefix = op_signature(n("⊗", "%1", "⊘", "%2", prec=10))
         t = app(Const("op"), Const("a"), app(Const("op"), Const("b"), Const("a")))
         for _ in range(2):
             assert print_term(infix, t) == "a ⊕ (b ⊕ a)"
             assert print_term(prefix, t) == "⊗ a ⊘ (⊗ b ⊘ a)"
             assert print_term(infix, Const("ty")) == print_term(prefix, Const("ty")) == "ty"
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_memo_gives_the_reference_text(self, data):
+        # The same terms printed again, at other precedences, and under
+        # tables that print the same node differently, in any order.
+        flats = [printing_flats()[name] for name in OP_FLATS]
+        terms = data.draw(st.lists(signature_terms(OP_SIGNATURE), min_size=1, max_size=4))
+        places = st.tuples(st.sampled_from(terms), st.sampled_from(flats),
+                           st.sampled_from(PRECEDENCES), st.booleans())
+        for t, flat, prec, right_open in data.draw(st.lists(places, min_size=1, max_size=12)):
+            want = reference_print_term(flat, t, prec, right_open)
+            assert _Printer(notation_table(flat)).render(t, prec, right_open) == want
+            assert print_term(flat, t) == reference_print_term(flat, t)
+
+
+def op_signature(notation):
+    """A signature whose `op` has the given notation."""
+    return Signature([
+        Declaration("ty", TYPE, None, n("ty")),
+        Declaration("a", Const("ty")),
+        Declaration("b", Const("ty")),
+        Declaration("op", arrow(Const("ty"), Const("ty"), Const("ty")), None, notation),
+        Declaration("neg", arrow(Const("ty"), Const("ty")), None, n("¬", "%1", prec=20)),
+    ])
+
+
+#: Two signatures that give `op` different notations, and the two flats of
+#: a fragment, whose terms share nodes.
+OP_SIGNATURE = op_signature(n("%1", "⊕", "%2", prec=10))
+OP_FLATS = ("op.infix", "op.prefix", "quantified.target", "quantified.language")
+#: Every precedence a printer asks for: the top's, application's, the
+#: arrow's, and either side of each shipped notation's.
+PRECEDENCES = (0, 2, 3, 5, 6, 9, 10, 11, 20, 21, 25, 26, 30, 31, 1000, 1001)
+
+
+class TestPrintMemo:
+    """Each table remembers the text of the nodes it has printed for as
+    long as they live, and no longer."""
+
+    def test_a_printed_node_dies_with_its_last_reference(self):
+        flat = printing_flats()["quantified.target"]
+        table = notation_table(flat)
+        gc.disable()
+        try:
+            t = app(Const("or"), App(Const("run'"), Const("memo_unique")), Const("sunny'"))
+            text = print_term(flat, t)
+            held = weakref.ref(t)
+            printed = sum(len(memo) for memo in table.printed.values())
+            del t
+            assert held() is None
+            assert sum(len(memo) for memo in table.printed.values()) < printed
+        finally:
+            gc.enable()
+        rebuilt = app(Const("or"), App(Const("run'"), Const("memo_unique")), Const("sunny'"))
+        assert print_term(flat, rebuilt) == text == reference_print_term(flat, rebuilt)
+
+    @given(st.lists(signature_terms(OP_SIGNATURE), min_size=1, max_size=10))
+    @settings(max_examples=10, deadline=None)
+    def test_printing_leaves_no_cyclic_garbage(self, terms):
+        flats = [printing_flats()[name] for name in OP_FLATS]
+        assert cyclic_garbage(
+            lambda: [print_term(flat, t) for t in terms for flat in flats]) == 0
+
+    def test_a_new_table_makes_no_cycle(self):
+        t = app(Const("op"), Lam("x", None, app(Const("neg"), Var("x"))), Const("a"))
+        assert cyclic_garbage(
+            lambda: print_term(op_signature(n("⊖", "%1", "⊙", "%2", prec=10)), t)) == 0

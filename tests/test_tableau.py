@@ -46,6 +46,7 @@ from helpers import (
     random_formula,
     reference_check_type,
     reference_expand_step,
+    reference_extract_models,
     reference_saturate,
     reference_update,
     satisfiable,
@@ -564,6 +565,26 @@ class TestSharedTypeChecking:
         assert self.init_outcome(readings) == self.reference_init_outcome(readings)
 
 
+#: Literals over atoms that print alike (`p1` the constant and `p1` the
+#: variable), so that different literal sets can print the same model.
+MODEL_LITERALS = tuple(
+    Literal(positive, atom)
+    for positive in (True, False)
+    for atom in (Const("p1"), Var("p1"), Const("p2"), app(Const("and"), Const("p3"), Var("p1")))
+)
+LIKE_P1 = (MODEL_LITERALS[0], MODEL_LITERALS[1], MODEL_LITERALS[6])
+
+
+@st.composite
+def model_branches(draw):
+    """Branches drawing a few literal sets, each in any order, some twice."""
+    sets = draw(st.lists(st.lists(st.sampled_from(MODEL_LITERALS), unique=True, max_size=5),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=8))
+    branches = [tuple(draw(st.permutations(lits))) for lits in picks]
+    return branches, draw(st.booleans())
+
+
 class TestExtractModels:
     def test_positive_literals_sort_first(self):
         state = init_belief_state(
@@ -579,6 +600,21 @@ class TestExtractModels:
         atom = fol("love' a' b'")
         assert Literal(True, atom).render(FOL_SIG.flat) == "love' a' b'"
         assert Literal(False, atom).render(FOL_SIG.flat) == "¬ love' a' b'"
+
+    @given(model_branches())
+    @example(((LIKE_P1, LIKE_P1[::-1], LIKE_P1), False))
+    @example((((MODEL_LITERALS[1],), (MODEL_LITERALS[0],), (MODEL_LITERALS[1],)), True))
+    @settings(max_examples=150, deadline=None)
+    def test_same_models_as_the_reference(self, case):
+        branches, closed_first = case
+        state = BeliefState(
+            PROP_SIG, (), tuple(Branch(lits, (), closed_first and i == 0)
+                                for i, lits in enumerate(branches)), ())
+        models = extract_models(state)
+        assert models == reference_extract_models(state)
+        assert ([[lit.render(PROP_SIG.flat) for lit in m] for m in models]
+                == [[lit.render(PROP_SIG.flat) for lit in m]
+                    for m in reference_extract_models(state)])
 
 
 class TestAgainstTruthTables:

@@ -278,3 +278,19 @@ class TestAgainstTheReference:
         # Of the new bracketing's seven App nodes, only the three that
         # bracket differently are inferred; the rest are looked up.
         assert len(checker._app_types) == before + 3
+
+    def test_equal_contexts_share_inferences(self):
+        # Made apart, by the constructor and by `extend`, equal bindings
+        # give equal keys, so the second context finds the first's types.
+        made = Context((("x", I), ("y", O)))
+        extended = EMPTY.extend("x", I).extend("y", O)
+        assert made.key == extended.key and hash(made.key) == hash(extended.key)
+        assert made.key != EMPTY.extend("y", O).extend("x", I).key
+        t = app(and_, Var("y"), App(run, Var("x")))
+        checker = Checker(DIFF_SIG)
+        assert checker.infer(made, t) == O
+        before = len(checker._app_types)
+        assert checker.infer(extended, t) == O
+        assert len(checker._app_types) == before
+        assert checker.infer(EMPTY.extend("x", I).extend("y", I), App(run, Var("y"))) == O
+        assert len(checker._app_types) == before + 1
