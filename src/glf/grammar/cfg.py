@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from glf.errors import GrammarError, MissingLin, ParamBlowup
 from glf.grammar.abstract import AbstractGrammar
 from glf.grammar.concrete import ConcreteGrammar, check_against_lintype, eval_lin
+from glf.kernel import Const
 
 MAX_PRODUCTIONS = 100_000
 
@@ -57,21 +58,43 @@ class CFG:
     Nonterminals become small int codes, left-hand sides first, each in
     order of first appearance. Production `i` has left-hand side `lhs[i]`
     and right-hand side `rhs[i]`, a tuple of terminal strings and codes;
-    `slots[i]` gives the argument index of each of its codes in surface
-    order. `by_lhs[c]` lists the productions of code `c` in declaration
-    order, `nullable[c]` says whether `c` derives the empty string, and
-    `starts` are the codes of the start category, in order of first
-    appearance as a left-hand side.
+    `by_lhs[c]` lists the productions of code `c` in declaration order,
+    `nullable[c]` says whether `c` derives the empty string, and `starts`
+    are the codes of the start category, in order of first appearance as a
+    left-hand side.
+
+    A dotted production is a state: production `i` with its dot before
+    symbol `d` of its right-hand side is state `state[i] + d`, and
+    `after[s]` is the symbol after the dot of state `s`, a terminal string
+    or a code, or `~lhs` (a negative int) once the dot is at the end.
+    `predict[c]` maps a token to the first states of the productions of
+    `c`, in declaration order, that can begin with that token or derive the
+    empty string; `predict_initial[c]` does the same for the first token of
+    an input, keyed by the lower-cased terminal, since that token matches
+    in any case. `predict_empty[c]` lists the first states of the
+    productions of `c` that derive the empty string, for any other token
+    and for the end of the input.
+
+    `builds[i]` rebuilds production `i`'s abstract syntax tree: for a
+    nullary function the `Const` itself, otherwise the pair of that
+    `Const` and the order in which the subtrees of its codes, taken in
+    surface order, become its arguments (None when it is surface order).
     """
 
     start: str
     productions: tuple[Production, ...]
     lhs: list[int] = field(init=False, repr=False, compare=False)
     rhs: list[tuple[str | int, ...]] = field(init=False, repr=False, compare=False)
-    slots: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
     by_lhs: list[list[int]] = field(init=False, repr=False, compare=False)
     nullable: list[bool] = field(init=False, repr=False, compare=False)
     starts: list[int] = field(init=False, repr=False, compare=False)
+    state: list[int] = field(init=False, repr=False, compare=False)
+    after: list[str | int] = field(init=False, repr=False, compare=False)
+    predict: list[dict[str, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    predict_initial: list[dict[str, tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False)
+    predict_empty: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    builds: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         codes: dict[NT, int] = {}
@@ -89,16 +112,70 @@ class CFG:
             for c, r in zip(lhs, rhs):
                 if not nullable[c] and all(not isinstance(it, str) and nullable[it] for it in r):
                     nullable[c] = changed = True
+        # first[c]: the terminals that a string derived from c can begin with.
+        first: list[set[str]] = [set() for _ in codes]
+        changed = True
+        while changed:
+            changed = False
+            for c, r in zip(lhs, rhs):
+                size = len(first[c])
+                first[c].update(_first_of(r, first, nullable))
+                changed = changed or len(first[c]) != size
+        state: list[int] = []
+        after: list[str | int] = []
+        for c, r in zip(lhs, rhs):
+            state.append(len(after))
+            after.extend(r)
+            after.append(~c)
+        predict: list[dict[str, list[int]]] = [{} for _ in codes]
+        predict_initial: list[dict[str, list[int]]] = [{} for _ in codes]
+        predict_empty: list[list[int]] = [[] for _ in codes]
+        for c, r, s0 in zip(lhs, rhs, state):
+            starters = _first_of(r, first, nullable)
+            if all(not isinstance(it, str) and nullable[it] for it in r):
+                predict_empty[c].append(s0)
+                starters = first[c]  # any token may follow it
+            for t in starters:
+                predict[c].setdefault(t, []).append(s0)
+            for t in {t.lower() for t in starters}:
+                predict_initial[c].setdefault(t, []).append(s0)
+        builds: list = []
+        for p in self.productions:
+            slots = tuple(it[1] for it in p.rhs if not isinstance(it, str))
+            head = Const(p.fun)
+            if not slots:
+                builds.append(head)
+            else:
+                order = tuple(sorted(range(len(slots)), key=slots.__getitem__))
+                builds.append((head, None if order == tuple(range(len(slots))) else order))
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "slots", [
-            tuple(it[1] for it in p.rhs if not isinstance(it, str)) for p in self.productions
-        ])
         object.__setattr__(self, "by_lhs", by_lhs)
         object.__setattr__(self, "nullable", nullable)
         object.__setattr__(self, "starts", [
             c for nt, c in codes.items() if nt.cat == self.start and by_lhs[c]
         ])
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "after", after)
+        object.__setattr__(self, "predict", [
+            {t: tuple(ps) for t, ps in d.items()} for d in predict])
+        object.__setattr__(self, "predict_initial", [
+            {t: tuple(ps) for t, ps in d.items()} for d in predict_initial])
+        object.__setattr__(self, "predict_empty", [tuple(ps) for ps in predict_empty])
+        object.__setattr__(self, "builds", builds)
+
+
+def _first_of(rhs: tuple, first: list[set[str]], nullable: list[bool]) -> set[str]:
+    """The terminals that a string derived from `rhs` can begin with."""
+    out: set[str] = set()
+    for it in rhs:
+        if isinstance(it, str):
+            out.add(it)
+            return out
+        out |= first[it]
+        if not nullable[it]:
+            return out
+    return out
 
 
 def _valuations(grammar: ConcreteGrammar, param_names: tuple[str, ...]):

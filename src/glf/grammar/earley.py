@@ -1,33 +1,62 @@
 """Chart parsing over compiled grammars.
 
-An Earley recognizer (with the usual eager advance over nullable
-nonterminals, so empty linearizations work) followed by a chart-guided
-extraction pass that rebuilds every abstract syntax tree for the input.
-Extraction order is deterministic: productions in declaration order,
-split points left to right.
+An Earley recognizer followed by an extraction pass that rebuilds every
+abstract syntax tree for the input from the recognizer's chart. Extraction
+order is deterministic: productions in declaration order, split points
+left to right.
 
 Both passes run on the integer tables a `CFG` builds once (nonterminal
 codes, coded right-hand sides, productions by left-hand side, nullability,
-start codes). Chart items are `(production, dot, origin)` triples. The
-recognizer keeps, per position, the items waiting on each nonterminal: a
-nonterminal is predicted the first time an item waits on it, and a
-completion advances only the items waiting on its left-hand side at its
-origin. Ends of completed spans arrive in increasing order.
+prediction tables, tree builders). Chart items are `(production, dot,
+origin)` triples, one set of them per input position. The recognizer
+keeps, per position, the items waiting on each nonterminal: a nonterminal
+is predicted the first time an item waits on it, a completion advances
+only the items waiting on its left-hand side at its origin, and the usual
+eager advance over nullable nonterminals makes empty linearizations work.
+
+Lookahead. A prediction adds only the productions that can begin with the
+next token (the first token matched case-insensitively, so
+sentence-initial capitalization needs no lexicon duplicates) or derive the
+empty string. Any other production needs a token it cannot have, so it
+never completes: every completed span, and every item a tree can use,
+stays in the chart.
+
+Item-guided extraction. `parse_tokens` keeps each position's item set.
+The trees of a nonterminal over tokens i..j come from the productions
+whose completed item `(production, length, i)` is in the chart at j, and
+nothing else is tried. A nonterminal in a right-hand side is split off at
+the ends of its completed spans, and the rest of the right-hand side is
+bound before the subtrees are asked for, so only spans that some tree
+uses are ever extracted: the last nonterminal of a right-hand side ends
+where the production does. (Where the items before the split are in the
+chart, the advanced item at each such end is too, so the split needs no
+second check.)
+
+Cycles. A (nonterminal, span) that is asked for while its trees are still
+being worked out yields none there. Its trees are kept for reuse only if
+no such request made while working them out hit a span opened further up
+the stack; a request back into the same span does not count. Such a span
+heads a cycle of spans that reach each other. Its kept trees are reused
+only while no other span of that cycle is open, and are worked out afresh
+otherwise. So extraction returns exactly the trees in which no
+(nonterminal, span) repeats on a root-to-leaf path, whatever order it
+explores in. That cannot lose every tree of an accepted sentence: a
+smallest derivation has no such repeat, since cutting out the part between
+two repeats gives a smaller one.
 
 Trees are interned terms, so equal trees are the same object and the
 duplicates a parse finds collapse as dict keys. Extraction still recurses
 once per level of embedding, through two closures that refer to each
 other; they are deleted when the parse ends, so a parse leaves no
 reference cycle behind.
-
-The first input token is matched case-insensitively so sentence-initial
-capitalization does not require lexicon duplicates.
 """
 
 from __future__ import annotations
 
 from glf.grammar.cfg import CFG
-from glf.kernel import Const, Term, app
+from glf.kernel import Term, app
+
+_Span = tuple[int, int, int]  # (nonterminal code, start, end)
 
 
 def tokenize(text: str) -> list[str]:
@@ -38,59 +67,76 @@ def _match(terminal: str, word: str, pos: int) -> bool:
     return terminal == word or (pos == 0 and terminal.lower() == word.lower())
 
 
-def _run(cfg: CFG, tokens: list[str]) -> dict[tuple[int, int], list[int]]:
-    """Return completed spans: (nonterminal code, start) -> ascending ends."""
+def _run(cfg: CFG, tokens: list[str], charts: list[set[int]] | None = None,
+         ) -> dict[tuple[int, int], list[int]]:
+    """Return completed spans: (nonterminal code, start) -> ascending ends.
+
+    With `charts`, append each position's item set to it. An item is the
+    int `origin * width + state`, for `width` states in all, so advancing
+    its dot adds one.
+    """
     n = len(tokens)
-    rhs_of, lhs_of, by_lhs, nullable = cfg.rhs, cfg.lhs, cfg.by_lhs, cfg.nullable
+    after, nullable, empty = cfg.after, cfg.nullable, cfg.predict_empty
+    width = len(after)
     completed: dict[tuple[int, int], list[int]] = {}
     # waiting[pos][code]: the items at pos whose next symbol is code.
-    waiting: list[dict[int, list[tuple[int, int, int]]]] = []
-    items = [(idx, 0, 0) for s in cfg.starts for idx in by_lhs[s]]
+    waiting: list[dict[int, list[int]]] = []
+    items: list[int] = []  # scanned into the next position
 
     for pos in range(n + 1):
-        word = tokens[pos] if pos < n else None
-        wait: dict[int, list[tuple[int, int, int]]] = {}
+        if pos == n:
+            word, table, key = None, cfg.predict, None
+        elif pos == 0:
+            word = tokens[0]
+            table, key = cfg.predict_initial, word.lower()
+        else:
+            word = key = tokens[pos]
+            table = cfg.predict
+        here = pos * width
+        wait: dict[int, list[int]] = {}
         waiting.append(wait)
+        if pos == 0:
+            # The start codes wait at 0 on nothing; marking them waited on
+            # keeps a later item that waits on one from predicting it again.
+            for s in cfg.starts:
+                wait[s] = []
+                items.extend(table[s].get(key, empty[s]))
         seen = set(items)
+        if charts is not None:
+            charts.append(seen)
         work, items = items, []
         for item in work:  # grows while it is walked
-            idx, dot, origin = item
-            rhs = rhs_of[idx]
-            if dot < len(rhs):
-                sym = rhs[dot]
-                if sym.__class__ is str:
-                    if word is not None and _match(sym, word, pos):
-                        items.append((idx, dot + 1, origin))
-                    continue
+            sym = after[item % width]
+            if sym.__class__ is str:
+                if word is not None and (sym == word or (pos == 0 and sym.lower() == key)):
+                    items.append(item + 1)
+            elif sym >= 0:
                 waiters = wait.get(sym)
                 if waiters is None:
                     wait[sym] = [item]
-                    for cidx in by_lhs[sym]:
-                        new = (cidx, 0, pos)
-                        if new not in seen:
-                            seen.add(new)
-                            work.append(new)
+                    for s0 in table[sym].get(key, empty[sym]):
+                        seen.add(here + s0)  # each code is predicted once per position
+                        work.append(here + s0)
                 else:
                     waiters.append(item)
                 # A nullable child may have completed here before this item
                 # started waiting on it.
-                if nullable[sym]:
-                    new = (idx, dot + 1, origin)
-                    if new not in seen:
-                        seen.add(new)
-                        work.append(new)
+                if nullable[sym] and item + 1 not in seen:
+                    seen.add(item + 1)
+                    work.append(item + 1)
             else:
-                lhs = lhs_of[idx]
+                lhs, origin = ~sym, item // width
                 ends = completed.get((lhs, origin))
                 if ends is None:
                     completed[lhs, origin] = [pos]
                 elif ends[-1] != pos:
                     ends.append(pos)
-                for i2, d2, o2 in waiting[origin].get(lhs, ()):
-                    new = (i2, d2 + 1, o2)
-                    if new not in seen:
-                        seen.add(new)
-                        work.append(new)
+                else:
+                    continue  # its waiters were advanced when it first completed here
+                for waiter in waiting[origin].get(lhs, ()):
+                    if waiter + 1 not in seen:
+                        seen.add(waiter + 1)
+                        work.append(waiter + 1)
     return completed
 
 
@@ -102,54 +148,84 @@ def recognize(cfg: CFG, tokens: list[str]) -> bool:
 
 def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
     """All abstract syntax trees deriving `tokens`, deduplicated, in grammar order."""
-    completed = _run(cfg, tokens)
+    charts: list[set[int]] = []
+    completed = _run(cfg, tokens, charts)
     n = len(tokens)
-    rhs_of, slots_of, by_lhs = cfg.rhs, cfg.slots, cfg.by_lhs
-    productions = cfg.productions
-    memo: dict[tuple[int, int, int], list[Term] | None] = {}
-
-    def tree(idx: int, subs: tuple[Term, ...]) -> Term:
-        p = productions[idx]
-        args: list[Term | None] = [None] * p.arity
-        for argi, sub in zip(slots_of[idx], subs):
-            args[argi] = sub
-        return app(Const(p.fun), *args)
+    rhs_of, by_lhs, state, builds = cfg.rhs, cfg.by_lhs, cfg.state, cfg.builds
+    width = len(cfg.after)
+    memo: dict[_Span, list[Term]] = {}
+    heads: dict[_Span, tuple[list[Term], list[_Span]]] = {}  # kept with the rest of their cycle
+    opened: dict[_Span, int] = {}  # open span -> its depth
+    hits: list[int] = []  # depths of the open spans that requests ran into
+    pending: list[_Span] = []  # spans not kept, for the head of their cycle
 
     def parses(code: int, i: int, j: int) -> list[Term]:
         key = (code, i, j)
-        if key in memo:
-            cached = memo[key]
-            return [] if cached is None else cached  # None marks a cycle
-        memo[key] = None
-        found: dict[Term, None] = {}
+        found = memo.get(key)
+        if found is not None:
+            return found
+        depth = opened.get(key)
+        if depth is not None:
+            hits.append(depth)
+            return []
+        head = heads.get(key)
+        if head is not None and not any(k in opened for k in head[1]):
+            return head[0]
+        depth = opened[key] = len(opened)
+        first_hit, first_pending = len(hits), len(pending)
+        trees: dict[Term, None] = {}
+        done, origin = charts[j], i * width
         for idx in by_lhs[code]:
-            for subs in splits(rhs_of[idx], 0, i, j):
-                found[tree(idx, subs)] = None
-        result = list(found)
-        memo[key] = result
-        return result
+            if origin + state[idx] + len(rhs_of[idx]) not in done:
+                continue
+            build = builds[idx]
+            if build.__class__ is not tuple:
+                trees[build] = None  # a nullary function: the chart item is its match
+                continue
+            head, order = build
+            for subs in splits(idx, 0, i, j):
+                if order is not None:
+                    subs = [subs[k] for k in order]
+                trees[app(head, *subs)] = None
+        del opened[key]
+        found = list(trees)
+        if len(hits) > first_hit:
+            low = min(hits[first_hit:])
+            del hits[first_hit:]
+            if low < depth:  # depends on a span further up: work it out again there
+                hits.append(low)
+                pending.append(key)
+                return found
+            if len(pending) > first_pending:
+                heads[key] = (found, pending[first_pending:])
+                del pending[first_pending:]
+                return found
+        memo[key] = found
+        return found
 
-    def splits(rhs: tuple, m: int, x: int, j: int) -> list[tuple[Term, ...]]:
-        """Bind rhs[m:] to tokens[x:j]: the subtrees of its codes, in order."""
-        while m < len(rhs) and rhs[m].__class__ is str:
+    def splits(idx: int, m: int, x: int, j: int) -> list[tuple[Term, ...]]:
+        """Bind rhs[m:] of production idx to tokens[x:j]: the subtrees of its codes."""
+        rhs = rhs_of[idx]
+        end = len(rhs)
+        while m < end and rhs[m].__class__ is str:
             if x == j or not _match(rhs[m], tokens[x], x):
                 return []
             m += 1
             x += 1
-        if m == len(rhs):
+        if m == end:
             return [()] if x == j else []
         child = rhs[m]
+        if m + 1 == end:
+            return [(sub,) for sub in parses(child, x, j)]
         out: list[tuple[Term, ...]] = []
         for y in completed.get((child, x), ()):
             if y > j:
                 break
-            subs = parses(child, x, y)
-            if not subs:
-                continue
-            tails = splits(rhs, m + 1, y, j)
-            for sub in subs:
-                for tail in tails:
-                    out.append((sub, *tail))
+            tails = splits(idx, m + 1, y, j)
+            if tails:
+                for sub in parses(child, x, y):
+                    for tail in tails:
+                        out.append((sub, *tail))
         return out
 
     results: dict[Term, None] = {}

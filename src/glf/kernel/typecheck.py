@@ -77,9 +77,13 @@ EMPTY = Context()
 class Checker:
     """Type inference and checking over one signature, for one call.
 
-    A checker remembers three things, and only for as long as it lives:
+    A checker remembers four things, and only for as long as it lives:
 
     - the β-normal form of each type it has normalized, in a `Normalizer`;
+    - the weak head normal form, with every δ unfolded, of each type that
+      `check` or an `App`'s function type needed one of, keyed by the
+      interned node. Only completed forms are stored, so a type that
+      diverges raises each time it is met;
     - the β-normal type of each constant it has looked up;
     - the inferred type of each `App` node, keyed by the context's `key`
       and the interned node. Only successful inferences are stored, so an
@@ -96,6 +100,13 @@ class Checker:
         self._normalize = Normalizer(sig)
         self._const_types: dict[str, Term] = {}
         self._app_types: dict[tuple[frozenset, Term], Term] = {}
+        self._whnfs: dict[Term, Term] = {}
+
+    def _whnf(self, t: Term) -> Term:
+        head = self._whnfs.get(t)
+        if head is None:
+            head = self._whnfs[t] = whnf(self.sig, t, delta="full")
+        return head
 
     def infer(self, ctx: Context, t: Term) -> Term:
         """β-normal type of `t` under standard LF rules."""
@@ -127,7 +138,7 @@ class Checker:
                 ty = self._app_types.get(key)
                 if ty is not None:
                     return ty
-                fn_type = whnf(sig, self.infer(ctx, fn), delta="full")
+                fn_type = self._whnf(self.infer(ctx, fn))
                 if not isinstance(fn_type, Pi):
                     raise NotAFunction(
                         f"{show(fn)} of type {show(fn_type)} is applied to {show(arg)}"
@@ -157,7 +168,7 @@ class Checker:
     def check(self, ctx: Context, t: Term, expected: Term) -> None:
         """Check `t` against `expected`, pushing Π domains into unannotated λs."""
         sig = self.sig
-        expected_w = whnf(sig, expected, delta="full")
+        expected_w = self._whnf(expected)
         if isinstance(t, Lam) and isinstance(expected_w, Pi):
             if t.binder_type is not None and not def_eq(sig, t.binder_type, expected_w.domain):
                 raise TypeMismatch(show(expected_w.domain), show(t.binder_type),

@@ -1065,9 +1065,19 @@ def run_cli(*args):
 #
 # The Earley parser as it stood before it ran on the CFG's integer tables,
 # kept as an oracle for `glf.grammar.earley`. `_reference_run`,
-# `_reference_nullable` and `reference_parse_tokens` are that code verbatim,
-# except that the productions by left-hand side and the start symbols, which
-# the CFG no longer provides as `NT` lists, are computed here.
+# `_reference_nullable` and `reference_parse_tokens_before` are that code
+# verbatim, except that the productions by left-hand side and the start
+# symbols, which the CFG no longer provides as `NT` lists, are computed here.
+#
+# `reference_parse_tokens_before` memoizes a span's trees even when working
+# them out ran into a span open further up, so a cycle through such a span
+# can lose trees, every tree of an accepted input included.
+# `reference_parse_tokens` is the same code with one rule changed: a span's
+# trees are kept only if no request made while working them out ran into an
+# open span, except the span's own productions asking for the span itself.
+# It returns exactly the trees in which no (nonterminal, span) repeats on a
+# root-to-leaf path, and the trees `reference_parse_tokens_before` returns
+# are among them.
 
 def _reference_match(terminal: str, word: str, pos: int) -> bool:
     return terminal == word or (pos == 0 and terminal.lower() == word.lower())
@@ -1165,6 +1175,74 @@ def reference_recognize(cfg, tokens: list[str]) -> bool:
 
 
 def reference_parse_tokens(cfg, tokens: list[str]) -> list[Term]:
+    """All abstract syntax trees deriving `tokens`, deduplicated, in grammar order."""
+    completed = _reference_run(cfg, tokens)
+    n = len(tokens)
+    expansions = _reference_expansions(cfg)
+    memo: dict = {}
+    opened: dict = {}  # open span -> its depth
+    hits: list = []  # (depth of the open span asked for, depth of the asker)
+
+    def parses(nt, i: int, j: int) -> list[Term]:
+        key = (nt, i, j)
+        if key in opened:
+            hits.append((opened[key], len(opened) - 1))
+            return []
+        if key in memo:
+            return memo[key]
+        depth = opened[key] = len(opened)
+        first_hit = len(hits)
+        found: list[Term] = []
+        for p in expansions.get(nt, []):
+            for bound in splits(p, 0, i, j):
+                args: list[Term | None] = [None] * p.arity
+                for argi, sub in bound:
+                    args[argi] = sub
+                t: Term = Const(p.fun)
+                for a in args:
+                    t = App(t, a)
+                found.append(t)
+        result = list(dict.fromkeys(found))
+        del opened[key]
+        outer = [(d, asker) for d, asker in hits[first_hit:] if d < depth]
+        keep = all(d > depth or d == asker == depth for d, asker in hits[first_hit:])
+        hits[first_hit:] = outer
+        if keep:
+            memo[key] = result
+        return result
+
+    def splits(p, m: int, x: int, j: int):
+        """Bind p.rhs[m:] to tokens[x:j]; yield ((arg index, tree), ...)."""
+        if m == len(p.rhs):
+            if x == j:
+                yield ()
+            return
+        it = p.rhs[m]
+        if isinstance(it, str):
+            if x < j and _reference_match(it, tokens[x], x):
+                yield from splits(p, m + 1, x + 1, j)
+            return
+        child, argi = it
+        for y in completed.get((child, x), ()):
+            if y > j:
+                break
+            subs = parses(child, x, y)
+            if not subs:
+                continue
+            tails = list(splits(p, m + 1, y, j))
+            for sub in subs:
+                for tail in tails:
+                    yield ((argi, sub),) + tail
+
+    results: list[Term] = []
+    for s in _reference_start_symbols(cfg):
+        if n in completed.get((s, 0), ()):
+            results.extend(parses(s, 0, n))
+    return list(dict.fromkeys(results))
+
+
+
+def reference_parse_tokens_before(cfg, tokens: list[str]) -> list[Term]:
     """All abstract syntax trees deriving `tokens`, deduplicated, in grammar order."""
     completed = _reference_run(cfg, tokens)
     n = len(tokens)

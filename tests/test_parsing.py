@@ -6,7 +6,7 @@ import itertools
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from glf.corpus import fragment_dir
 from glf.errors import GrammarError, MissingLin
@@ -24,7 +24,12 @@ from glf.grammar import (
 )
 from glf.kernel import App, Const
 from glf.shell import load_fragment, parse_gold_file
-from helpers import enumerate_asts, reference_parse_tokens, reference_recognize
+from helpers import (
+    enumerate_asts,
+    reference_parse_tokens,
+    reference_parse_tokens_before,
+    reference_recognize,
+)
 
 
 def ast(fun, *args):
@@ -300,6 +305,93 @@ class TestAgainstReference:
     def test_random_grammars(self, cfg, tokens):
         assert parse_tokens(cfg, tokens) == reference_parse_tokens(cfg, tokens)
         assert recognize(cfg, tokens) == reference_recognize(cfg, tokens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_cfgs(), st.lists(st.sampled_from(("a", "b", "A")), max_size=6))
+    def test_the_previous_parser_finds_no_tree_this_one_misses(self, cfg, tokens):
+        assert set(reference_parse_tokens_before(cfg, tokens)) <= set(parse_tokens(cfg, tokens))
+
+
+WRAP = """
+abstract Wrap = {
+  flags startcat = S ;
+  cat S ; X ;
+  fun wrap : X -> S ;
+      conj : S -> S -> X ;
+      atom : X ;
+}
+concrete WrapEng of Wrap = {
+  lincat S = { s : Str } ; X = { s : Str } ;
+  lin wrap x = { s = x.s } ;
+      conj a b = { s = a.s ++ "and" ++ b.s } ;
+      atom = { s = "p" } ;
+}
+"""
+
+R_, X_ = NT("R", (), ()), NT("X", (), ())
+
+#: S -> B ; B -> S "b" | "a": left recursion through a unit production.
+LEFT = CFG("S", (
+    Production(S_, ((B_, 0),), "s", 1),
+    Production(B_, ((S_, 0), "b"), "b", 1),
+    Production(B_, ("a",), "a", 0),
+))
+
+#: R -> X | S ; X -> S | "a" ; S -> X | "a": every span of "a" lies on the
+#: cycle X -> S -> X, which the parser meets first from X and then from S.
+UNIT_CYCLE = CFG("R", (
+    Production(R_, ((X_, 0),), "r1", 1),
+    Production(R_, ((S_, 0),), "r2", 1),
+    Production(X_, ((S_, 0),), "g", 1),
+    Production(X_, ("a",), "k", 0),
+    Production(S_, ((X_, 0),), "f", 1),
+    Production(S_, ("a",), "h", 0),
+))
+
+
+class TestCycles:
+    """Extraction returns exactly the trees in which no (nonterminal, span)
+    repeats on a root-to-leaf path, so a left recursion loses no tree."""
+
+    def test_indirect_left_recursion(self):
+        _, _, cfg = pipeline(WRAP, "Wrap", "WrapEng")
+        atom = ast("wrap", ast("atom"))
+        assert parse_tokens(cfg, tokenize("p and p")) == [
+            ast("wrap", ast("conj", atom, atom))]
+        inner = ast("wrap", ast("conj", atom, atom))
+        assert parse_tokens(cfg, tokenize("p and p and p")) == [
+            ast("wrap", ast("conj", atom, inner)),
+            ast("wrap", ast("conj", inner, atom)),
+        ]
+
+    def test_left_recursion_through_a_unit_production(self):
+        assert parse_tokens(LEFT, ["a", "b"]) == [ast("s", ast("b", ast("s", ast("a"))))]
+        tree = ast("s", ast("a"))
+        for _ in range(160):
+            tree = ast("s", ast("b", tree))
+        assert parse_tokens(LEFT, ["a"] + ["b"] * 160) == [tree]
+
+    def test_a_cycle_met_from_two_sides_gives_each_tree_once_without_repeats(self):
+        # Under r2, S -> X -> S repeats S, so f (g h) is not a tree of it.
+        assert parse_tokens(UNIT_CYCLE, ["a"]) == [
+            ast("r1", ast("g", ast("h"))), ast("r1", ast("k")),
+            ast("r2", ast("f", ast("k"))), ast("r2", ast("h")),
+        ]
+        assert parse_tokens(UNIT_CYCLE, ["a"]) == reference_parse_tokens(UNIT_CYCLE, ["a"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_cfgs(), st.lists(st.sampled_from(("a", "b", "A")), max_size=6))
+    @example(LEFT, ["a", "b"])
+    def test_an_accepted_input_has_a_tree(self, cfg, tokens):
+        assert recognize(cfg, tokens) == bool(parse_tokens(cfg, tokens))
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_cfgs(), st.lists(st.sampled_from(("a", "b", "A")), max_size=6), st.randoms())
+    def test_the_trees_do_not_depend_on_the_order_of_productions(self, cfg, tokens, rnd):
+        shuffled = list(cfg.productions)
+        rnd.shuffle(shuffled)
+        assert set(parse_tokens(cfg, tokens)) == set(
+            parse_tokens(CFG(cfg.start, tuple(shuffled)), tokens))
 
 
 class TestLinearize:

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from glf.errors import GlfError, NotAFunction, TypeMismatch, UnknownConstant, UntypedBinder
+from glf.errors import (
+    GlfError,
+    NonTerminationGuard,
+    NotAFunction,
+    TypeMismatch,
+    UnknownConstant,
+    UntypedBinder,
+)
 from glf.kernel import (
     App,
     Const,
@@ -22,6 +29,8 @@ from glf.kernel import (
     infer_type,
     lam,
 )
+from glf.kernel import typecheck
+from glf.kernel.reduce import whnf
 from glf.kernel.terms import show
 from glf.kernel.typecheck import Checker, Context, EMPTY
 from helpers import (
@@ -278,6 +287,30 @@ class TestAgainstTheReference:
         # Of the new bracketing's seven App nodes, only the three that
         # bracket differently are inferred; the rest are looked up.
         assert len(checker._app_types) == before + 3
+
+    def test_each_weak_head_form_is_worked_out_once(self, monkeypatch):
+        asked = []
+
+        def counting_whnf(sig, t, **kwargs):
+            asked.append(t)
+            return whnf(sig, t, **kwargs)
+
+        monkeypatch.setattr(typecheck, "whnf", counting_whnf)
+        checker = Checker(DIFF_SIG)
+        checker.check(EMPTY, app(and_, App(run, joan), App(run, mary)), O)
+        checker.check(EMPTY, app(and_, App(run, mary), app(and_, App(run, joan), App(run, joan))), O)
+        assert asked and len(asked) == len(set(asked))
+        assert set(asked) == set(checker._whnfs)
+
+    def test_a_diverging_type_raises_each_time(self):
+        omega = App(Lam("x", None, App(Var("x"), Var("x"))), Lam("x", None, App(Var("x"), Var("x"))))
+        checker = Checker(DIFF_SIG)
+        for _ in range(2):
+            with pytest.raises(NonTerminationGuard):
+                checker.check(EMPTY, joan, omega)
+        assert omega not in checker._whnfs
+        with pytest.raises(NonTerminationGuard):
+            reference_check_type(DIFF_SIG, EMPTY, joan, omega)
 
     def test_equal_contexts_share_inferences(self):
         # Made apart, by the constructor and by `extend`, equal bindings
