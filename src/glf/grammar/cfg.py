@@ -56,12 +56,11 @@ class CFG:
 
     The tables are derived from the productions once, at construction.
     Nonterminals become small int codes, left-hand sides first, each in
-    order of first appearance. Production `i` has left-hand side `lhs[i]`
-    and right-hand side `rhs[i]`, a tuple of terminal strings and codes;
-    `by_lhs[c]` lists the productions of code `c` in declaration order,
-    `nullable[c]` says whether `c` derives the empty string, and `starts`
-    are the codes of the start category, in order of first appearance as a
-    left-hand side.
+    order of first appearance. Production `i` has right-hand side
+    `rhs[i]`, a tuple of terminal strings and codes. `by_lhs[c]` lists the
+    productions of code `c` in declaration order, `nullable[c]` says
+    whether `c` derives the empty string, and `starts` are the codes of
+    the start category, in order of first appearance as a left-hand side.
 
     A dotted production is a state: production `i` with its dot before
     symbol `d` of its right-hand side is state `state[i] + d`, and
@@ -83,17 +82,15 @@ class CFG:
 
     start: str
     productions: tuple[Production, ...]
-    lhs: list[int] = field(init=False, repr=False, compare=False)
     rhs: list[tuple[str | int, ...]] = field(init=False, repr=False, compare=False)
     by_lhs: list[list[int]] = field(init=False, repr=False, compare=False)
     nullable: list[bool] = field(init=False, repr=False, compare=False)
     starts: list[int] = field(init=False, repr=False, compare=False)
     state: list[int] = field(init=False, repr=False, compare=False)
     after: list[str | int] = field(init=False, repr=False, compare=False)
-    predict: list[dict[str, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
-    predict_initial: list[dict[str, tuple[int, ...]]] = field(
-        init=False, repr=False, compare=False)
-    predict_empty: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    predict: list[dict[str, list[int]]] = field(init=False, repr=False, compare=False)
+    predict_initial: list[dict[str, list[int]]] = field(init=False, repr=False, compare=False)
+    predict_empty: list[list[int]] = field(init=False, repr=False, compare=False)
     builds: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -112,15 +109,32 @@ class CFG:
             for c, r in zip(lhs, rhs):
                 if not nullable[c] and all(not isinstance(it, str) and nullable[it] for it in r):
                     nullable[c] = changed = True
-        # first[c]: the terminals that a string derived from c can begin with.
+        # A production begins with a symbol of `leads[i]`: its nullable codes
+        # up to the first other symbol, and that symbol. It derives the
+        # empty string if that symbol is past its end.
+        leads, empties = [], []
+        for r in rhs:
+            k = 0
+            while k < len(r) and r[k].__class__ is int and nullable[r[k]]:
+                k += 1
+            leads.append(r[:k + 1])
+            empties.append(k == len(r))
+        # The terminals that a string derived from production i, or from
+        # code c, can begin with: starters[i] and first[c].
+        starters: list[set[str]] = [set() for _ in rhs]
         first: list[set[str]] = [set() for _ in codes]
         changed = True
         while changed:
             changed = False
-            for c, r in zip(lhs, rhs):
-                size = len(first[c])
-                first[c].update(_first_of(r, first, nullable))
-                changed = changed or len(first[c]) != size
+            for c, lead, f in zip(lhs, leads, starters):
+                for it in lead:
+                    if it.__class__ is str:
+                        f.add(it)
+                    else:
+                        f |= first[it]
+                if not f <= first[c]:
+                    first[c] |= f
+                    changed = True
         state: list[int] = []
         after: list[str | int] = []
         for c, r in zip(lhs, rhs):
@@ -130,25 +144,23 @@ class CFG:
         predict: list[dict[str, list[int]]] = [{} for _ in codes]
         predict_initial: list[dict[str, list[int]]] = [{} for _ in codes]
         predict_empty: list[list[int]] = [[] for _ in codes]
-        for c, r, s0 in zip(lhs, rhs, state):
-            starters = _first_of(r, first, nullable)
-            if all(not isinstance(it, str) and nullable[it] for it in r):
+        for c, s0, f, empty in zip(lhs, state, starters, empties):
+            if empty:
                 predict_empty[c].append(s0)
-                starters = first[c]  # any token may follow it
-            for t in starters:
+                f = first[c]  # any token may follow it
+            for t in f:
                 predict[c].setdefault(t, []).append(s0)
-            for t in {t.lower() for t in starters}:
+            for t in {t.lower() for t in f}:
                 predict_initial[c].setdefault(t, []).append(s0)
         builds: list = []
         for p in self.productions:
-            slots = tuple(it[1] for it in p.rhs if not isinstance(it, str))
-            head = Const(p.fun)
+            slots = [it[1] for it in p.rhs if not isinstance(it, str)]
             if not slots:
-                builds.append(head)
+                builds.append(Const(p.fun))
+            elif slots == sorted(slots):
+                builds.append((Const(p.fun), None))
             else:
-                order = tuple(sorted(range(len(slots)), key=slots.__getitem__))
-                builds.append((head, None if order == tuple(range(len(slots))) else order))
-        object.__setattr__(self, "lhs", lhs)
+                builds.append((Const(p.fun), sorted(range(len(slots)), key=slots.__getitem__)))
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "by_lhs", by_lhs)
         object.__setattr__(self, "nullable", nullable)
@@ -157,25 +169,10 @@ class CFG:
         ])
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "after", after)
-        object.__setattr__(self, "predict", [
-            {t: tuple(ps) for t, ps in d.items()} for d in predict])
-        object.__setattr__(self, "predict_initial", [
-            {t: tuple(ps) for t, ps in d.items()} for d in predict_initial])
-        object.__setattr__(self, "predict_empty", [tuple(ps) for ps in predict_empty])
+        object.__setattr__(self, "predict", predict)
+        object.__setattr__(self, "predict_initial", predict_initial)
+        object.__setattr__(self, "predict_empty", predict_empty)
         object.__setattr__(self, "builds", builds)
-
-
-def _first_of(rhs: tuple, first: list[set[str]], nullable: list[bool]) -> set[str]:
-    """The terminals that a string derived from `rhs` can begin with."""
-    out: set[str] = set()
-    for it in rhs:
-        if isinstance(it, str):
-            out.add(it)
-            return out
-        out |= first[it]
-        if not nullable[it]:
-            return out
-    return out
 
 
 def _valuations(grammar: ConcreteGrammar, param_names: tuple[str, ...]):

@@ -6,43 +6,46 @@ order is deterministic: productions in declaration order, split points
 left to right.
 
 Both passes run on the integer tables a `CFG` builds once (nonterminal
-codes, coded right-hand sides, productions by left-hand side, nullability,
-prediction tables, tree builders). Chart items are `(production, dot,
-origin)` triples, one set of them per input position. The recognizer
-keeps, per position, the items waiting on each nonterminal: a nonterminal
-is predicted the first time an item waits on it, a completion advances
-only the items waiting on its left-hand side at its origin, and the usual
-eager advance over nullable nonterminals makes empty linearizations work.
+codes, coded right-hand sides, dotted-production states, prediction
+tables, tree builders). A chart item is one int that packs a state with
+the item's origin. The recognizer keeps, per position, the items waiting
+on each nonterminal: a nonterminal is predicted the first time an item
+waits on it, a completion advances only the items waiting on its
+left-hand side at its origin, and the usual eager advance over nullable
+nonterminals makes empty linearizations work.
 
 Lookahead. A prediction adds only the productions that can begin with the
-next token (the first token matched case-insensitively, so
-sentence-initial capitalization needs no lexicon duplicates) or derive the
-empty string. Any other production needs a token it cannot have, so it
-never completes: every completed span, and every item a tree can use,
-stays in the chart.
+next token or derive the empty string. The first token matches in any
+case, so sentence-initial capitalization needs no lexicon duplicates. Any
+other production needs a token that is not there, so it never completes:
+every completed span, and every item that a tree can use, stays in the
+chart.
 
-Item-guided extraction. `parse_tokens` keeps each position's item set.
-The trees of a nonterminal over tokens i..j come from the productions
-whose completed item `(production, length, i)` is in the chart at j, and
-nothing else is tried. A nonterminal in a right-hand side is split off at
-the ends of its completed spans, and the rest of the right-hand side is
-bound before the subtrees are asked for, so only spans that some tree
-uses are ever extracted: the last nonterminal of a right-hand side ends
-where the production does. (Where the items before the split are in the
-chart, the advanced item at each such end is too, so the split needs no
-second check.)
+Item-guided extraction. `parse_tokens` keeps the chart's completed items,
+each with the position where it completed; `recognize` keeps none. The
+trees of a nonterminal over tokens i..j come only from the productions
+whose item completed from i at j. A nonterminal in a right-hand side is
+split off at the ends of its completed spans, and the rest of the
+right-hand side is bound before that nonterminal's trees are asked for.
+So a span is extracted only if some tree uses it, and the last
+nonterminal of a right-hand side is asked for once, ending where the
+production ends. The items before a split are in the chart, so the
+advanced item at each such end is too, and a split needs no check of its
+own.
 
 Cycles. A (nonterminal, span) that is asked for while its trees are still
 being worked out yields none there. Its trees are kept for reuse only if
-no such request made while working them out hit a span opened further up
-the stack; a request back into the same span does not count. Such a span
-heads a cycle of spans that reach each other. Its kept trees are reused
-only while no other span of that cycle is open, and are worked out afresh
-otherwise. So extraction returns exactly the trees in which no
-(nonterminal, span) repeats on a root-to-leaf path, whatever order it
-explores in. That cannot lose every tree of an accepted sentence: a
-smallest derivation has no such repeat, since cutting out the part between
-two repeats gives a smaller one.
+no such request, made while working them out, ran into a span opened
+further up the stack; a request back into the span itself does not count.
+A span that requests did run back into heads a cycle of spans that reach
+each other, and its trees are reused only while no other span of that
+cycle is open. Otherwise they are worked out afresh, since the trees kept
+could repeat a span of the cycle that is open above. So extraction returns
+exactly the trees in which no (nonterminal, span) repeats on a
+root-to-leaf path, whatever order it explores in. That cannot lose every
+tree of an accepted sentence: cutting out the part between two repeats
+gives a smaller derivation, so a smallest one has no repeat, and its tree
+is found.
 
 Trees are interned terms, so equal trees are the same object and the
 duplicates a parse finds collapse as dict keys. Extraction still recurses
@@ -67,13 +70,13 @@ def _match(terminal: str, word: str, pos: int) -> bool:
     return terminal == word or (pos == 0 and terminal.lower() == word.lower())
 
 
-def _run(cfg: CFG, tokens: list[str], charts: list[set[int]] | None = None,
+def _run(cfg: CFG, tokens: list[str], done: set[int] | None = None,
          ) -> dict[tuple[int, int], list[int]]:
     """Return completed spans: (nonterminal code, start) -> ascending ends.
 
-    With `charts`, append each position's item set to it. An item is the
-    int `origin * width + state`, for `width` states in all, so advancing
-    its dot adds one.
+    An item is the int `origin * width + state`, for `width` states in
+    all, so advancing its dot adds one. With `done`, add to it each item
+    that completes at position `end` as `end * (n + 1) * width + item`.
     """
     n = len(tokens)
     after, nullable, empty = cfg.after, cfg.nullable, cfg.predict_empty
@@ -92,7 +95,7 @@ def _run(cfg: CFG, tokens: list[str], charts: list[set[int]] | None = None,
         else:
             word = key = tokens[pos]
             table = cfg.predict
-        here = pos * width
+        here, finished = pos * width, pos * (n + 1) * width
         wait: dict[int, list[int]] = {}
         waiting.append(wait)
         if pos == 0:
@@ -102,8 +105,6 @@ def _run(cfg: CFG, tokens: list[str], charts: list[set[int]] | None = None,
                 wait[s] = []
                 items.extend(table[s].get(key, empty[s]))
         seen = set(items)
-        if charts is not None:
-            charts.append(seen)
         work, items = items, []
         for item in work:  # grows while it is walked
             sym = after[item % width]
@@ -125,6 +126,8 @@ def _run(cfg: CFG, tokens: list[str], charts: list[set[int]] | None = None,
                     seen.add(item + 1)
                     work.append(item + 1)
             else:
+                if done is not None:
+                    done.add(finished + item)
                 lhs, origin = ~sym, item // width
                 ends = completed.get((lhs, origin))
                 if ends is None:
@@ -148,8 +151,8 @@ def recognize(cfg: CFG, tokens: list[str]) -> bool:
 
 def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
     """All abstract syntax trees deriving `tokens`, deduplicated, in grammar order."""
-    charts: list[set[int]] = []
-    completed = _run(cfg, tokens, charts)
+    done: set[int] = set()
+    completed = _run(cfg, tokens, done)
     n = len(tokens)
     rhs_of, by_lhs, state, builds = cfg.rhs, cfg.by_lhs, cfg.state, cfg.builds
     width = len(cfg.after)
@@ -168,15 +171,15 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
         if depth is not None:
             hits.append(depth)
             return []
-        head = heads.get(key)
-        if head is not None and not any(k in opened for k in head[1]):
-            return head[0]
+        kept = heads.get(key)
+        if kept is not None and not any(k in opened for k in kept[1]):
+            return kept[0]
         depth = opened[key] = len(opened)
         first_hit, first_pending = len(hits), len(pending)
         trees: dict[Term, None] = {}
-        done, origin = charts[j], i * width
+        span = (j * (n + 1) + i) * width
         for idx in by_lhs[code]:
-            if origin + state[idx] + len(rhs_of[idx]) not in done:
+            if span + state[idx] + len(rhs_of[idx]) not in done:
                 continue
             build = builds[idx]
             if build.__class__ is not tuple:
