@@ -337,8 +337,9 @@ LEFT = CFG("S", (
     Production(B_, ("a",), "a", 0),
 ))
 
-#: R -> X | S ; X -> S | "a" ; S -> X | "a": every span of "a" lies on the
-#: cycle X -> S -> X, which the parser meets first from X and then from S.
+#: R -> X | S ; X -> S | "a" ; S -> X | "a": on "a", X and S over the one
+#: span make the cycle X -> S -> X, which extraction meets first from X and
+#: then from S.
 UNIT_CYCLE = CFG("R", (
     Production(R_, ((X_, 0),), "r1", 1),
     Production(R_, ((S_, 0),), "r2", 1),
