@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from glf.errors import GrammarError, UnknownCategory
 from glf.kernel import Const, Term, spine
+from glf.kernel.terms import show
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def ast_category(grammar: AbstractGrammar, ast: Term) -> str:
     """The category of a well-formed tree; raises GrammarError otherwise."""
     head, args = spine(ast)
     if not isinstance(head, Const):
-        raise GrammarError(f"not an abstract syntax tree: {ast!r}")
+        raise GrammarError(f"not an abstract syntax tree: {show(ast)}")
     f = grammar.fun(head.name)
     if len(args) != len(f.args):
         raise GrammarError(
@@ -89,5 +90,5 @@ def ast_category(grammar: AbstractGrammar, ast: Term) -> str:
 def ast_depth(ast: Term) -> int:
     head, args = spine(ast)
     if not isinstance(head, Const):
-        raise GrammarError(f"not an abstract syntax tree: {ast!r}")
+        raise GrammarError(f"not an abstract syntax tree: {show(ast)}")
     return 1 + max((ast_depth(a) for a in args), default=0)

@@ -61,6 +61,8 @@ class CFG:
     productions of code `c` in declaration order, `nullable[c]` says
     whether `c` derives the empty string, and `starts` are the codes of
     the start category, in order of first appearance as a left-hand side.
+    `cyclic` holds the codes that can derive themselves over one span, by
+    productions whose other symbols derive the empty string.
 
     A dotted production is a state: production `i` with its dot before
     symbol `d` of its right-hand side is state `state[i] + d`, and
@@ -85,6 +87,7 @@ class CFG:
     rhs: list[tuple[str | int, ...]] = field(init=False, repr=False, compare=False)
     by_lhs: list[list[int]] = field(init=False, repr=False, compare=False)
     nullable: list[bool] = field(init=False, repr=False, compare=False)
+    cyclic: frozenset[int] = field(init=False, repr=False, compare=False)
     starts: list[int] = field(init=False, repr=False, compare=False)
     state: list[int] = field(init=False, repr=False, compare=False)
     after: list[str | int] = field(init=False, repr=False, compare=False)
@@ -109,6 +112,23 @@ class CFG:
             for c, r in zip(lhs, rhs):
                 if not nullable[c] and all(not isinstance(it, str) and nullable[it] for it in r):
                     nullable[c] = changed = True
+        # steps[c]: the codes c derives over its own span by one production,
+        # whose other symbols derive the empty string.
+        steps: list[set[int]] = [set() for _ in codes]
+        for c, r in zip(lhs, rhs):
+            hard = [it for it in r if it.__class__ is str or not nullable[it]]
+            if not hard or (len(hard) == 1 and hard[0].__class__ is int):
+                steps[c].update(hard or r)
+        cyclic = set()
+        for c in range(len(codes)):
+            reached, todo = set(), list(steps[c])
+            while todo and c not in reached:
+                d = todo.pop()
+                if d not in reached:
+                    reached.add(d)
+                    todo.extend(steps[d])
+            if c in reached:
+                cyclic.add(c)
         # A production begins with a symbol of `leads[i]`: its nullable codes
         # up to the first other symbol, and that symbol. It derives the
         # empty string if that symbol is past its end.
@@ -164,6 +184,7 @@ class CFG:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "by_lhs", by_lhs)
         object.__setattr__(self, "nullable", nullable)
+        object.__setattr__(self, "cyclic", frozenset(cyclic))
         object.__setattr__(self, "starts", [
             c for nt, c in codes.items() if nt.cat == self.start and by_lhs[c]
         ])

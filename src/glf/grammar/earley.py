@@ -33,19 +33,19 @@ production ends. The items before a split are in the chart, so the
 advanced item at each such end is too, and a split needs no check of its
 own.
 
-Cycles. A (nonterminal, span) that is asked for while its trees are still
-being worked out yields none there. Its trees are kept for reuse only if
-no such request, made while working them out, ran into a span opened
-further up the stack; a request back into the span itself does not count.
-A span that requests did run back into heads a cycle of spans that reach
-each other, and its trees are reused only while no other span of that
-cycle is open. Otherwise they are worked out afresh, since the trees kept
-could repeat a span of the cycle that is open above. So extraction returns
-exactly the trees in which no (nonterminal, span) repeats on a
-root-to-leaf path, whatever order it explores in. That cannot lose every
-tree of an accepted sentence: cutting out the part between two repeats
-gives a smaller derivation, so a smallest one has no repeat, and its tree
-is found.
+Cycles. On a root-to-leaf path spans only shrink, so a (nonterminal,
+span) can repeat only within a run of nodes over one span, which unit and
+nullable steps make. Extraction passes down the codes open over the
+current span, and a code already open there yields no tree. So it returns
+exactly the trees in which no (nonterminal, span) repeats on a root-to-leaf
+path. That cannot lose every tree of an accepted sentence: cutting out the
+part between two repeats gives a smaller derivation, so a smallest one has
+no repeat, and its tree is found. Only a code in `CFG.cyclic`, which can
+derive itself over one span, has trees that depend on the codes open above
+it, so only its memo key holds them. Any other code's key is its span
+alone, and it passes no open code down: a code below it over its span that
+reached one above would make it cyclic. No shipped grammar has a cyclic
+code, so their extraction is plain memoized recursion.
 
 Trees are interned terms, so equal trees are the same object and the
 duplicates a parse finds collapse as dict keys. Extraction still recurses
@@ -59,7 +59,7 @@ from __future__ import annotations
 from glf.grammar.cfg import CFG
 from glf.kernel import Term, app
 
-_Span = tuple[int, int, int]  # (nonterminal code, start, end)
+_NONE: frozenset[int] = frozenset()
 
 
 def tokenize(text: str) -> list[str]:
@@ -155,27 +155,24 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
     completed = _run(cfg, tokens, done)
     n = len(tokens)
     rhs_of, by_lhs, state, builds = cfg.rhs, cfg.by_lhs, cfg.state, cfg.builds
+    cyclic = cfg.cyclic
     width = len(cfg.after)
-    memo: dict[_Span, list[Term]] = {}
-    heads: dict[_Span, tuple[list[Term], list[_Span]]] = {}  # kept with the rest of their cycle
-    opened: dict[_Span, int] = {}  # open span -> its depth
-    hits: list[int] = []  # depths of the open spans that requests ran into
-    pending: list[_Span] = []  # spans not kept, for the head of their cycle
+    memo: dict[tuple, list[Term]] = {}
 
-    def parses(code: int, i: int, j: int) -> list[Term]:
-        key = (code, i, j)
+    def parses(code: int, i: int, j: int, above: frozenset[int]) -> list[Term]:
+        """The trees of code over tokens[i:j] in which no code of `above`,
+        the codes open over the same span, recurs over it."""
+        if code in cyclic:
+            if code in above:
+                return []
+            key = (code, i, j, above)
+            above = above | {code}
+        else:
+            key = (code, i, j)
+            above = _NONE  # no code below it over its span reaches one above
         found = memo.get(key)
         if found is not None:
             return found
-        depth = opened.get(key)
-        if depth is not None:
-            hits.append(depth)
-            return []
-        kept = heads.get(key)
-        if kept is not None and not any(k in opened for k in kept[1]):
-            return kept[0]
-        depth = opened[key] = len(opened)
-        first_hit, first_pending = len(hits), len(pending)
         trees: dict[Term, None] = {}
         span = (j * (n + 1) + i) * width
         for idx in by_lhs[code]:
@@ -186,28 +183,18 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
                 trees[build] = None  # a nullary function: the chart item is its match
                 continue
             head, order = build
-            for subs in splits(idx, 0, i, j):
+            for subs in splits(idx, 0, i, j, above):
                 if order is not None:
                     subs = [subs[k] for k in order]
                 trees[app(head, *subs)] = None
-        del opened[key]
-        found = list(trees)
-        if len(hits) > first_hit:
-            low = min(hits[first_hit:])
-            del hits[first_hit:]
-            if low < depth:  # depends on a span further up: work it out again there
-                hits.append(low)
-                pending.append(key)
-                return found
-            if len(pending) > first_pending:
-                heads[key] = (found, pending[first_pending:])
-                del pending[first_pending:]
-                return found
-        memo[key] = found
+        found = memo[key] = list(trees)
         return found
 
-    def splits(idx: int, m: int, x: int, j: int) -> list[tuple[Term, ...]]:
-        """Bind rhs[m:] of production idx to tokens[x:j]: the subtrees of its codes."""
+    def splits(idx: int, m: int, x: int, j: int, above: frozenset[int],
+               ) -> list[tuple[Term, ...]]:
+        """Bind rhs[m:] of production idx to tokens[x:j]: the subtrees of its
+        codes. `above` holds the codes open over tokens[x:j] if that is the
+        whole span of the production, and none otherwise."""
         rhs = rhs_of[idx]
         end = len(rhs)
         while m < end and rhs[m].__class__ is str:
@@ -215,18 +202,19 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
                 return []
             m += 1
             x += 1
+            above = _NONE
         if m == end:
             return [()] if x == j else []
         child = rhs[m]
         if m + 1 == end:
-            return [(sub,) for sub in parses(child, x, j)]
+            return [(sub,) for sub in parses(child, x, j, above)]
         out: list[tuple[Term, ...]] = []
         for y in completed.get((child, x), ()):
             if y > j:
                 break
-            tails = splits(idx, m + 1, y, j)
+            tails = splits(idx, m + 1, y, j, above if y == x else _NONE)
             if tails:
-                for sub in parses(child, x, y):
+                for sub in parses(child, x, y, above if y == j else _NONE):
                     for tail in tails:
                         out.append((sub, *tail))
         return out
@@ -235,7 +223,7 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
     try:
         for s in cfg.starts:
             if n in completed.get((s, 0), ()):
-                for t in parses(s, 0, n):
+                for t in parses(s, 0, n, _NONE):
                     results[t] = None
     finally:
         del parses, splits  # the closures refer to each other; free them with the call

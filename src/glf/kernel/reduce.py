@@ -5,20 +5,21 @@
     redex, i.e. it is applied and its definiens is a λ. Unapplied defined
     constants stay opaque, so normal forms keep names like `or` readable.
   - "full": every defined constant unfolds — used for definitional equality.
-  - "none": pure β.
+Without a signature, normalization is pure β.
 
-A redex spine `(λx₁…xₖ. B) a₁…aₖ` whose arguments are closed is contracted
-in one walk over B that substitutes all of them at once
-(`substitute_closed`). A closed argument has no free variable for a binder
-of B to capture, so no binder is renamed and the result is the very node k
-one-binder substitutions give; collecting stops at a binder that shadows an
-earlier one, and an open argument is substituted alone by `substitute`.
-Each contraction still spends one step. When the body left after the
-binders is an application spine, its head and each of its arguments are
-substituted apart, and the arguments go straight onto the argument stack:
-the substituted spine is never built, only to be taken apart again. The
-weak head normal form is handed on as its head and its arguments, so
-`norm` builds each application spine once, from its normalized arguments.
+A redex spine `(λx₁…xₖ. B) a₁…aₖ` is contracted in one walk over B that
+substitutes its arguments at once (`substitute_all`). Binders are collected
+only while every argument so far is closed, and up to a binder that shadows
+an earlier one. A closed argument has no free variable for a binder of B to
+capture, so no binder is renamed and the result is the very node k
+one-binder substitutions give; an open argument is substituted alone,
+renaming binders as `substitute` does. Each contraction still spends one
+step. When the body left after the binders is an application spine, its
+head and each of its arguments are substituted apart, and the arguments go
+straight onto the argument stack: the substituted spine is never built,
+only to be taken apart again. The weak head normal form is handed on as its
+head and its arguments, so `norm` builds each application spine once, from
+its normalized arguments.
 
 Each term normalized gets its own step budget; exceeding it raises
 NonTerminationGuard rather than silently truncating. The budget only guards
@@ -40,7 +41,7 @@ from __future__ import annotations
 from glf.errors import NonTerminationGuard
 from glf.kernel.declarations import Signature
 from glf.kernel.terms import (
-    App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, substitute, substitute_closed,
+    App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, substitute_all,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -75,28 +76,19 @@ def _whnf(t: Term, sig: Signature | None, delta: str,
         if cls is Lam and args:
             budget.spend()
             arg = args.pop()
-            if free_vars(arg):
-                x, t = t.binder, t.body
-                while t.__class__ is App:
-                    args.append(substitute(t.arg, x, arg))
-                    t = t.fn
-                t = substitute(t, x, arg)
-                continue
-            # Contract the binders that closed arguments meet in one walk,
-            # up to a binder that shadows an earlier one.
-            values = {t.binder: arg}
+            values, avoid = {t.binder: arg}, free_vars(arg)
             t = t.body
-            while (t.__class__ is Lam and args and t.binder not in values
+            while (not avoid and t.__class__ is Lam and args and t.binder not in values
                    and not free_vars(args[-1])):
                 budget.spend()
                 values[t.binder] = args.pop()
                 t = t.body
             while t.__class__ is App:
-                args.append(substitute_closed(t.arg, values))
+                args.append(substitute_all(t.arg, values, avoid))
                 t = t.fn
-            t = substitute_closed(t, values)
+            t = substitute_all(t, values, avoid)
             continue
-        if cls is Const and sig is not None and delta != "none":
+        if cls is Const and sig is not None:
             d = sig.lookup(t.name)
             if d is not None and d.definiens is not None:
                 if delta == "full" or (args and isinstance(d.definiens, Lam)):

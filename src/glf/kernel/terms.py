@@ -22,11 +22,12 @@ no node refers to itself and the cyclic collector is never needed to free
 one. Neither cache is a field: not an argument, a match pattern, or part
 of ``repr``, ``==`` or ``hash``.
 
-The recursive walks (`substitute`, `alpha_normal`) recurse through a
-closure that refers to itself; each deletes it when its call ends, so a
-call leaves no reference cycle behind. `substitute_closed`, which
-substitutes closed terms for several variables in one walk, recurses
-through itself as a module function and so makes no closure at all.
+Every substitution is one walk, `substitute_all`, which substitutes
+several variables at once and renames a binder only where a value's free
+variable would be captured; `substitute` is its one-variable case. It
+recurses through itself as a module function, so it makes no closure.
+`alpha_normal` recurses through a closure that refers to itself and
+deletes it when its call ends, so a call leaves no reference cycle behind.
 
 The non-dependent arrow ``A -> B`` is not a separate constructor: it is a
 `Pi` whose binder, ``_`` primed until fresh, does not occur free in the
@@ -296,48 +297,17 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     """Capture-avoiding substitution of `s` for free occurrences of `x`."""
     if x not in free_vars(t):
         return t
-    fv_s = free_vars(s)
-
-    def go(t: Term) -> Term:
-        try:
-            fv = t._free_vars
-        except AttributeError:
-            fv = free_vars(t)
-        if x not in fv:
-            return t
-        cls = t.__class__
-        if cls is App:
-            return App(go(t.fn), go(t.arg))
-        if cls is Var:
-            return s
-        if cls is Lam:
-            binder, binder_type, body = t.binder, t.binder_type, t.body
-            bt = go(binder_type) if binder_type is not None else None
-            if binder == x:
-                return Lam(binder, bt, body)
-            if binder in fv_s and x in free_vars(body):
-                binder, body = rename_away(binder, body, fv_s)
-            return Lam(binder, bt, go(body))
-        binder, domain, codomain = t.binder, t.domain, t.codomain  # a Pi
-        dom = go(domain)
-        if binder == x:
-            return Pi(binder, dom, codomain)
-        if binder in fv_s and x in free_vars(codomain):
-            binder, codomain = rename_away(binder, codomain, fv_s)
-        return Pi(binder, dom, go(codomain))
-
-    try:
-        return go(t)
-    finally:
-        del go  # the closure refers to itself; free it with the call
+    return substitute_all(t, {x: s}, free_vars(s))
 
 
-def substitute_closed(t: Term, values: dict[str, Term]) -> Term:
+def substitute_all(t: Term, values: dict[str, Term], avoid: AbstractSet[str]) -> Term:
     """Substitute `values[x]` for the free occurrences of every `x` at once.
 
-    Every value must be closed. Then no binder can capture one, so none is
-    renamed, and the result is the node that substituting the values one
-    after another gives. A binder shadows only its own name.
+    `avoid` holds the free variables of the values. A binder in `avoid` is
+    renamed away when its body has a free variable being substituted, so
+    no value's variable is captured; a binder shadows only its own name.
+    When the values are closed, nothing is renamed and the result is the
+    node that substituting them one after another gives.
     """
     try:
         fv = t._free_vars
@@ -347,21 +317,20 @@ def substitute_closed(t: Term, values: dict[str, Term]) -> Term:
         return t
     cls = t.__class__
     if cls is App:
-        return App(substitute_closed(t.fn, values), substitute_closed(t.arg, values))
+        return App(substitute_all(t.fn, values, avoid), substitute_all(t.arg, values, avoid))
     if cls is Var:
         return values[t.name]
     if cls is Lam:
-        binder, binder_type = t.binder, t.binder_type
+        binder, binder_type, body = t.binder, t.binder_type, t.body
         if binder_type is not None:
-            binder_type = substitute_closed(binder_type, values)
-        if binder in values:
-            values = {x: s for x, s in values.items() if x != binder}
-        return Lam(binder, binder_type, substitute_closed(t.body, values))
-    binder = t.binder  # a Pi
-    domain = substitute_closed(t.domain, values)
+            binder_type = substitute_all(binder_type, values, avoid)
+    else:  # a Pi, whose domain is its binder's type
+        binder, binder_type, body = t.binder, substitute_all(t.domain, values, avoid), t.codomain
     if binder in values:
         values = {x: s for x, s in values.items() if x != binder}
-    return Pi(binder, domain, substitute_closed(t.codomain, values))
+    if binder in avoid and not free_vars(body).isdisjoint(values):
+        binder, body = rename_away(binder, body, avoid)
+    return cls(binder, binder_type, substitute_all(body, values, avoid))
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

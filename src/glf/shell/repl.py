@@ -41,18 +41,20 @@ def new_session(fragment: Fragment, trace: bool = False) -> Session:
 
 
 def _split_language(session: Session, rest: str) -> tuple[str, str]:
-    """Leading word is a language tag if it names one; else use the default."""
+    """Leading word is a language tag if it names one; else use the default.
+    The sentence after it must not be empty."""
     first, _, remainder = rest.partition(" ")
     if first in session.fragment.cfgs:
-        return first, remainder.strip()
-    return session.fragment.default_language(), rest
+        language, rest = first, remainder.strip()
+    else:
+        language = session.fragment.default_language()
+    if not rest:
+        raise GlfError("expected a sentence")
+    return language, rest
 
 
 def _readings(session: Session, rest: str, write) -> list:
     language, sentence = _split_language(session, rest)
-    if not sentence:
-        write("error: expected a sentence\n")
-        return []
     readings = construct_semantics(session.fragment, sentence, language=language)
     if not readings:
         write(f"no parse: {sentence}\n")

@@ -175,7 +175,7 @@ def reference_whnf(t: Term, sig: Signature | None, delta: str, budget: _Budget) 
             budget.spend()
             t = substitute(t.body, t.binder, args.pop())
             continue
-        if isinstance(t, Const) and sig is not None and delta != "none":
+        if isinstance(t, Const) and sig is not None:
             d = sig.lookup(t.name)
             if d is not None and d.definiens is not None:
                 if delta == "full" or (args and isinstance(d.definiens, Lam)):

@@ -41,7 +41,7 @@ from glf.grammar.concrete import (
     Table,
     eval_lin,
 )
-from glf.kernel import App, Const
+from glf.kernel import App, Const, Lam, Var
 from helpers import reference_parse_grammar_file
 
 
@@ -83,6 +83,14 @@ class TestAbstract:
     def test_depth(self):
         assert ast_depth(ast("john")) == 1
         assert ast_depth(ast("act", ast("john"), ast("love", ast("mary")))) == 3
+
+    def test_a_term_that_is_not_a_tree_is_shown_as_a_term(self):
+        for t, shown in ((Lam("x", None, Var("x")), "[x] x"),
+                         (App(Var("f"), ast("john")), "f john")):
+            for check in (lambda: ast_category(TINY, t), lambda: ast_depth(t)):
+                with pytest.raises(GrammarError) as err:
+                    check()
+                assert str(err.value) == f"not an abstract syntax tree: {shown}"
 
     def test_duplicate_category_rejected(self):
         with pytest.raises(GrammarError):

@@ -380,6 +380,23 @@ class TestCycles:
         ]
         assert parse_tokens(UNIT_CYCLE, ["a"]) == reference_parse_tokens(UNIT_CYCLE, ["a"])
 
+    def test_only_codes_that_derive_themselves_over_one_span_are_cyclic(self):
+        # Codes number the left-hand sides first, in order of appearance.
+        assert UNIT_CYCLE.cyclic == {1, 2}  # X and S; R is above the cycle
+        assert LEFT.cyclic == frozenset()  # B -> S "b" spends a token
+        empty = NT("E", (), ())
+        nullable_step = CFG("S", (
+            Production(S_, ((S_, 0), (empty, 1)), "f", 2),
+            Production(S_, ("a",), "a", 0),
+            Production(empty, (), "e", 0),
+        ))
+        assert nullable_step.cyclic == {0}  # S -> S E, with E empty
+
+    @pytest.mark.parametrize("name", ["life", "quantified", "modal"])
+    def test_no_shipped_grammar_is_cyclic(self, name):
+        cfgs = load_fragment(fragment_dir(name)).cfgs
+        assert cfgs and all(cfg.cyclic == frozenset() for cfg in cfgs.values())
+
     @settings(max_examples=200, deadline=None)
     @given(random_cfgs(), st.lists(st.sampled_from(("a", "b", "A")), max_size=6))
     @example(LEFT, ["a", "b"])

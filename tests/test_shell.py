@@ -519,6 +519,16 @@ class TestRepl:
         alive, out = collect(new_session(life), "parse loves runs")
         assert alive and out == "no parse: loves runs\n"
 
+    def test_a_command_without_its_sentence_is_one_error_line(self, life):
+        session = new_session(life)
+        for line in ("parse", "parse Ger", "construct", "analyze Eng"):
+            alive, out = collect(session, line)
+            assert alive and out == "error: expected a sentence\n", line
+
+    def test_linearize_shows_a_term_that_is_not_a_tree_as_a_term(self, life):
+        alive, out = collect(new_session(life), "linearize Eng [x] x")
+        assert alive and out == "error: not an abstract syntax tree: [x] x\n"
+
     def test_unknown_command(self, life):
         alive, out = collect(new_session(life), "blorp now")
         assert alive

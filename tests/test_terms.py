@@ -27,7 +27,7 @@ from glf.kernel import (
     spine,
     substitute,
 )
-from glf.kernel.terms import substitute_closed
+from glf.kernel.terms import substitute_all
 from helpers import (
     clashing_terms,
     cyclic_garbage,
@@ -350,19 +350,20 @@ class TestSubstituteClosed:
         sequential = t
         for x, s in values.items():
             sequential = reference_substitute(sequential, x, s)
-        assert substitute_closed(t, values) is sequential
+        assert substitute_all(t, values, frozenset()) is sequential
 
     def test_a_binder_shadows_only_its_own_name(self):
         t = app(Var("x"), Lam("x", Var("y"), app(Var("x"), Var("y"))), Var("y"))
         c, d = Const("c"), Const("d")
-        assert substitute_closed(t, {"x": c, "y": d}) == app(c, Lam("x", d, app(Var("x"), d)), d)
+        assert (substitute_all(t, {"x": c, "y": d}, frozenset())
+                == app(c, Lam("x", d, app(Var("x"), d)), d))
 
     @given(st.lists(st.tuples(clashing_terms(), clashing_terms().map(closed),
                               clashing_terms().map(closed)), min_size=1, max_size=20))
     @settings(max_examples=10)
     def test_substitute_closed_leaves_no_cyclic_garbage(self, cases):
         assert cyclic_garbage(
-            lambda: [substitute_closed(t, {"x": a, "y": b}) for t, a, b in cases]) == 0
+            lambda: [substitute_all(t, {"x": a, "y": b}, frozenset()) for t, a, b in cases]) == 0
 
 
 class TestInterning:
