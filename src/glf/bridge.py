@@ -7,6 +7,18 @@ over that theory, a semantics view maps them into the target logic, and
 normalization evaluates the result. `check_in_target_logic` verifies that
 what comes out really lives in the target logic: no foreign constants and
 no lambda residues outside higher-order argument positions.
+
+The trees of an ambiguous sentence often differ in one subtree only: the
+Catalan(n−1) bracketings of a coordinated subject share their verb phrase.
+`construct_semantics` then normalizes what their images share once, as a
+context C[η] whose hole η stands for the one argument they differ in.
+Each tree normalizes the context's normal form with its own argument arg
+in the hole. Normal-order reduction never looks into η until η reaches
+head position, so C[arg] and C[η] reduce in lockstep, through the same
+nodes and with the same steps. Where η does reach head position, its
+arguments must already be normal, or the context is dropped and its trees
+normalized one by one (`_plugged` has the argument). Each reading is the
+very node per-tree normalization gives, binder names included.
 """
 
 from __future__ import annotations
@@ -33,9 +45,12 @@ from glf.kernel import (
     Term,
     Var,
     alpha_normal,
+    app,
     arrow,
     constants,
+    free_vars,
     spine,
+    substitute,
 )
 from glf.kernel.declarations import Declaration
 from glf.modsys import Theory, TheoryGraph, View, ViewApplier, print_term
@@ -165,7 +180,8 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
     α-equal are collapsed into the first. The trees share one `ViewApplier`,
     and the readings one `Normalizer` and one `TargetLogicGate`, so each
     subtree they share is translated once, and each subterm normalized and
-    gate-checked once.
+    gate-checked once. Trees whose images differ in one closed argument
+    share the normalization of the rest as well (`_plugged`).
     """
     with nesting_limit("the sentence"):
         if isinstance(sentence_or_ast, Term):
@@ -175,12 +191,19 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
         view = ViewApplier(fragment.graph, fragment.semantics_view)
         normal = Normalizer(fragment.target_flat)
         gate = TargetLogicGate(fragment)
-        readings: list[Reading] = []
-        seen: set[Term] = set()
+        raws: list[Term] = []
         for ast in asts:
             try:
-                raw = view(ast)
-                term = normal(raw)
+                raws.append(view(ast))
+            except GlfError:
+                break  # raised again below, after the trees before this one
+        plugged = _plugged(normal, raws)
+        readings: list[Reading] = []
+        seen: set[Term] = set()
+        for i, ast in enumerate(asts):
+            try:
+                raw = raws[i] if i < len(raws) else view(ast)
+                term = normal(plugged[i])
             except GlfError as err:
                 failure = BridgeError(
                     f"semantics construction failed on {print_term(fragment.language_flat, ast)}: {err}"
@@ -194,6 +217,58 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
             ok, diagnostics = gate(term)
             readings.append(Reading(ast, raw, term, ok, diagnostics))
         return readings
+
+
+def _plugged(normal: Normalizer, raws: list[Term]) -> list[Term]:
+    """For each view image, a term with the same normal form, made cheaper
+    to normalize by normalizing what images share once.
+
+    Images with the same head and arity that differ in one argument, closed
+    in each, form a group. The group's context is the image with that
+    argument replaced by a hole η: a variable named outside the identifier
+    syntax, so no binder, and no name `fresh_name` primes, is ever η. The
+    context is normalized once, and each member's term is the context's
+    normal form with the member's own argument in place of η.
+
+    Normal-order reduction never looks into η until η comes to head
+    position. A closed argument has no free variable to capture, and no
+    binder is named η, so no binder is renamed for either: C[arg] and C[η]
+    reduce in lockstep, through the same nodes (η for arg), with the same
+    binder names and the same steps. Where η comes to head position with
+    arguments already normal, C[arg] goes on reducing `arg a₁ … aₖ` from
+    there, and so does normalizing the plugged term. So the normal form is
+    the very node, and, counted without the memo, the context's steps and
+    a tree's own add up to C[arg]'s: the group pays for its context once,
+    not once per tree. Each call has its own step budget.
+
+    If an argument there is not normal yet, C[arg] would substitute it
+    unreduced, so `Normalizer` raises `HoleApplied`. Then, or if the
+    context raises anything else, the group is dropped and its images are
+    normalized as they are.
+    """
+    plugged = list(raws)
+    if len(raws) < 2:
+        return plugged
+    groups: dict[tuple[Term, int], list[tuple[int, list[Term]]]] = {}
+    for i, raw in enumerate(raws):
+        head, args = spine(raw)
+        groups.setdefault((head, len(args)), []).append((i, args))
+    for n, ((head, _), members) in enumerate(groups.items()):
+        first = members[0][1]
+        varying = {k for _, args in members[1:] for k, a in enumerate(args) if a is not first[k]}
+        if len(varying) != 1:
+            continue
+        (k,) = varying
+        if any(free_vars(args[k]) for _, args in members):
+            continue
+        hole = Var(f"η{n}")
+        try:
+            shared = normal(app(head, *first[:k], hole, *first[k + 1:]), hole)
+        except (GlfError, RecursionError):
+            continue
+        for i, args in members:
+            plugged[i] = substitute(shared, hole.name, args[k])
+    return plugged
 
 
 def translate(fragment: Fragment, sentence: str, source: str, target: str) -> list[str]:

@@ -41,6 +41,11 @@ class NonTerminationGuard(KernelError):
     """Reduction exceeded its step budget (a diverging term)."""
 
 
+class HoleApplied(KernelError):
+    """A context's hole heads a spine whose arguments are not normal yet, so
+    the terms plugged into it would reduce there in another order."""
+
+
 class TypeError_(KernelError):
     """Base for type checking failures (name avoids shadowing builtins)."""
 

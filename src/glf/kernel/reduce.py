@@ -34,17 +34,36 @@ shares one across them. Terms are interned, so a node normalized before is
 looked up by the node itself, and each subterm the terms share is
 normalized once. Only completed normal forms are stored, so a term that
 diverges or is not a term raises where and as it would without the memo.
+
+A `Normalizer` also normalizes a context C[η] that many terms C[arg]
+share, arg closed, before any arg is known. η is a variable that no binder
+and no `fresh_name` can name, so it is never renamed, and it captures or
+forces a rename nowhere that a closed arg would not. Until η heads a
+spine, C[η] and C[arg] take the same steps through the same nodes, η for
+arg. There C[arg] contracts `arg a₁ … aₖ` with a₁ … aₖ as they stand,
+while C[η] normalizes them; the two agree only if each aᵢ is normal
+already, so the normalizer checks that `norm` gives each back as the very
+node and raises `HoleApplied` if not. When the check passes, normalizing
+nf(C[η]) with arg in place of η gives the node C[arg] normalizes to.
+Counted without the memo, the context's steps and the plugged term's add
+up to C[arg]'s; the memo saves steps in both.
 """
 
 from __future__ import annotations
 
-from glf.errors import NonTerminationGuard
+from glf.errors import HoleApplied, NonTerminationGuard
 from glf.kernel.declarations import Signature
 from glf.kernel.terms import (
     App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, substitute_all,
 )
 
 DEFAULT_BUDGET = 100_000
+DELTAS = ("applied", "full")
+
+
+def _check_delta(delta: str) -> None:
+    if delta not in DELTAS:
+        raise ValueError(f"unknown δ policy {delta!r}; expected 'applied' or 'full'")
 
 
 class _Budget:
@@ -100,6 +119,7 @@ def _whnf(t: Term, sig: Signature | None, delta: str,
 
 def whnf(sig: Signature | None, t: Term, *, delta: str = "applied",
          budget: int = DEFAULT_BUDGET) -> Term:
+    _check_delta(delta)
     t, args = _whnf(t, sig, delta, _Budget(budget))
     for a in reversed(args):
         t = App(t, a)
@@ -114,16 +134,22 @@ class Normalizer:
     cost no steps, so a term may spend fewer steps than it would alone,
     never more; a term that diverges exhausts its own budget whatever was
     normalized before it.
+
+    Called with a `hole`, a variable that stands for a closed term not
+    known yet, it normalizes a context: it raises `HoleApplied` where the
+    hole heads a spine whose arguments are not normal already. Anywhere
+    else the hole is a plain free variable.
     """
 
     def __init__(self, sig: Signature | None, *, delta: str = "applied",
                  budget: int = DEFAULT_BUDGET):
+        _check_delta(delta)
         self.sig = sig
         self.delta = delta
         self.budget = budget
         self._normal: dict[Term, Term] = {}
 
-    def __call__(self, t: Term) -> Term:
+    def __call__(self, t: Term, hole: Var | None = None) -> Term:
         sig, delta, memo = self.sig, self.delta, self._normal
         done = memo.get(t)
         if done is not None:
@@ -136,20 +162,22 @@ class Normalizer:
                 return done
             head, args = _whnf(t, sig, delta, bud)
             if args:
+                if head is hole and any(norm(a) is not a for a in reversed(args)):
+                    raise HoleApplied(f"{hole.name} is applied to a term not in normal form")
                 done = head
                 for a in reversed(args):
                     done = App(done, norm(a))
             else:
-                match head:
-                    case Lam(binder, binder_type, body):
-                        bt = norm(binder_type) if binder_type is not None else None
-                        done = Lam(binder, bt, norm(body))
-                    case Pi(binder, domain, codomain):
-                        done = Pi(binder, norm(domain), norm(codomain))
-                    case Const() | Var() | Sort():
-                        done = head
-                    case _:
-                        raise TypeError(f"not a term: {head!r}")
+                cls = head.__class__
+                if cls is Lam:
+                    bt = head.binder_type
+                    done = Lam(head.binder, norm(bt) if bt is not None else None, norm(head.body))
+                elif cls is Const or cls is Var or cls is Sort:
+                    done = head
+                elif cls is Pi:
+                    done = Pi(head.binder, norm(head.domain), norm(head.codomain))
+                else:
+                    raise TypeError(f"not a term: {head!r}")
             memo[t] = done
             return done
 

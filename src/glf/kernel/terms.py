@@ -11,8 +11,8 @@ The one α-algorithm is `alpha_normal`, which names the binder at depth d
 compares α-normal forms. Every capture-avoiding rename goes through
 `rename_away`, which primes a binder until it is fresh.
 
-Each node caches its free variables in one extra slot, filled the first
-time `free_vars` meets the node. Terms are shared, so substitution pays for
+Each node caches its free variables in one extra slot, `None` until
+`free_vars` first meets the node. Terms are shared, so substitution pays for
 a subterm's free variables once rather than on every β-step. A second slot
 holds the node's α-normal form, filled the first time `alpha_normal` is
 asked for it, so a term α-normalized again (a reading deduplicated, then
@@ -45,11 +45,10 @@ class _Node:
     """Base of the term classes.
 
     Copies and pickles rebuild a node through its constructor, so they
-    return the interned node and never read a cache slot that has not been
-    filled yet.
+    return the interned node and never copy a cache slot.
     """
 
-    # The caches stay unset until `free_vars` and `alpha_normal` fill them.
+    # The caches hold None until `free_vars` and `alpha_normal` fill them.
     __slots__ = ("_free_vars", "_alpha_normal", "__weakref__")
 
     def __reduce__(self):
@@ -74,6 +73,7 @@ def _interned(cls):
     cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
     table: dict[object, _Ref] = {}
     new = object.__new__
+    set_fv, set_an = _Node._free_vars.__set__, _Node._alpha_normal.__set__
 
     def forget(ref: _Ref) -> None:
         if table.get(ref.key) is ref:
@@ -87,6 +87,8 @@ def _interned(cls):
             node = table.get(a, _MISSING)()
             if node is None:
                 node = new(cls)
+                set_fv(node, None)
+                set_an(node, None)
                 set_a(node, a)
                 ref = table[a] = _Ref(node, forget)
                 ref.key = a
@@ -99,6 +101,8 @@ def _interned(cls):
             node = table.get(key, _MISSING)()
             if node is None:
                 node = new(cls)
+                set_fv(node, None)
+                set_an(node, None)
                 set_a(node, a)
                 set_b(node, b)
                 ref = table[key] = _Ref(node, forget)
@@ -112,6 +116,8 @@ def _interned(cls):
             node = table.get(key, _MISSING)()
             if node is None:
                 node = new(cls)
+                set_fv(node, None)
+                set_an(node, None)
                 set_a(node, a)
                 set_b(node, b)
                 set_c(node, c)
@@ -231,25 +237,24 @@ def free_vars(t: Term) -> frozenset[str]:
 
     Nodes share their sets where they can, so caching costs little memory.
     """
-    try:
-        return t._free_vars
-    except AttributeError:
-        pass
-    match t:
-        case Var(name):
-            fv = frozenset((name,))
-        case Const() | Sort():
-            fv = _NO_VARS
-        case App(fn, arg):
-            fv = _union(free_vars(fn), free_vars(arg))
-        case Lam(binder, binder_type, body):
-            fv = _bound(free_vars(body), binder)
-            if binder_type is not None:
-                fv = _union(free_vars(binder_type), fv)
-        case Pi(binder, domain, codomain):
-            fv = _union(free_vars(domain), _bound(free_vars(codomain), binder))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    fv = t._free_vars
+    if fv is not None:
+        return fv
+    cls = t.__class__
+    if cls is App:
+        fv = _union(free_vars(t.fn), free_vars(t.arg))
+    elif cls is Var:
+        fv = frozenset((t.name,))
+    elif cls is Const or cls is Sort:
+        fv = _NO_VARS
+    elif cls is Lam:
+        fv = _bound(free_vars(t.body), t.binder)
+        if t.binder_type is not None:
+            fv = _union(free_vars(t.binder_type), fv)
+    elif cls is Pi:
+        fv = _union(free_vars(t.domain), _bound(free_vars(t.codomain), t.binder))
+    else:
+        raise TypeError(f"not a term: {t!r}")
     object.__setattr__(t, "_free_vars", fv)
     return fv
 
@@ -307,17 +312,23 @@ def substitute_all(t: Term, values: dict[str, Term], avoid: AbstractSet[str]) ->
     renamed away when its body has a free variable being substituted, so
     no value's variable is captured; a binder shadows only its own name.
     When the values are closed, nothing is renamed and the result is the
-    node that substituting them one after another gives.
+    node that substituting them one after another gives. An application's
+    child that has none of the variables is kept without a call.
     """
-    try:
-        fv = t._free_vars
-    except AttributeError:
+    fv = t._free_vars
+    if fv is None:
         fv = free_vars(t)
     if fv.isdisjoint(values):
         return t
     cls = t.__class__
     if cls is App:
-        return App(substitute_all(t.fn, values, avoid), substitute_all(t.arg, values, avoid))
+        # `free_vars` filled the children's caches before this node's.
+        fn, arg = t.fn, t.arg
+        if not fn._free_vars.isdisjoint(values):
+            fn = substitute_all(fn, values, avoid)
+        if not arg._free_vars.isdisjoint(values):
+            arg = substitute_all(arg, values, avoid)
+        return App(fn, arg)
     if cls is Var:
         return values[t.name]
     if cls is Lam:
@@ -350,11 +361,8 @@ def alpha_normal(t: Term) -> Term:
     Computed once per node: the result is cached on `t`, and marked on
     itself as α-normal, so asking again, of `t` or of the result, is a
     lookup that returns the same node."""
-    try:
-        normal = t._alpha_normal
-    except AttributeError:
-        pass
-    else:
+    normal = t._alpha_normal
+    if normal is not None:
         return t if normal is _ITSELF else normal
     avoid: AbstractSet[str] = _NO_VARS  # the names no binder may take
     free: list[str] = []  # the free variable occurrences met
@@ -412,7 +420,7 @@ def show(t: Term) -> str:
             return name
         case App():
             head, args = spine(t)
-            parts = [show(head)] + [
+            parts = [f"({show(head)})" if isinstance(head, (Lam, Pi)) else show(head)] + [
                 f"({show(a)})" if isinstance(a, (App, Lam, Pi)) else show(a) for a in args
             ]
             return " ".join(parts)

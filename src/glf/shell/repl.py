@@ -90,6 +90,8 @@ def execute(session: Session, line: str, write) -> bool:
 
             elif command == "linearize":
                 language, _, ast_text = rest.partition(" ")
+                if not ast_text.strip():
+                    raise GlfError("expected a language and a tree")
                 if language not in fragment.concretes:
                     write(f"error: unknown language {language!r}\n")
                     return True
@@ -113,6 +115,9 @@ def execute(session: Session, line: str, write) -> bool:
                 elif usable:
                     session.state = update_belief_state(session.state, usable)
                     _show_state(session, write)
+
+            elif command in ("state", "reset") and rest:
+                raise GlfError(f"{command} takes no argument")
 
             elif command == "state":
                 _show_state(session, write, history=3)

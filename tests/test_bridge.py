@@ -24,7 +24,7 @@ from glf.bridge import (
     translate,
 )
 from glf.corpus import fragment_dir
-from glf.errors import BridgeError, GrammarError, NameClash
+from glf.errors import BridgeError, GrammarError, NameClash, NonTerminationGuard
 from glf.grammar import (
     AbstractGrammar,
     FunDecl,
@@ -36,9 +36,13 @@ from glf.grammar import (
     tokenize,
 )
 from glf.kernel import (
-    TYPE, App, Const, Lam, Var, alpha_eq, alpha_normal, app, arrow, lam, normalize,
+    TYPE, App, Const, Lam, Normalizer, Var, alpha_eq, alpha_normal, app, arrow, lam, normalize,
 )
-from glf.modsys import TheoryGraph, apply_view, check_totality, parse_term, parse_theory_file
+from glf.kernel import reduce as reduce_module
+from glf.kernel.terms import show
+from glf.modsys import (
+    TheoryGraph, View, ViewApplier, apply_view, check_totality, parse_term, parse_theory_file,
+)
 from glf.shell import load_fragment, parse_gold_file
 from glf.shell.loader import initial_state
 from glf.tableau import update_belief_state
@@ -261,11 +265,11 @@ class TestTargetLogicGate:
         assert ok, diagnostics
 
 
-def reference_construct(fragment, sentence: str) -> list[Reading]:
+def reference_construct(fragment, sentence: str, language: str | None = None) -> list[Reading]:
     """`construct_semantics` tree by tree: every reading viewed, normalized
     and gate-checked afresh, with nothing shared between them."""
     readings, seen = [], set()
-    for ast in parse_sentence(fragment, sentence):
+    for ast in parse_sentence(fragment, sentence, language):
         raw = apply_view(fragment.graph, fragment.semantics_view, ast)
         term = reference_normalize(fragment.target_flat, raw)
         key = alpha_normal(term)
@@ -303,16 +307,203 @@ class TestSharedConstruction:
     def test_belief_chain_matches_per_tree_construction(self, modal, depth):
         self.assert_matches(modal, belief_chain(depth))
 
+    @pytest.mark.parametrize("name", ["life", "quantified", "modal"])
+    def test_gold_sentences_match_per_tree_construction(self, name, life, quantified, modal):
+        fragment = {"life": life, "quantified": quantified, "modal": modal}[name]
+        gold = fragment_dir(name) / "gold" / f"{name}.gold"
+        for case in parse_gold_file(gold.read_text(encoding="utf-8")):
+            self.assert_matches(fragment, case.sentence, case.language)
+
     @staticmethod
-    def assert_matches(fragment, sentence):
-        got = construct_semantics(fragment, sentence)
-        want = reference_construct(fragment, sentence)
+    def assert_matches(fragment, sentence, language=None):
+        got = construct_semantics(fragment, sentence, language)
+        want = reference_construct(fragment, sentence, language)
         assert got and got == want
         for g, w in zip(got, want):
-            assert g.term is w.term
+            assert g.ast is w.ast and g.raw is w.raw and g.term is w.term
+            assert g.term is Normalizer(fragment.target_flat)(g.raw)
             assert g.raw is apply_view(fragment.graph, fragment.semantics_view, g.ast)
             assert g.raw is reference_apply_view(fragment.graph, fragment.semantics_view, g.ast)
             assert check_in_target_logic(fragment, g.term) == (g.in_target_logic, g.diagnostics)
+
+
+@pytest.fixture
+def normalizer_calls(monkeypatch):
+    """Every call of a δ-applied `Normalizer`, in order, as (term, hole,
+    steps spent, whether it returned)."""
+    spent = [0]
+    spend = reduce_module._Budget.spend
+
+    def counted(budget):
+        spent[0] += 1
+        spend(budget)
+
+    calls = []
+    call = Normalizer.__call__
+
+    def recorded(self, t, hole=None):
+        before, returned = spent[0], False
+        try:
+            result = call(self, t, hole)
+            returned = True
+            return result
+        finally:
+            if self.delta == "applied":
+                calls.append((t, hole, spent[0] - before, returned))
+
+    monkeypatch.setattr(reduce_module._Budget, "spend", counted)
+    monkeypatch.setattr(Normalizer, "__call__", recorded)
+    return calls
+
+
+def hole_fragment(says: str) -> Fragment:
+    """A fragment whose sentences `says N and … and N` have one tree per
+    bracketing, all with the image of `says` at their root.
+
+    A noun phrase means `o -> ι -> o`: `a` keeps its proposition, `b` drops
+    it, and `pair` binds `w` around both, so a proposition with `w` free
+    that is plugged in unreduced makes that `w` be renamed.
+    """
+    registry = GrammarRegistry()
+    parse_grammar_file(registry, """
+    abstract Hole = {
+      flags startcat = S ; cat S ; N ;
+      fun says : N -> S ; a : N ; b : N ; pair : N -> N -> N ;
+    }
+    concrete HoleEng of Hole = {
+      lincat S, N = { s : Str } ;
+      lin says n = { s = "says" ++ n.s } ; a = { s = "a" } ; b = { s = "b" } ;
+          pair x y = { s = x.s ++ "and" ++ y.s } ;
+    }
+    """)
+    abstract, concrete = registry.abstract("Hole"), registry.concrete("HoleEng")
+    g = TheoryGraph()
+    parse_theory_file(g, """
+    theory HoleLogic : LF =
+      prop : type # o ;
+      ind : type # ι ;
+      and : o -> o -> o # %1 ∧ %2 prec 10 ;
+      forall : (ι -> o) -> o # ∀ %1 prec 25 ;
+      c' : o ;
+    end
+    """)
+    g.add(generate_language_theory(abstract))
+    flat = g.flatten("HoleLogic")
+    assignments = {
+        "S": "o",
+        "N": "o -> ι -> o",
+        "says": says,
+        "a": "[p : o, w : ι] p",
+        "b": "[p : o, w : ι] c'",
+        "pair": "[x : o -> ι -> o, y : o -> ι -> o] [p : o, w : ι] (x p w) ∧ (y p w)",
+    }
+    # Added without `validate_view`, which would reject an ill-typed `says`.
+    g.add(View("HoleSemantics", "Hole", "HoleLogic",
+               assignments=tuple((c, parse_term(flat, t)) for c, t in assignments.items())))
+    return Fragment(
+        name="hole",
+        abstract=abstract,
+        concretes={"Eng": concrete},
+        cfgs={"Eng": compile_cfg(abstract, concrete)},
+        graph=g,
+        language_theory=g.theory("Hole"),
+        target_logic=g.theory("HoleLogic"),
+        domain_theory=g.theory("HoleLogic"),
+        semantics_view=g.view("HoleSemantics"),
+        start_category="S",
+        proposition_type="prop",
+        individual_type="ind",
+    )
+
+
+# The hole is applied to a proposition already normal, to a redex with `w`
+# free, and to a term that diverges.
+HOLE_NORMAL = "[n : o -> ι -> o] ∀ ([w : ι] ∀ (n c'))"
+HOLE_REDEX = "[n : o -> ι -> o] ∀ ([w : ι] ∀ (n (([x : ι] c') w)))"
+HOLE_DIVERGES = "[n : o -> ι -> o] ∀ ([w : ι] ∀ (n (([x] x x) ([x] x x))))"
+
+
+class TestSharedContexts:
+    """Trees whose images differ in one closed argument normalize the rest
+    once, as a context with a hole, and each tree gives the node and spends
+    no more steps than without it."""
+
+    @staticmethod
+    def steps_per_tree(fragment, sentence, calls) -> tuple[list[int], list[int], int]:
+        """Steps each tree spends without sharing and with it, a shared
+        context's charged to the first tree, and the contexts normalized."""
+        view = ViewApplier(fragment.graph, fragment.semantics_view)
+        raws = [view(ast) for ast in parse_sentence(fragment, sentence)]
+        normal = Normalizer(fragment.target_flat)
+        calls.clear()
+        for raw in raws:
+            normal(raw)
+        without = [steps for _, _, steps, _ in calls]
+        calls.clear()
+        construct_semantics(fragment, sentence)
+        contexts = [(steps, ok) for _, hole, steps, ok in calls if hole is not None]
+        trees = [(t, steps) for t, hole, steps, _ in calls if hole is None]
+        assert len(trees) == len(raws)
+        shared = [i for i, (t, _) in enumerate(trees) if t is not raws[i]]
+        with_sharing = [steps for _, steps in trees]
+        if shared:
+            with_sharing[shared[0]] += sum(steps for steps, ok in contexts if ok)
+        return without, with_sharing, len(contexts)
+
+    @pytest.mark.parametrize("verb_phrase", ["run", "love everyone", "love someone"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_no_coordination_tree_spends_more_steps(self, quantified, normalizer_calls,
+                                                     n, verb_phrase):
+        without, with_sharing, contexts = self.steps_per_tree(
+            quantified, coordination(n, verb_phrase), normalizer_calls)
+        assert all(w <= o for w, o in zip(with_sharing, without)), (with_sharing, without)
+        assert contexts == (n > 2)  # one tree at n = 2, so nothing to share
+        if n > 3:
+            assert sum(with_sharing) < sum(without)
+
+    @pytest.mark.parametrize("says", [HOLE_NORMAL, HOLE_REDEX])
+    @pytest.mark.parametrize("nouns", ["a and a and a", "b and b and a", "a and b and b and b"])
+    def test_hand_made_contexts_give_the_per_tree_nodes_and_steps(self, normalizer_calls,
+                                                                  says, nouns):
+        fragment = hole_fragment(says)
+        sentence = "says " + nouns
+        got = construct_semantics(fragment, sentence)
+        want = reference_construct(fragment, sentence)
+        assert len(got) > 1 and got == want
+        for g, w in zip(got, want):
+            assert g.term is w.term and g.term is Normalizer(fragment.target_flat)(g.raw)
+        without, with_sharing, contexts = self.steps_per_tree(
+            fragment, sentence, normalizer_calls)
+        assert contexts == 1
+        assert all(w <= o for w, o in zip(with_sharing, without)), (with_sharing, without)
+
+    def test_a_hole_applied_to_a_redex_falls_back(self, normalizer_calls):
+        fragment = hole_fragment(HOLE_REDEX)
+        normalizer_calls.clear()
+        readings = construct_semantics(fragment, "says a and a and a")
+        ((_, hole, _, ok),) = [c for c in normalizer_calls if c[1] is not None]
+        assert not ok
+        per_tree = [t for t, hole, _, _ in normalizer_calls if hole is None]
+        assert per_tree == [r.raw for r in readings]
+        # Plugged in unreduced, `([x : ι] c') w` made `pair`'s `w` be renamed.
+        assert "[w' : ind]" in show(readings[0].term)
+
+    def test_a_context_that_raises_is_dropped(self):
+        fragment = hole_fragment(HOLE_DIVERGES)
+        # `b` drops the diverging proposition, so each tree normalizes.
+        readings = construct_semantics(fragment, "says b and b and b")
+        assert [r.term for r in readings] == [r.term for r in reference_construct(
+            fragment, "says b and b and b")]
+        # `a` keeps it, so the first tree diverges, as it does on its own.
+        first = parse_sentence(fragment, "says a and b and b")[0]
+        raw = apply_view(fragment.graph, fragment.semantics_view, first)
+        with pytest.raises(NonTerminationGuard) as alone:
+            Normalizer(fragment.target_flat)(raw)
+        with pytest.raises(BridgeError) as err:
+            construct_semantics(fragment, "says a and b and b")
+        assert err.value.ast is first
+        assert type(err.value.__cause__) is NonTerminationGuard
+        assert str(err.value.__cause__) == str(alone.value)
 
 
 class TestNoCyclicGarbage:
@@ -334,6 +525,11 @@ class TestNoCyclicGarbage:
 
     def test_construct_semantics(self, quantified):
         assert cyclic_garbage(lambda: construct_semantics(quantified, self.SENTENCE)) == 0
+
+    @pytest.mark.parametrize("says", [HOLE_NORMAL, HOLE_REDEX])
+    def test_construct_semantics_with_a_shared_or_a_dropped_context(self, says):
+        fragment = hole_fragment(says)
+        assert cyclic_garbage(lambda: construct_semantics(fragment, "says a and b and a")) == 0
 
     # The first closes every branch, against the knowledge that nobody
     # loves themself; the second leaves branches open.

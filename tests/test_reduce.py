@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
-from glf.errors import NonTerminationGuard
+from glf.errors import HoleApplied, NonTerminationGuard
 from glf.kernel import (
     App,
     Const,
@@ -15,9 +15,11 @@ from glf.kernel import (
     alpha_eq,
     app,
     def_eq,
+    free_vars,
     infer_type,
     lam,
     normalize,
+    substitute,
     whnf,
 )
 from glf.kernel.reduce import DEFAULT_BUDGET
@@ -31,6 +33,7 @@ from helpers import (
     ksig,
     reference_normalize,
     reference_whnf,
+    signature_terms,
     typed_terms,
 )
 
@@ -98,6 +101,16 @@ class TestDelta:
     def test_no_signature_is_pure_beta(self):
         t = app(Const("or"), Var("a"), Var("b"))
         assert normalize(None, t) == t
+
+    @pytest.mark.parametrize("delta", ["bogus", "none"])
+    def test_unknown_delta_policy_rejected(self, sig, delta):
+        t = app(Const("or"), Var("a"), Var("b"))
+        with pytest.raises(ValueError, match="unknown δ policy"):
+            Normalizer(sig, delta=delta)
+        with pytest.raises(ValueError, match="unknown δ policy"):
+            whnf(sig, t, delta=delta)
+        with pytest.raises(ValueError, match="unknown δ policy"):
+            normalize(sig, t, delta=delta)
 
 
 class TestBudget:
@@ -408,3 +421,94 @@ class TestOneWalkContraction:
         if head_steps:
             with pytest.raises(NonTerminationGuard):
                 whnf(sig, t, budget=head_steps - 1)
+
+
+def reference_steps(sig, t, delta: str) -> int:
+    """The steps `reference_normalize` spends on `t`: counted without a memo."""
+    spent = 0
+    spend = _Budget.spend
+
+    def counted(budget):
+        nonlocal spent
+        spent += 1
+        spend(budget)
+
+    _Budget.spend = counted
+    try:
+        reference_normalize(sig, t, delta=delta, budget=CONTEXT_BUDGET)
+    finally:
+        _Budget.spend = spend
+    return spent
+
+
+CONTEXT_BUDGET = 300
+HOLE = Var("η0")
+I = Lam("z", None, Var("z"))
+
+
+def some_terms(max_leaves: int):
+    return clashing_terms(max_leaves // 3) | signature_terms(ksig(), max_leaves)
+
+
+@st.composite
+def terms_with_x_free(draw):
+    """Terms in which `x`, the hole's place, is free: a free variable of a
+    random term renamed `x`, or `x` applied to it, or it to `x`."""
+    t = draw(some_terms(12))
+    if "x" in free_vars(t):
+        return t
+    free = sorted(free_vars(t))
+    if free and draw(st.booleans()):
+        return substitute(t, draw(st.sampled_from(free)), Var("x"))
+    return draw(st.sampled_from([App(Var("x"), t), App(t, Var("x")),
+                                 Lam("y", None, app(Var("x"), Var("y"), t))]))
+
+
+class TestContexts:
+    """A context C[η] normalized once, then a closed argument plugged into
+    its normal form, gives the node that normalizing C[arg] gives; and,
+    counted without the memo, the context's steps and the plugged term's
+    add up to C[arg]'s. Where η heads a spine whose arguments are not
+    normal, the context raises `HoleApplied`."""
+
+    @given(terms_with_x_free(), st.lists(some_terms(6), min_size=1, max_size=3),
+           st.sampled_from(DELTAS))
+    # η reaches head position with a normal argument.
+    @example(App(Lam("y", None, App(Var("y"), Const("c"))), Var("x")), [I], "applied")
+    # The argument stands in the context as it is: the memo meets it there.
+    @example(app(Const("g"), App(I, Var("x")), App(I, Const("c"))), [Const("c")], "applied")
+    # η heads a redex's spine: an argument that drops its parameter would
+    # spend the redex's step in the context, and none in C[arg].
+    @example(App(Var("x"), App(I, Const("c"))), [Lam("p", None, Const("d"))], "applied")
+    # η under a binder that an open argument's substitution renames.
+    @example(app(Lam("y", None, Lam("z", None, app(Var("x"), Var("y"), Var("z")))), Var("z")),
+             [lam(["a", "b"], Var("a"))], "applied")
+    @settings(max_examples=150, deadline=None)
+    def test_plugged_context_gives_the_reference(self, body, args, delta):
+        sig = ksig()
+        context = substitute(body, "x", HOLE)
+        normal = Normalizer(sig, delta=delta, budget=CONTEXT_BUDGET)
+        try:
+            shared = normal(context, HOLE)
+        except (HoleApplied, NonTerminationGuard):
+            return
+        context_steps = reference_steps(sig, context, delta)
+        for arg in args:
+            arg = lam(sorted(free_vars(arg)), arg)
+            whole = substitute(body, "x", arg)
+            want = outcome(reference_normalize, sig, whole, delta=delta, budget=CONTEXT_BUDGET)
+            if want is NonTerminationGuard:
+                continue
+            plugged = substitute(shared, HOLE.name, arg)
+            assert normal(plugged) is want
+            assert context_steps + reference_steps(sig, plugged, delta) == reference_steps(
+                sig, whole, delta)
+
+    def test_a_hole_applied_to_a_redex_raises(self):
+        normal = Normalizer(None)
+        with pytest.raises(HoleApplied):
+            normal(Lam("y", None, App(HOLE, App(I, Var("y")))), HOLE)
+        # Anywhere but at the head of a spine, the hole is a free variable.
+        assert normal(app(Const("f"), HOLE, App(I, Const("c"))), HOLE) is app(
+            Const("f"), HOLE, Const("c"))
+        assert normal(App(HOLE, Const("c")), HOLE) is App(HOLE, Const("c"))

@@ -528,6 +528,23 @@ class TestRepl:
     def test_linearize_shows_a_term_that_is_not_a_tree_as_a_term(self, life):
         alive, out = collect(new_session(life), "linearize Eng [x] x")
         assert alive and out == "error: not an abstract syntax tree: [x] x\n"
+        alive, out = collect(new_session(life), "linearize Eng ([x] x) joan")
+        assert alive and out == "error: not an abstract syntax tree: ([x] x) joan\n"
+
+    def test_linearize_without_a_language_and_a_tree_is_one_error_line(self, life):
+        session = new_session(life)
+        for line in ("linearize", "linearize Eng", "linearize Eng   "):
+            alive, out = collect(session, line)
+            assert alive and out == "error: expected a language and a tree\n", line
+
+    def test_a_command_that_takes_no_argument_rejects_one(self, life):
+        session = new_session(life)
+        collect(session, "analyze Joan runs")
+        state = session.state
+        for command in ("state", "reset"):
+            alive, out = collect(session, f"{command} extra")
+            assert alive and out == f"error: {command} takes no argument\n"
+        assert session.state is state
 
     def test_unknown_command(self, life):
         alive, out = collect(new_session(life), "blorp now")

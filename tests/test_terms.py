@@ -27,7 +27,7 @@ from glf.kernel import (
     spine,
     substitute,
 )
-from glf.kernel.terms import substitute_all
+from glf.kernel.terms import show, substitute_all
 from helpers import (
     clashing_terms,
     cyclic_garbage,
@@ -110,6 +110,11 @@ class TestStructure:
     def test_constants_collects_binder_types(self):
         t = Lam("x", Const("ι"), app(love, Var("x")))
         assert constants(t) == {"ι", "love'"}
+
+    def test_show_parenthesizes_a_binder_at_the_head(self):
+        assert show(App(Lam("x", None, Var("x")), joan)) == "([x] x) joan'"
+        assert show(App(Pi("x", Const("o"), Var("x")), joan)) == "({x : o} x) joan'"
+        assert show(app(Var("f"), Lam("x", None, Var("x")), joan)) == "f ([x] x) joan'"
 
     def test_fresh_name_primes(self):
         assert fresh_name("x", {"x", "x'"}) == "x''"
@@ -210,7 +215,7 @@ def uncached_copy(t):
                 node = Const(name + suffix)
             case Sort(name):
                 node = Sort(name + suffix)
-        assert not hasattr(node, "_free_vars") and not hasattr(node, "_alpha_normal")
+        assert node._free_vars is None and node._alpha_normal is None
         return node
 
     return walk(t)
