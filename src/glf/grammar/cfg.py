@@ -207,17 +207,21 @@ def _symbolic_record(grammar: ConcreteGrammar, lt, valuation: tuple[str, ...],
         fname: ("param", v)
         for (fname, _), v in zip(lt.inherent, valuation)
     }
-
-    def build(params: tuple[str, ...], path: tuple[str, ...]):
-        if not params:
-            return ("str", (ArgRef(index, path),))
-        ptype = grammar.param(params[0])
-        return ("table", {
-            c: build(params[1:], path + (c,)) for c in ptype.constructors
-        })
-
-    fields["s"] = build(lt.s_params, ())
+    fields["s"] = _symbolic_table(grammar, lt.s_params, (), index)
     return ("record", fields)
+
+
+def _symbolic_table(grammar: ConcreteGrammar, params: tuple[str, ...],
+                    path: tuple[str, ...], index: int):
+    """The table over `params` whose cell at each path below `path` refers
+    to argument `index`'s string there."""
+    if not params:
+        return ("str", (ArgRef(index, path),))
+    ptype = grammar.param(params[0])
+    return ("table", {
+        c: _symbolic_table(grammar, params[1:], path + (c,), index)
+        for c in ptype.constructors
+    })
 
 
 def compile_cfg(abstract: AbstractGrammar, concrete: ConcreteGrammar) -> CFG:

@@ -211,22 +211,25 @@ def check_against_lintype(grammar: ConcreteGrammar, value: Value, lt: LinType,
         raise LinTypeMismatch(f"{where}: unexpected fields {sorted(fields)}")
 
     rows: dict[tuple[str, ...], tuple] = {}
-
-    def walk(v: Value, params: tuple[str, ...], path: tuple[str, ...]) -> None:
-        if not params:
-            if v[0] != "str":
-                raise LinTypeMismatch(f"{where}: s must bottom out in strings")
-            rows[path] = v[1]
-            return
-        if v[0] != "table":
-            raise LinTypeMismatch(f"{where}: s must be a table over {params[0]}")
-        ptype = grammar.param(params[0])
-        if sorted(v[1]) != sorted(ptype.constructors):
-            raise LinTypeMismatch(
-                f"{where}: s table over {params[0]} has rows {sorted(v[1])}"
-            )
-        for c in ptype.constructors:
-            walk(v[1][c], params[1:], path + (c,))
-
-    walk(s, lt.s_params, ())
+    _s_rows(grammar, s, lt.s_params, (), rows, where)
     return inherent, rows
+
+
+def _s_rows(grammar: ConcreteGrammar, v: Value, params: tuple[str, ...],
+            path: tuple[str, ...], rows: dict[tuple[str, ...], tuple], where: str) -> None:
+    """Add to `rows` the token items of `v`, an s table over `params`, each
+    keyed by `path` and the constructors that select it."""
+    if not params:
+        if v[0] != "str":
+            raise LinTypeMismatch(f"{where}: s must bottom out in strings")
+        rows[path] = v[1]
+        return
+    if v[0] != "table":
+        raise LinTypeMismatch(f"{where}: s must be a table over {params[0]}")
+    ptype = grammar.param(params[0])
+    if sorted(v[1]) != sorted(ptype.constructors):
+        raise LinTypeMismatch(
+            f"{where}: s table over {params[0]} has rows {sorted(v[1])}"
+        )
+    for c in ptype.constructors:
+        _s_rows(grammar, v[1][c], params[1:], path + (c,), rows, where)

@@ -49,9 +49,7 @@ code, so their extraction is plain memoized recursion.
 
 Trees are interned terms, so equal trees are the same object and the
 duplicates a parse finds collapse as dict keys. Extraction still recurses
-once per level of embedding, through two closures that refer to each
-other; they are deleted when the parse ends, so a parse leaves no
-reference cycle behind.
+once per level of embedding.
 """
 
 from __future__ import annotations
@@ -154,15 +152,35 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
     done: set[int] = set()
     completed = _run(cfg, tokens, done)
     n = len(tokens)
-    rhs_of, by_lhs, state, builds = cfg.rhs, cfg.by_lhs, cfg.state, cfg.builds
-    cyclic = cfg.cyclic
-    width = len(cfg.after)
-    memo: dict[tuple, list[Term]] = {}
+    extraction = _Extraction(cfg, tokens, completed, done)
+    results: dict[Term, None] = {}
+    for s in cfg.starts:
+        if n in completed.get((s, 0), ()):
+            for t in extraction.parses(s, 0, n, _NONE):
+                results[t] = None
+    return list(results)
 
-    def parses(code: int, i: int, j: int, above: frozenset[int]) -> list[Term]:
+
+class _Extraction:
+    """The trees of one parse, read off its chart: the completed spans and
+    the items completed at each position, as `_run` leaves them."""
+
+    __slots__ = ("rhs", "by_lhs", "state", "builds", "cyclic", "tokens", "completed",
+                 "done", "width", "stride", "memo")
+
+    def __init__(self, cfg: CFG, tokens: list[str],
+                 completed: dict[tuple[int, int], list[int]], done: set[int]):
+        self.rhs, self.by_lhs, self.state = cfg.rhs, cfg.by_lhs, cfg.state
+        self.builds, self.cyclic = cfg.builds, cfg.cyclic
+        self.tokens, self.completed, self.done = tokens, completed, done
+        self.width = len(cfg.after)
+        self.stride = (len(tokens) + 1) * self.width  # from one end position to the next
+        self.memo: dict[tuple, list[Term]] = {}
+
+    def parses(self, code: int, i: int, j: int, above: frozenset[int]) -> list[Term]:
         """The trees of code over tokens[i:j] in which no code of `above`,
         the codes open over the same span, recurs over it."""
-        if code in cyclic:
+        if code in self.cyclic:
             if code in above:
                 return []
             key = (code, i, j, above)
@@ -170,12 +188,13 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
         else:
             key = (code, i, j)
             above = _NONE  # no code below it over its span reaches one above
-        found = memo.get(key)
+        found = self.memo.get(key)
         if found is not None:
             return found
+        rhs_of, state, builds, done = self.rhs, self.state, self.builds, self.done
         trees: dict[Term, None] = {}
-        span = (j * (n + 1) + i) * width
-        for idx in by_lhs[code]:
+        span = j * self.stride + i * self.width
+        for idx in self.by_lhs[code]:
             if span + state[idx] + len(rhs_of[idx]) not in done:
                 continue
             build = builds[idx]
@@ -183,22 +202,22 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
                 trees[build] = None  # a nullary function: the chart item is its match
                 continue
             head, order = build
-            for subs in splits(idx, 0, i, j, above):
+            for subs in self.splits(idx, 0, i, j, above):
                 if order is not None:
                     subs = [subs[k] for k in order]
                 trees[app(head, *subs)] = None
-        found = memo[key] = list(trees)
+        found = self.memo[key] = list(trees)
         return found
 
-    def splits(idx: int, m: int, x: int, j: int, above: frozenset[int],
+    def splits(self, idx: int, m: int, x: int, j: int, above: frozenset[int],
                ) -> list[tuple[Term, ...]]:
         """Bind rhs[m:] of production idx to tokens[x:j]: the subtrees of its
         codes. `above` holds the codes open over tokens[x:j] if that is the
         whole span of the production, and none otherwise."""
-        rhs = rhs_of[idx]
+        rhs = self.rhs[idx]
         end = len(rhs)
         while m < end and rhs[m].__class__ is str:
-            if x == j or not _match(rhs[m], tokens[x], x):
+            if x == j or not _match(rhs[m], self.tokens[x], x):
                 return []
             m += 1
             x += 1
@@ -207,24 +226,14 @@ def parse_tokens(cfg: CFG, tokens: list[str]) -> list[Term]:
             return [()] if x == j else []
         child = rhs[m]
         if m + 1 == end:
-            return [(sub,) for sub in parses(child, x, j, above)]
+            return [(sub,) for sub in self.parses(child, x, j, above)]
         out: list[tuple[Term, ...]] = []
-        for y in completed.get((child, x), ()):
+        for y in self.completed.get((child, x), ()):
             if y > j:
                 break
-            tails = splits(idx, m + 1, y, j, above if y == x else _NONE)
+            tails = self.splits(idx, m + 1, y, j, above if y == x else _NONE)
             if tails:
-                for sub in parses(child, x, y, above if y == j else _NONE):
+                for sub in self.parses(child, x, y, above if y == j else _NONE):
                     for tail in tails:
                         out.append((sub, *tail))
         return out
-
-    results: dict[Term, None] = {}
-    try:
-        for s in cfg.starts:
-            if n in completed.get((s, 0), ()):
-                for t in parses(s, 0, n, _NONE):
-                    results[t] = None
-    finally:
-        del parses, splits  # the closures refer to each other; free them with the call
-    return list(results)

@@ -150,41 +150,34 @@ class Normalizer:
         self._normal: dict[Term, Term] = {}
 
     def __call__(self, t: Term, hole: Var | None = None) -> Term:
-        sig, delta, memo = self.sig, self.delta, self._normal
-        done = memo.get(t)
+        return self._norm(t, _Budget(self.budget), hole)
+
+    def _norm(self, t: Term, bud: _Budget, hole: Var | None) -> Term:
+        done = self._normal.get(t)
         if done is not None:
             return done
-        bud = _Budget(self.budget)
-
-        def norm(t: Term) -> Term:
-            done = memo.get(t)
-            if done is not None:
-                return done
-            head, args = _whnf(t, sig, delta, bud)
-            if args:
-                if head is hole and any(norm(a) is not a for a in reversed(args)):
-                    raise HoleApplied(f"{hole.name} is applied to a term not in normal form")
+        head, args = _whnf(t, self.sig, self.delta, bud)
+        if args:
+            if head is hole and any(self._norm(a, bud, hole) is not a for a in reversed(args)):
+                raise HoleApplied(f"{hole.name} is applied to a term not in normal form")
+            done = head
+            for a in reversed(args):
+                done = App(done, self._norm(a, bud, hole))
+        else:
+            cls = head.__class__
+            if cls is Lam:
+                bt = head.binder_type
+                done = Lam(head.binder, self._norm(bt, bud, hole) if bt is not None else None,
+                           self._norm(head.body, bud, hole))
+            elif cls is Const or cls is Var or cls is Sort:
                 done = head
-                for a in reversed(args):
-                    done = App(done, norm(a))
+            elif cls is Pi:
+                done = Pi(head.binder, self._norm(head.domain, bud, hole),
+                          self._norm(head.codomain, bud, hole))
             else:
-                cls = head.__class__
-                if cls is Lam:
-                    bt = head.binder_type
-                    done = Lam(head.binder, norm(bt) if bt is not None else None, norm(head.body))
-                elif cls is Const or cls is Var or cls is Sort:
-                    done = head
-                elif cls is Pi:
-                    done = Pi(head.binder, norm(head.domain), norm(head.codomain))
-                else:
-                    raise TypeError(f"not a term: {head!r}")
-            memo[t] = done
-            return done
-
-        try:
-            return norm(t)
-        finally:
-            del norm  # the closure refers to itself; free it with the call
+                raise TypeError(f"not a term: {head!r}")
+        self._normal[t] = done
+        return done
 
 
 def normalize(sig: Signature | None, t: Term, *, delta: str = "applied",

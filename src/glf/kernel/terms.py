@@ -25,9 +25,7 @@ of ``repr``, ``==`` or ``hash``.
 Every substitution is one walk, `substitute_all`, which substitutes
 several variables at once and renames a binder only where a value's free
 variable would be captured; `substitute` is its one-variable case. It
-recurses through itself as a module function, so it makes no closure.
-`alpha_normal` recurses through a closure that refers to itself and
-deletes it when its call ends, so a call leaves no reference cycle behind.
+recurses through itself as a module function, as every walk does.
 
 The non-dependent arrow ``A -> B`` is not a separate constructor: it is a
 `Pi` whose binder, ``_`` primed until fresh, does not occur free in the
@@ -364,43 +362,13 @@ def alpha_normal(t: Term) -> Term:
     normal = t._alpha_normal
     if normal is not None:
         return t if normal is _ITSELF else normal
-    avoid: AbstractSet[str] = _NO_VARS  # the names no binder may take
     free: list[str] = []  # the free variable occurrences met
-
-    def go(t: Term, env: dict[str, str], depth: int) -> Term:
-        cls = t.__class__
-        if cls is App:
-            return App(go(t.fn, env, depth), go(t.arg, env, depth))
-        if cls is Var:
-            name = t.name
-            if name in env:
-                return Var(env[name])
-            free.append(name)
-            return t
-        if cls is Const or cls is Sort:
-            return t
-        if cls is Lam:
-            bt = t.binder_type
-            if bt is not None:
-                bt = go(bt, env, depth)
-            fresh = fresh_name(f"${depth}", avoid)
-            return Lam(fresh, bt, go(t.body, {**env, t.binder: fresh}, depth + 1))
-        if cls is Pi:
-            dom = go(t.domain, env, depth)
-            fresh = fresh_name(f"${depth}", avoid)
-            return Pi(fresh, dom, go(t.codomain, {**env, t.binder: fresh}, depth + 1))
-        raise TypeError(f"not a term: {t!r}")
-
-    try:
-        normal = go(t, {}, 0)
-        # Only a free name starting with "$" can clash with a binder's.
-        # Checking the free occurrences met on the way spares a
-        # free-variable pass over every (usually closed) term.
-        if free and any(name.startswith("$") for name in free):
-            avoid = frozenset(free)
-            normal = go(t, {}, 0)
-    finally:
-        del go  # the closure refers to itself; free it with the call
+    normal = _alpha(t, {}, 0, _NO_VARS, free)
+    # Only a free name starting with "$" can clash with a binder's.
+    # Checking the free occurrences met on the way spares a free-variable
+    # pass over every (usually closed) term.
+    if free and any(name.startswith("$") for name in free):
+        normal = _alpha(t, {}, 0, frozenset(free), [])
     # α-normal forms are their own: the free variables, and so the names
     # the binders avoid, are the same.
     if normal is t:
@@ -409,6 +377,35 @@ def alpha_normal(t: Term) -> Term:
         object.__setattr__(t, "_alpha_normal", normal)
         object.__setattr__(normal, "_alpha_normal", _ITSELF)
     return normal
+
+
+def _alpha(t: Term, env: dict[str, str], depth: int, avoid: AbstractSet[str],
+           free: list[str]) -> Term:
+    """`alpha_normal`'s walk: `env` maps the binders above to their new
+    names, no new name is in `avoid`, and each free variable occurrence met
+    is appended to `free`."""
+    cls = t.__class__
+    if cls is App:
+        return App(_alpha(t.fn, env, depth, avoid, free), _alpha(t.arg, env, depth, avoid, free))
+    if cls is Var:
+        name = t.name
+        if name in env:
+            return Var(env[name])
+        free.append(name)
+        return t
+    if cls is Const or cls is Sort:
+        return t
+    if cls is Lam:
+        bt = t.binder_type
+        if bt is not None:
+            bt = _alpha(bt, env, depth, avoid, free)
+        fresh = fresh_name(f"${depth}", avoid)
+        return Lam(fresh, bt, _alpha(t.body, {**env, t.binder: fresh}, depth + 1, avoid, free))
+    if cls is Pi:
+        dom = _alpha(t.domain, env, depth, avoid, free)
+        fresh = fresh_name(f"${depth}", avoid)
+        return Pi(fresh, dom, _alpha(t.codomain, {**env, t.binder: fresh}, depth + 1, avoid, free))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def show(t: Term) -> str:

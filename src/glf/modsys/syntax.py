@@ -91,6 +91,8 @@ _NOTATION_PREC = re.compile(r"\bprec\s+(-?\d+)\s*$")
 _WORD = re.compile(r"\S+")
 # Characters that, glued to others, keep a notation word from being one token.
 _STRUCTURAL_CHAR = re.compile(r"[][(){}#]")
+# The bracket that opens a binder group: the one that closes it, and what it binds.
+_BINDER_GROUPS = {"LBRACK": ("RBRACK", Lam), "LBRACE": ("RBRACE", Pi)}
 
 
 class _Token(NamedTuple):
@@ -346,7 +348,7 @@ class _Parser:
             self.expect("RPAREN")
             return t
         if tok.kind == "LBRACK":
-            return self.lam()
+            return self.binders()
         if tok.kind == "LEXEME" and tok.text in self.table.nud:
             d, n = self.table.nud[tok.text]
             if n.arity == 0:
@@ -357,7 +359,7 @@ class _Parser:
     def nud(self) -> Term:
         tok = self.peek()
         if tok.kind == "LBRACE":
-            return self.pi()
+            return self.binders()
         if tok.kind == "LEXEME":
             if tok.text in self.table.nud:
                 return self.nud_notation()
@@ -372,45 +374,26 @@ class _Parser:
             return Const(tok.text)
         return Const(_canonical(self.sig, d))
 
-    def lam(self) -> Term:
-        self.expect("LBRACK")
+    def binders(self) -> Term:
+        """`[x, y : T] M`, λs whose binder types are optional, or
+        `{x : T, y : U} M`, Πs whose binder types are required."""
+        close, make = _BINDER_GROUPS[self.advance().kind]
         binders: list[tuple[str, Term | None]] = []
         while True:
             name = self.expect("IDENT").text
             annotation = None
-            if self.peek().kind == "COLON":
-                self.advance()
+            if make is Pi or self.peek().kind == "COLON":
+                self.expect("COLON")
                 annotation = self.expr(0)
             binders.append((name, annotation))
             self.bound.append(name)
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            break
-        self.expect("RBRACK")
+            if not self.accept("COMMA"):
+                break
+        self.expect(close)
         body = self.expr(0)
         del self.bound[len(self.bound) - len(binders):]
         for name, annotation in reversed(binders):
-            body = Lam(name, annotation, body)
-        return body
-
-    def pi(self) -> Term:
-        self.expect("LBRACE")
-        binders: list[tuple[str, Term]] = []
-        while True:
-            name = self.expect("IDENT").text
-            self.expect("COLON")
-            binders.append((name, self.expr(0)))
-            self.bound.append(name)
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            break
-        self.expect("RBRACE")
-        body = self.expr(0)
-        del self.bound[len(self.bound) - len(binders):]
-        for name, domain in reversed(binders):
-            body = Pi(name, domain, body)
+            body = make(name, annotation, body)
         return body
 
     def nud_notation(self) -> Term:

@@ -128,31 +128,28 @@ class TheoryGraph:
             return self._flat[top.name]
 
         declarations: list[Declaration] = []
-        done: set[str] = set()
-        visiting: list[str] = []
-
-        def visit(t: Theory) -> None:
-            if t.name in done:
-                return
-            if t.name in visiting:
-                cycle = " -> ".join(visiting + [t.name])
-                raise CyclicInclude(f"cyclic include/meta chain: {cycle}")
-            visiting.append(t.name)
-            for ref in ((t.meta,) if t.meta else ()) + t.includes:
-                if ref != LF:
-                    visit(self.theory(ref))
-            visiting.pop()
-            done.add(t.name)
-            declarations.extend(t.declarations)
-
-        try:
-            visit(top)
-        finally:
-            del visit  # the closure refers to itself; free it with the call
+        self._visit(top, declarations, set(), [])
         flat = FlatTheory(top.name, tuple(declarations))
         if registered:
             self._flat[top.name] = flat
         return flat
+
+    def _visit(self, t: Theory, declarations: list[Declaration], done: set[str],
+               visiting: list[str]) -> None:
+        """Append the declarations of `t` and of all it includes, includes
+        first, to `declarations`, skipping the theories in `done`."""
+        if t.name in done:
+            return
+        if t.name in visiting:
+            cycle = " -> ".join(visiting + [t.name])
+            raise CyclicInclude(f"cyclic include/meta chain: {cycle}")
+        visiting.append(t.name)
+        for ref in ((t.meta,) if t.meta else ()) + t.includes:
+            if ref != LF:
+                self._visit(self.theory(ref), declarations, done, visiting)
+        visiting.pop()
+        done.add(t.name)
+        declarations.extend(t.declarations)
 
     # --- view machinery -----------------------------------------------------
 
@@ -228,41 +225,38 @@ class ViewApplier:
         self._image: dict[Term, Term] = {}
 
     def __call__(self, t: Term) -> Term:
-        source, assignments, memo = self.source, self.assignments, self._image
+        return self._apply(t)
 
-        def go(t: Term) -> Term:
-            done = memo.get(t)
-            if done is not None:
-                return done
-            cls = t.__class__
-            if cls is App:
-                done = App(go(t.fn), go(t.arg))
-            elif cls is Const:
-                d = source.lookup(t.name)
-                if d is None:
-                    done = t
-                elif d.qualified in assignments:
-                    done = assignments[d.qualified]
-                elif d.definiens is not None:
-                    done = go(d.definiens)
-                else:
-                    raise PartialView(d.name)
-            elif cls is Var or cls is Sort:
-                return t
-            elif cls is Lam:
-                bt = go(t.binder_type) if t.binder_type is not None else None
-                done = Lam(t.binder, bt, go(t.body))
-            elif cls is Pi:
-                done = Pi(t.binder, go(t.domain), go(t.codomain))
-            else:
-                raise TypeError(f"not a term: {t!r}")
-            memo[t] = done
+    def _apply(self, t: Term) -> Term:
+        # A method, not `self(...)`: a call through `__call__` costs two
+        # levels of the recursion limit where a method call costs one.
+        done = self._image.get(t)
+        if done is not None:
             return done
-
-        try:
-            return go(t)
-        finally:
-            del go  # the closure refers to itself; free it with the call
+        cls = t.__class__
+        if cls is App:
+            done = App(self._apply(t.fn), self._apply(t.arg))
+        elif cls is Const:
+            d = self.source.lookup(t.name)
+            if d is None:
+                done = t
+            elif d.qualified in self.assignments:
+                done = self.assignments[d.qualified]
+            elif d.definiens is not None:
+                done = self._apply(d.definiens)
+            else:
+                raise PartialView(d.name)
+        elif cls is Var or cls is Sort:
+            return t
+        elif cls is Lam:
+            bt = self._apply(t.binder_type) if t.binder_type is not None else None
+            done = Lam(t.binder, bt, self._apply(t.body))
+        elif cls is Pi:
+            done = Pi(t.binder, self._apply(t.domain), self._apply(t.codomain))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        self._image[t] = done
+        return done
 
 
 def validate_view(graph: TheoryGraph, view: View) -> None:

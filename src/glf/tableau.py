@@ -33,12 +33,13 @@ from glf.errors import (
     TypeError_,
     nesting_limit,
 )
-from glf.kernel import App, Const, Lam, Normalizer, Term, alpha_normal, spine
+from glf.kernel import App, Const, Lam, Normalizer, Term, alpha_normal, app, spine
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import print_term
 from glf.modsys.theory import FlatTheory
 
-CONNECTIVE_ROLES = ("and", "or", "neg", "impl", "forall", "exists")
+_ARITY = {"and": 2, "or": 2, "neg": 1, "impl": 2, "forall": 1, "exists": 1}
+CONNECTIVE_ROLES = tuple(_ARITY)
 
 #: Designated atoms produced when a quantifier is grounded over an empty
 #: domain: a vacuous ∀ is true, a vacuous ∃ is false. The names are not
@@ -72,6 +73,17 @@ class LogicSignature:
 
     def role_of(self, name: str) -> str | None:
         return self._roles.get(name)
+
+    def connective(self, t: Term) -> tuple[str | None, list[Term]]:
+        """The role of `t`'s head and its arguments, when the head is a
+        connective applied to as many arguments as the role takes; else
+        ``(None, [])``."""
+        head, args = spine(t)
+        if isinstance(head, Const):
+            role = self._roles.get(head.name)
+            if role is not None and len(args) == _ARITY[role]:
+                return role, args
+        return None, []
 
     @cached_property
     def _domain(self) -> tuple[Const, ...]:
@@ -152,23 +164,16 @@ def ground_quantifiers(signature: LogicSignature, t: Term) -> Term:
 
 def _ground(signature: LogicSignature, t: Term, normal: Normalizer) -> Term:
     """`ground_quantifiers`, normalizing each instance with `normal`."""
-    head, args = spine(t)
-    if not isinstance(head, Const):
+    role, args = signature.connective(t)
+    if role is None:
         return t
-    role = signature.role_of(head.name)
-    if role in ("forall", "exists") and len(args) == 1:
+    if role == "forall" or role == "exists":
         domain = signature._domain
         if not domain:
             return TOP if role == "forall" else BOTTOM
         parts = [_ground(signature, normal(App(args[0], c)), normal) for c in domain]
-        joiner = signature.constant("and" if role == "forall" else "or")
-        return _fold(joiner, parts)
-    if role in ("and", "or", "impl") and len(args) == 2:
-        return App(App(head, _ground(signature, args[0], normal)),
-                   _ground(signature, args[1], normal))
-    if role == "neg" and len(args) == 1:
-        return App(head, _ground(signature, args[0], normal))
-    return t
+        return _fold(signature.constant("and" if role == "forall" else "or"), parts)
+    return app(signature.constant(role), *(_ground(signature, a, normal) for a in args))
 
 
 def _negate(signature: LogicSignature, t: Term) -> Term:
@@ -179,18 +184,7 @@ def _classify(
     signature: LogicSignature, t: Term
 ) -> tuple[str, tuple[Term, ...]] | tuple[str, Literal]:
     """Sort a formula into an α-expansion, a β-split, or a literal."""
-
-    def connective(t: Term) -> tuple[str | None, list[Term]]:
-        head, args = spine(t)
-        if isinstance(head, Const):
-            role = signature.role_of(head.name)
-            if role in ("and", "or", "impl") and len(args) == 2:
-                return role, args
-            if role == "neg" and len(args) == 1:
-                return role, args
-        return None, []
-
-    role, args = connective(t)
+    role, args = signature.connective(t)
     if role == "and":
         return "alpha", (args[0], args[1])
     if role == "or":
@@ -198,7 +192,7 @@ def _classify(
     if role == "impl":
         return "beta", (_negate(signature, args[0]), args[1])
     if role == "neg":
-        inner_role, inner = connective(args[0])
+        inner_role, inner = signature.connective(args[0])
         if inner_role == "and":
             return "beta", tuple(_negate(signature, a) for a in inner)
         if inner_role == "or":
@@ -354,15 +348,14 @@ def _ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> H
 
 def _new_ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> Hashable:
     """`_ac_key` of a node not in `memo`."""
-    head, args = spine(t)
-    role = signature.role_of(head.name) if isinstance(head, Const) else None
-    if role in ("and", "or") and len(args) == 2:
+    role, args = signature.connective(t)
+    if role == "and" or role == "or":
         operands: Counter[Hashable] = Counter()
         todo = list(args)
         while todo:
             part = todo.pop()
-            part_head, part_args = spine(part)
-            if part_head == head and len(part_args) == 2:
+            part_role, part_args = signature.connective(part)
+            if part_role == role:
                 todo.extend(part_args)
                 continue
             key = _ac_key(signature, part, memo)
@@ -371,14 +364,14 @@ def _new_ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) 
             else:
                 operands[key] += 1
         return role, frozenset(operands.items())
-    if role == "neg" and len(args) == 1:
+    if role == "neg":
         inner = _ac_key(signature, args[0], memo)
         if type(inner) is tuple and inner[0] == "neg":
             return inner[1]
         return "neg", inner
-    if role == "impl" and len(args) == 2:
+    if role == "impl":
         return "impl", _ac_key(signature, args[0], memo), _ac_key(signature, args[1], memo)
-    if role in ("forall", "exists") and len(args) == 1:
+    if role is not None:  # a quantifier
         return role, _ac_key(signature, args[0], memo)
     if isinstance(t, Lam):
         return "λ", t.binder, t.binder_type, _ac_key(signature, t.body, memo)

@@ -31,6 +31,7 @@ from glf.grammar import (
     GrammarRegistry,
     ast_category,
     compile_cfg,
+    linearize,
     parse_grammar_file,
     parse_tokens,
     tokenize,
@@ -511,6 +512,17 @@ class TestNoCyclicGarbage:
     frees everything it made as soon as its last reference goes."""
 
     SENTENCE = "John and Mary and everyone and someone and John love everyone"
+
+    @pytest.mark.parametrize("name", ["life", "modal", "quantified"])
+    def test_load_fragment(self, name):
+        assert cyclic_garbage(lambda: load_fragment(fragment_dir(name))) == 0
+
+    def test_linearize_and_translate(self, life):
+        (tree,) = parse_sentence(life, "Mary loves herself")
+        ger = life.concretes["Ger"]
+        assert linearize(life.abstract, ger, tree) == "Maria liebt sich"
+        assert cyclic_garbage(lambda: linearize(life.abstract, ger, tree)) == 0
+        assert cyclic_garbage(lambda: translate(life, "Mary loves herself", "Eng", "Ger")) == 0
 
     def test_parse_tokens(self, quantified):
         cfg = quantified.cfg(quantified.default_language())

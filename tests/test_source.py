@@ -1,0 +1,82 @@
+"""Checks over the package's own source code."""
+
+import ast
+from pathlib import Path
+
+import glf
+
+PACKAGE = Path(glf.__file__).resolve().parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def nested_functions(fn: ast.AST) -> list[ast.AST]:
+    """The functions defined in `fn`'s own scope, not inside one of them."""
+    found = []
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, FUNCTIONS):
+            found.append(node)
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def self_referring_closures(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each nested function that refers to itself, by its
+    own name or through functions nested beside it."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        nested = nested_functions(fn)
+        names = {n.name for n in nested}
+        refers = {
+            n.name: {node.id for node in ast.walk(n)
+                     if isinstance(node, ast.Name) and node.id in names}
+            for n in nested
+        }
+        for n in nested:
+            reached, todo = set(), list(refers[n.name])
+            while todo:
+                name = todo.pop()
+                if name not in reached:
+                    reached.add(name)
+                    todo.extend(refers[name])
+            if n.name in reached:
+                found.append((n.lineno, n.name))
+    return found
+
+
+def test_the_check_finds_recursive_and_mutually_recursive_closures():
+    source = (
+        "def outer():\n"
+        "    def go(n):\n"
+        "        return go(n - 1)\n"
+        "    def a():\n"
+        "        return b()\n"
+        "    def b():\n"
+        "        return a() + leaf()\n"
+        "    def leaf():\n"
+        "        return outer()\n"
+        "    def caller():\n"
+        "        return leaf()\n"
+        "    return go, a, caller\n"
+    )
+    assert sorted(self_referring_closures(ast.parse(source))) == [
+        (2, "go"), (4, "a"), (6, "b"),
+    ]
+
+
+def test_no_nested_function_refers_to_itself_or_a_sibling():
+    """A closure that reaches itself, by its own name or through a sibling,
+    is a reference cycle (function, cell, function), so every call that
+    makes it leaves cyclic garbage. Recursive walks are module functions
+    or methods instead."""
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line} {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, name in self_referring_closures(
+            ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []

@@ -356,6 +356,21 @@ class TestErrors:
         with pytest.raises(TermSyntaxError):
             pt(bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("{x} x", "expected 'colon', found '}' at line 1, column 3"),
+        ("{x, y : type} x", "expected 'colon', found ',' at line 1, column 3"),
+        ("{x : type, y} x", "expected 'colon', found '}' at line 1, column 13"),
+        ("[x : type, ] x", "expected 'ident', found ']' at line 1, column 12"),
+        ("{} x", "expected 'ident', found '}' at line 1, column 2"),
+        ("[x y] x", "expected 'rbrack', found 'y' at line 1, column 4"),
+        ("{x : type x", "expected 'rbrace', found 'end of input' at line 1, column 12"),
+        ("[x : ] x", "expected a term, found ']' at line 1, column 6"),
+    ])
+    def test_binder_group_errors(self, bad, message):
+        with pytest.raises(TermSyntaxError) as exc:
+            pt(bad)
+        assert str(exc.value) == message
+
     def test_error_carries_position(self):
         with pytest.raises(TermSyntaxError) as exc:
             pt("p ∧\n∧ q")

@@ -491,6 +491,18 @@ class TestReadingClasses:
         assert signature.role_of("both") == "and"
         assert signature.role_of("neg") is None
 
+    def test_connective_needs_a_role_applied_to_its_arity(self):
+        p, q = Const("p"), Const("q")
+        both = LogicSignature(PROP_SIG.flat, {"and": "both", "or": "both"})
+        assert both.connective(app(Const("both"), p, q)) == ("and", [p, q])
+        assert both.connective(App(Const("both"), p)) == (None, [])
+        assert FOL_SIG.connective(App(Const("neg"), p)) == ("neg", [p])
+        assert FOL_SIG.connective(app(Const("neg"), p, q)) == (None, [])
+        assert FOL_SIG.connective(App(Const("forall"), p)) == ("forall", [p])
+        assert FOL_SIG.connective(app(Const("impl"), p, q)) == (None, [])  # no impl role
+        assert FOL_SIG.connective(App(Var("neg"), p)) == (None, [])
+        assert FOL_SIG.connective(p) == (None, [])
+
 
 PROP_T, IND_T = Const("prop"), Const("ind")
 #: TinyFol with a propositional atom, so that random terms of type o can stop.
