@@ -1,9 +1,9 @@
 """Constant declarations and flat signatures.
 
-A `Signature` is what reduction and type checking run against: an ordered
-list of declarations with lookup by plain or qualified (`Theory?name`) name.
-The module system produces signatures by flattening theory graphs; kernel
-tests build them directly.
+A `Signature` is what reduction, type checking, parsing and printing run
+against: an ordered list of declarations, and the scope that resolves a
+plain or qualified (`Theory?name`) name in them. Flattening makes
+signatures, the theory reader grows one, and kernel tests build them.
 """
 
 from __future__ import annotations
@@ -72,32 +72,36 @@ class Declaration:
 
 
 class Signature:
-    """Ordered declarations with plain/qualified lookup."""
+    """Ordered declarations and the one scope they make, which grows by `add`:
+    `names` maps each qualified name, and each plain name declared once, to
+    its declaration, and a plain name declared more than once to None."""
 
     def __init__(self, declarations: tuple[Declaration, ...] | list[Declaration] = ()):
-        self.declarations: tuple[Declaration, ...] = tuple(declarations)
-        self._by_qualified: dict[str, Declaration] = {}
-        self._by_name: dict[str, list[Declaration]] = {}
-        for d in self.declarations:
-            self._by_qualified[d.qualified] = d
-            self._by_name.setdefault(d.name, []).append(d)
+        self.declarations: list[Declaration] = []
+        self.names: dict[str, Declaration | None] = {}
+        for d in declarations:
+            self.add(d)
+
+    def add(self, d: Declaration) -> None:
+        self.declarations.append(d)
+        if d.home:
+            self.names[d.qualified] = d
+        self.names[d.name] = None if d.name in self.names else d
 
     def lookup(self, name: str) -> Declaration | None:
         """Resolve a constant reference; ambiguous plain names are an error."""
-        if "?" in name:
-            return self._by_qualified.get(name)
-        candidates = self._by_name.get(name)
-        if not candidates:
-            return None
-        if len(candidates) > 1:
-            homes = ", ".join(d.qualified for d in candidates)
+        d = self.names.get(name)
+        if d is None and name in self.names:
+            homes = ", ".join(e.qualified for e in self.declarations if e.name == name)
             raise DuplicateName(f"ambiguous constant {name}: declared as {homes}")
-        return candidates[0]
+        return d
+
+    def canonical(self, d: Declaration) -> str:
+        """The name a reference to `d` gets: plain unless that is ambiguous."""
+        return d.qualified if self.names.get(d.name) is None else d.name
 
     def __contains__(self, name: str) -> bool:
-        if "?" in name:
-            return name in self._by_qualified
-        return name in self._by_name
+        return name in self.names
 
     def __iter__(self):
         return iter(self.declarations)

@@ -24,8 +24,10 @@ read back as one token (`jo(an'`), since the notation could never be used.
 
 Declarations are checked as they are read: each type must be well-sorted
 and each definiens must have its declared type, in the context of
-everything included or declared so far (so later declarations may use
-earlier notations). View assignments are checked against the
+everything included or declared so far. That context is one scope per
+theory, which each declaration joins once it is checked, so later
+declarations may use earlier notations and a notation clash is an error
+where it is written. View assignments are checked against the
 view-translated type of the source constant.
 
 The words `theory`, `view`, `include`, `end`, `prec`, and `type` are
@@ -39,7 +41,7 @@ from glf.kernel import Declaration, Signature, Sort, Term
 from glf.kernel.terms import show
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys.syntax import IDENT_RE, _Parser
-from glf.modsys.theory import Theory, TheoryGraph, View, validate_view
+from glf.modsys.theory import Theory, TheoryGraph, View, check_declaration, validate_view
 
 _NO_NOTATIONS = Signature()
 
@@ -83,10 +85,7 @@ def _include(p: _Parser, context: str) -> str | None:
     return name
 
 
-def _declaration(
-    graph: TheoryGraph, p: _Parser, theory: str, meta: str | None,
-    includes: list[str], decls: list[Declaration],
-) -> Declaration:
+def _declaration(p: _Parser, scope: Signature, theory: str) -> Declaration:
     name = _name(p, f"theory {theory}")
     context = f"{theory}?{name}"
     marker = p.peek().kind
@@ -94,14 +93,12 @@ def _declaration(
         raise p.fail(f"declaration {name} needs a type or a definiens")
     if marker not in ("COLON", "EQUALS"):
         raise p.fail(f"declaration {name} needs a type, definiens, or notation")
-    flat = graph.flatten(Theory(theory, meta, tuple(includes), tuple(decls)))
-    p.use(flat)
     type_ = p.expr(0) if p.accept("COLON") else None
     definiens = p.expr(0) if p.accept("EQUALS") else None
     notation = p.notation(context) if p.accept("HASH") else None
     _close(p)
 
-    checker = Checker(flat)
+    checker = Checker(scope)
     if type_ is None:
         checker.infer(EMPTY, definiens)
     else:
@@ -110,7 +107,7 @@ def _declaration(
             raise TypeMismatch("a type or kind", show(sort), context)
         if definiens is not None:
             checker.check(EMPTY, definiens, type_)
-    return Declaration(name, type_, definiens, notation)
+    return Declaration(name, type_, definiens, notation, theory)
 
 
 def _theory(graph: TheoryGraph, p: _Parser) -> Theory:
@@ -119,13 +116,23 @@ def _theory(graph: TheoryGraph, p: _Parser) -> Theory:
     p.expect("EQUALS")
     includes: list[str] = []
     decls: list[Declaration] = []
+    scope = None
     while not _at_end(p, name):
         included = _include(p, f"theory {name}")
         if included is not None:
             graph.theory(included)
             includes.append(included)
-        else:
-            decls.append(_declaration(graph, p, name, meta, includes, decls))
+            scope = None
+            continue
+        if scope is None:
+            # Meta and includes, made again after an include; not cached.
+            scope = graph.flatten(Theory(name, meta, tuple(includes), tuple(decls)))
+            p.use(scope)
+        d = _declaration(p, scope, name)
+        check_declaration(name, d, scope)
+        p.table.add(d)
+        scope.add(d)
+        decls.append(d)
     return Theory(name, meta, tuple(includes), tuple(decls))
 
 

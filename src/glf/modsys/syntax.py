@@ -2,9 +2,10 @@
 
 Declarations carry optional notations (`# ¬ %1 prec 20`). The notations of a
 flat theory compile into a table of prefix rules (keyed by a leading lexeme)
-and infix rules (keyed by the lexeme after a leading placeholder). Table
-construction rejects combinations that would make some token sequence parse
-two ways; those raise `AmbiguousParse` up front rather than at use time.
+and infix rules (keyed by the lexeme after a leading placeholder). The table
+takes in one declaration at a time and rejects a notation that would make
+some token sequence parse two ways: `AmbiguousParse` is raised where that
+declaration is read, a theory's last one too, rather than at use time.
 
 Fixed syntax, independent of any notation:
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from glf.errors import AmbiguousParse, TermSyntaxError
@@ -103,92 +104,83 @@ class _Token(NamedTuple):
 
 class NotationTable:
     """Prefix/infix rules of a flat theory, with ambiguity checks, the
-    declaration each constant name prints as (`decls`), and the text each
-    live node printed under this table has (`printed`)."""
+    signature's `names` that the printer resolves constants in, and the text
+    each live node printed under this table has (`printed`). Code that adds
+    a declaration to the signature adds it to the table too, by `add`."""
 
     def __init__(self, signature: Signature):
         self.nud: dict[str, tuple[Declaration, Notation]] = {}
         self.led: dict[str, tuple[Declaration, Notation]] = {}
         self.printed: dict[tuple[int, bool], weakref.WeakKeyDictionary[Term, str]] = {}
-        delimiters: set[str] = set()
-        # The signature's own indexes: the table is cached on the signature,
-        # so holding the signature would make a cycle.
-        self._by_name = signature._by_name
-        self._by_qualified = signature._by_qualified
-
+        self.delimiters: set[str] = set()
+        self.word_lexemes: set[str] = set()
+        self.symbols: frozenset[str] = frozenset()
+        self.kinds = dict(_KINDS)
+        # The signature's map, not the signature: the table is cached on the
+        # signature, so holding the signature would make a cycle.
+        self.names = signature.names
         for d in signature:
-            n = d.notation
-            if n is None:
-                continue
-            places = n.placeholders
-            literals = [t for t, i in zip(n.tokens, places) if i is None]
-            if not literals:
-                raise AmbiguousParse(
-                    f"notation for {d.qualified} has no literal token"
-                )
-            for lit in literals:
-                if lit in RESERVED_TOKENS or lit in KEYWORDS:
-                    raise AmbiguousParse(
-                        f"notation for {d.qualified} uses reserved token {lit!r}"
-                    )
-            for a, b in zip(places, places[1:]):
-                if a is not None and b is not None:
-                    raise AmbiguousParse(
-                        f"notation for {d.qualified} has adjacent placeholders"
-                    )
-            if n.arity > 0 and n.open_ended and n.precedence < MIN_NOTATION_PREC:
-                raise AmbiguousParse(
-                    f"notation for {d.qualified} has precedence {n.precedence}; "
-                    f"open-ended notations need at least {MIN_NOTATION_PREC} (above ->)"
-                )
-            if places[0] is None:
-                key, inner = n.tokens[0], n.tokens[1:]
-                table = self.nud
-            else:
-                key, inner = n.tokens[1], n.tokens[2:]
-                table = self.led
-            if key in table:
-                other = table[key][0].qualified
-                raise AmbiguousParse(
-                    f"notations for {other} and {d.qualified} both start with {key!r}"
-                )
-            table[key] = (d, n)
-            delimiters.update(
-                t for t in inner if Notation.placeholder_index(t) is None
-            )
+            self.add(d)
 
-        clash = delimiters & (self.nud.keys() | self.led.keys())
+    def add(self, d: Declaration) -> None:
+        """Take in the notation of `d`, if it has one, unless it would let
+        some token sequence parse two ways. It keeps the texts printed so
+        far, so grow a table before printing under it."""
+        n = d.notation
+        if n is None:
+            return
+        places = n.placeholders
+        literals = [t for t, i in zip(n.tokens, places) if i is None]
+        if not literals:
+            raise AmbiguousParse(f"notation for {d.qualified} has no literal token")
+        for lit in literals:
+            if lit in RESERVED_TOKENS or lit in KEYWORDS:
+                raise AmbiguousParse(
+                    f"notation for {d.qualified} uses reserved token {lit!r}"
+                )
+        for a, b in zip(places, places[1:]):
+            if a is not None and b is not None:
+                raise AmbiguousParse(
+                    f"notation for {d.qualified} has adjacent placeholders"
+                )
+        if n.arity > 0 and n.open_ended and n.precedence < MIN_NOTATION_PREC:
+            raise AmbiguousParse(
+                f"notation for {d.qualified} has precedence {n.precedence}; "
+                f"open-ended notations need at least {MIN_NOTATION_PREC} (above ->)"
+            )
+        # The key is the first lexeme, before or after a leading placeholder.
+        key, inner = literals[0], set(literals[1:])
+        table = self.nud if places[0] is None else self.led
+        if key in table:
+            other = table[key][0].qualified
+            raise AmbiguousParse(
+                f"notations for {other} and {d.qualified} both start with {key!r}"
+            )
+        table[key] = (d, n)
+        self.delimiters |= inner
+        lexemes = inner | {key}
+        clash = {t for t in lexemes
+                 if t in self.delimiters and (t in self.nud or t in self.led)}
         if clash:
             raise AmbiguousParse(
                 "tokens used both as inner delimiters and as operators: "
                 + ", ".join(sorted(clash))
             )
-
-        lexemes = set(self.nud) | set(self.led) | delimiters
-        self.word_lexemes = {t for t in lexemes if IDENT_RE.fullmatch(t)}
-        self.kinds = {**_KINDS, **dict.fromkeys(lexemes, "LEXEME")} if lexemes else _KINDS
-        self.matcher = _matcher(frozenset(lexemes - self.word_lexemes))
+        self.kinds.update(dict.fromkeys(lexemes, "LEXEME"))
+        words = {t for t in lexemes if IDENT_RE.fullmatch(t)}
+        self.word_lexemes |= words
+        if not lexemes - words <= self.symbols:
+            self.symbols |= lexemes - words
+            self.__dict__.pop("matcher", None)
 
     @cached_property
-    def decls(self) -> dict[str, Declaration | None]:
-        """What `Signature.lookup` gives for each name it knows, or None where
-        a plain name is ambiguous; built when the signature is first printed."""
-        decls: dict[str, Declaration | None] = {
-            name: d for name, d in self._by_qualified.items() if "?" in name
-        }
-        for name, candidates in self._by_name.items():
-            if "?" not in name:
-                decls[name] = candidates[0] if len(candidates) == 1 else None
-        return decls
-
-
-@lru_cache(maxsize=256)
-def _matcher(symbol_lexemes: frozenset[str]) -> re.Pattern:
-    """The token pattern for a notation table's symbols, longest first."""
-    symbols = sorted(symbol_lexemes | _SYMBOLS, key=len, reverse=True)
-    return re.compile(_TOKEN.format(
-        ident=IDENT_RE.pattern, symbols="|".join(map(re.escape, symbols))
-    ))
+    def matcher(self) -> re.Pattern:
+        """The token pattern for the table's symbols, longest first; `re`
+        keeps the compiled pattern for tables with the same symbols."""
+        symbols = sorted(self.symbols | _SYMBOLS, key=len, reverse=True)
+        return re.compile(_TOKEN.format(
+            ident=IDENT_RE.pattern, symbols="|".join(map(re.escape, symbols))
+        ))
 
 
 def notation_table(signature: Signature) -> NotationTable:
@@ -197,14 +189,6 @@ def notation_table(signature: Signature) -> NotationTable:
         table = NotationTable(signature)
         signature._notation_table = table  # type: ignore[attr-defined]
     return table
-
-
-def _is_ambiguous(signature: Signature, name: str) -> bool:
-    return len(signature._by_name.get(name, ())) > 1
-
-
-def _canonical(signature: Signature, d: Declaration) -> str:
-    return d.qualified if _is_ambiguous(signature, d.name) else d.name
 
 
 class _Parser:
@@ -353,7 +337,7 @@ class _Parser:
             d, n = self.table.nud[tok.text]
             if n.arity == 0:
                 self.advance()
-                return Const(_canonical(self.sig, d))
+                return Const(self.sig.canonical(d))
         raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
     def nud(self) -> Term:
@@ -372,7 +356,7 @@ class _Parser:
         d = self.sig.lookup(tok.text)
         if d is None:
             return Const(tok.text)
-        return Const(_canonical(self.sig, d))
+        return Const(self.sig.canonical(d))
 
     def binders(self) -> Term:
         """`[x, y : T] M`, λs whose binder types are optional, or
@@ -423,7 +407,7 @@ class _Parser:
         return filled
 
     def saturate(self, d: Declaration, n: Notation, slots: dict[int, Term]) -> Term:
-        t: Term = Const(_canonical(self.sig, d))
+        t: Term = Const(self.sig.canonical(d))
         for index in range(1, n.arity + 1):
             t = App(t, slots[index])
         return t
@@ -448,7 +432,7 @@ def _binder_ok(name: str, table: NotationTable) -> bool:
 class _Printer:
     def __init__(self, table: NotationTable):
         self.table = table
-        self.decls = table.decls
+        self.names = table.names
         self.printed = table.printed
 
     def render(self, t: Term, prec: int, right_open: bool) -> str:
@@ -474,7 +458,7 @@ class _Printer:
         return text
 
     def const(self, t: Const) -> str:
-        d = self.decls.get(t.name)
+        d = self.names.get(t.name)
         if d is not None and d.notation is not None and d.notation.arity == 0:
             return " ".join(d.notation.tokens)
         return t.name
@@ -482,7 +466,7 @@ class _Printer:
     def application(self, t: App, prec: int, right_open: bool) -> str:
         head, args = spine(t)
         if isinstance(head, Const):
-            d = self.decls.get(head.name)
+            d = self.names.get(head.name)
             if d is not None and d.notation is not None and 0 < d.notation.arity <= len(args):
                 n = d.notation
                 rest = args[n.arity:]

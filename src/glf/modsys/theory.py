@@ -10,7 +10,7 @@ include.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Container, Mapping
 
 from glf.errors import (
     CyclicInclude,
@@ -59,15 +59,21 @@ class Theory:
         object.__setattr__(self, "declarations", owned)
         seen: set[str] = set()
         for d in owned:
-            if d.name in seen:
-                raise DuplicateName(f"{self.name} declares {d.name} twice")
-            seen.add(d.name)
-            if d.notation is not None and d.type_ is not None:
-                if d.notation.arity > _pi_arity(d.type_):
-                    raise ModuleError(
-                        f"{self.name}?{d.name}: notation has {d.notation.arity} "
-                        f"placeholders but the type takes {_pi_arity(d.type_)} arguments"
-                    )
+            check_declaration(self.name, d, seen)
+            seen.add(d.qualified)
+
+
+def check_declaration(theory: str, d: Declaration, declared: Container[str]) -> None:
+    """Reject a declaration of `theory` whose qualified name is `declared`
+    already, or whose notation has more places than its type takes arguments."""
+    if d.qualified in declared:
+        raise DuplicateName(f"{theory} declares {d.name} twice")
+    if d.notation is not None and d.type_ is not None:
+        if d.notation.arity > _pi_arity(d.type_):
+            raise ModuleError(
+                f"{theory}?{d.name}: notation has {d.notation.arity} "
+                f"placeholders but the type takes {_pi_arity(d.type_)} arguments"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,6 @@ class TheoryGraph:
         if module.name in self.theories or module.name in self.views:
             raise DuplicateName(f"module name {module.name} already registered")
         table[module.name] = module
-        self._flat.clear()
-        self._merged.clear()
 
     def theory(self, name: str) -> Theory:
         try:

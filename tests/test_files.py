@@ -2,6 +2,7 @@
 
 import ast as python_ast
 import re
+import shutil
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -10,15 +11,17 @@ from hypothesis import example, given, settings
 
 from glf.corpus import FRAGMENTS, fragment_dir
 from glf.errors import (
+    AmbiguousParse,
     DuplicateName,
+    FragmentLoadError,
     GlfError,
     TermSyntaxError,
     TypeError_,
     UnresolvedReference,
 )
 from glf.kernel import Const, Lam, Notation, TYPE, Var, alpha_eq, app, arrow, normalize
-from glf.modsys import TheoryGraph, parse_term, parse_theory_file, print_term
-from glf.modsys.syntax import IDENT_RE, KEYWORDS, RESERVED_TOKENS
+from glf.modsys import TheoryGraph, parse_term, parse_theory_file, print_term, syntax
+from glf.modsys.syntax import IDENT_RE, KEYWORDS, RESERVED_TOKENS, notation_table
 from glf.shell.loader import load_fragment, parse_manifest
 from helpers import reference_parse_theory_file
 
@@ -176,6 +179,64 @@ class TestTheoryFiles:
     def test_duplicate_theory_name_rejected(self):
         with pytest.raises(DuplicateName):
             graph_with("theory T = end theory T = end")
+
+
+class TestOneScopePerTheory:
+    """A theory is read into one scope that each declaration joins once it
+    is checked, so its notations are checked where they are written and
+    reading is linear in its length."""
+
+    HATE = ("# love' ;", "# love' ;\n  hate_DT : ι -> ι -> o # love' ;")
+
+    def test_a_notation_clash_in_the_last_declaration_is_rejected(self):
+        with pytest.raises(AmbiguousParse, match=r"LifeDT\?love_DT and LifeDT\?hate_DT"):
+            load_domain(self.HATE)
+
+    def test_a_notation_clash_is_blamed_on_the_file_that_makes_it(self, tmp_path):
+        root = tmp_path / "life"
+        shutil.copytree(fragment_dir("life"), root)
+        path = root / "logic" / "domain.thy"
+        old, new = self.HATE
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        with pytest.raises(FragmentLoadError, match=r"^logic/domain\.thy: notations for"):
+            load_fragment(root)
+
+    @staticmethod
+    def long_theory(n: int, notations: bool) -> str:
+        lines = ["theory Base =", "  o : type ;", "  i : type ;", "  a : i ;", "end",
+                 "theory Long =", "  include Base ;"]
+        for k in range(n):
+            lines.append(f"  c{k} : i -> o" + (f" # w{k}' %1 prec 10 ;" if notations else " ;"))
+        return "\n".join(lines + ["end"])
+
+    @pytest.mark.parametrize("notations", [False, True])
+    def test_reading_builds_one_table_and_scope_per_block(self, monkeypatch, notations):
+        parse_theory_file(TheoryGraph(), "")  # the table between blocks is built once
+        calls = {"tables": 0, "flattenings": 0}
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(syntax.NotationTable, "__init__",
+                            counted("tables", syntax.NotationTable.__init__))
+        monkeypatch.setattr(TheoryGraph, "flatten", counted("flattenings", TheoryGraph.flatten))
+        text = self.long_theory(300, notations)
+        g = TheoryGraph()
+        assert parse_theory_file(g, text) == ["Base", "Long"]
+        blocks, includes = 2, 1
+        assert calls["tables"] == blocks
+        assert calls["flattenings"] <= blocks + includes
+        monkeypatch.undo()
+        want = TheoryGraph()
+        reference_parse_theory_file(want, text)
+        assert g.theories == want.theories
+        flat = g.flatten("Long")
+        assert len(flat.declarations) == 303
+        if notations:
+            assert parse_term(flat, "w299' a") == app(Const("c299"), Const("a"))
 
 
 class TestViewFiles:
@@ -352,6 +413,21 @@ def _lexes_apart(word: str) -> bool:
     )
 
 
+def _notations_clash(theories) -> bool:
+    """Whether the notation table of some theory read raises `AmbiguousParse`."""
+    graph = TheoryGraph()
+    for _, theory in theories:
+        graph.add(theory)
+    for name, _ in theories:
+        try:
+            notation_table(graph.flatten(name))
+        except AmbiguousParse:
+            return True
+        except GlfError:
+            pass
+    return False
+
+
 def _modules_after(parse, context, text):
     graph = TheoryGraph()
     for module in context:
@@ -393,6 +469,10 @@ class TestAgainstReferenceReader:
             return
         try:
             got = _modules_after(parse_theory_file, context, text)
+        except AmbiguousParse:
+            # The reference checks a declaration's notation only when it reads
+            # the next declaration, so it misses a clash in a theory's last one.
+            assert _notations_clash(want[1])
         except TermSyntaxError as err:
             # The reference cut a notation at a second `#` and dropped the rest.
             word = text.split("\n")[err.line - 1][err.column - 1:].split()[0]
@@ -413,5 +493,6 @@ class TestAgainstReferenceReader:
     @example(_domain_case(("# run' ;", "# run' 'prec 4 ;")))
     @example(_domain_case(("# mary' ;", "# mary' ( ;")))
     @example(_domain_case(("# love' ;", "# love' // ;")))
+    @example(_domain_case(TestOneScopePerTheory.HATE))
     def test_damaged_theories(self, case):
         self.check(*case)

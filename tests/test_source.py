@@ -80,3 +80,54 @@ def test_no_nested_function_refers_to_itself_or_a_sibling():
             ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+DECLARATIONS = PACKAGE / "kernel" / "declarations.py"
+
+
+def private_attributes(tree: ast.AST, cls: str) -> set[str]:
+    """The `_`-prefixed attributes that the methods of class `cls` set on `self`."""
+    return {
+        node.attr
+        for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == cls
+        for node in ast.walk(c)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr.startswith("_")
+    }
+
+
+def attribute_reads(tree: ast.AST, names: set[str]) -> list[tuple[int, str]]:
+    """(line, attribute) of each use of an attribute named in `names`."""
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in names
+    )
+
+
+def test_the_check_finds_reads_of_a_class_s_private_attributes():
+    kernel = ast.parse(
+        "class Signature:\n"
+        "    def __init__(self):\n"
+        "        self.names = {}\n"
+        "        self._by_name: dict = {}\n"
+        "        self._by_qualified = {}\n"
+    )
+    private = private_attributes(kernel, "Signature")
+    assert private == {"_by_name", "_by_qualified"}
+    other = ast.parse("def f(sig):\n    sig.names.get('x')\n    return sig._by_name['x']\n")
+    assert attribute_reads(other, private) == [(3, "_by_name")]
+
+
+def test_no_module_but_the_kernel_s_reads_the_signature_s_private_attributes():
+    """A name resolves by one rule, `Signature`'s: no other module reads the
+    signature's own indexes and resolves names again from them."""
+    private = private_attributes(
+        ast.parse(DECLARATIONS.read_text(encoding="utf-8")), "Signature")
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line} {attr}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path != DECLARATIONS
+        for line, attr in attribute_reads(
+            ast.parse(path.read_text(encoding="utf-8")), private)
+    ]
+    assert offenders == []

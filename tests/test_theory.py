@@ -102,6 +102,12 @@ class TestFlatten:
         assert g.flatten("LifeLex") is flat
         assert g.flatten(flat) is flat
 
+    def test_cached_flattening_survives_an_unrelated_add(self):
+        g = life_graph()
+        flat = g.flatten("LifeLex")
+        g.add(Theory("Unrelated", None, (), (d("u", TYPE),)))
+        assert g.flatten("LifeLex") is flat
+
     def test_diamond_includes_contribute_once(self):
         g = TheoryGraph()
         g.add(Theory("Base", None, (), (d("c", TYPE),)))
