@@ -177,11 +177,11 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
     """Parse (if needed), apply the semantics view, normalize, and gate-check.
 
     One Reading per parse in parse order; readings whose normal forms are
-    α-equal are collapsed into the first. The trees share one `ViewApplier`,
-    and the readings one `Normalizer` and one `TargetLogicGate`, so each
-    subtree they share is translated once, and each subterm normalized and
-    gate-checked once. Trees whose images differ in one closed argument
-    share the normalization of the rest as well (`_plugged`).
+    α-equal are collapsed into the first, α-normalized only where they could
+    collide (`_new_alpha_class`). The trees share one `ViewApplier`, and the
+    readings one `Normalizer` and one `TargetLogicGate`, so what they share
+    is translated, normalized and gate-checked once. Trees whose images
+    differ in one closed argument share the rest too (`_plugged`).
     """
     with nesting_limit("the sentence"):
         if isinstance(sentence_or_ast, Term):
@@ -199,7 +199,7 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
                 break  # raised again below, after the trees before this one
         plugged = _plugged(normal, raws)
         readings: list[Reading] = []
-        seen: set[Term] = set()
+        buckets, skeletons = {}, {}  # see `_new_alpha_class`
         for i, ast in enumerate(asts):
             try:
                 raw = raws[i] if i < len(raws) else view(ast)
@@ -210,13 +210,37 @@ def construct_semantics(fragment: Fragment, sentence_or_ast: str | Term,
                 )
                 failure.ast = ast
                 raise failure from err
-            distinct = len(seen)
-            seen.add(alpha_normal(term))
-            if len(seen) == distinct:
+            if len(asts) > 1 and not _new_alpha_class(term, buckets, skeletons):
                 continue
             ok, diagnostics = gate(term)
             readings.append(Reading(ast, raw, term, ok, diagnostics))
         return readings
+
+
+def _new_alpha_class(term: Term, buckets: dict, skeletons: dict) -> bool:
+    """Whether `term` is α-equal to no term in `buckets`, then filed by its
+    `_skeleton`; only one whose bucket is taken is α-normalized, and compared."""
+    bucket = buckets.setdefault(_skeleton(term, skeletons), [])
+    if bucket and alpha_normal(term) in map(alpha_normal, bucket):
+        return False
+    bucket.append(term)
+    return True
+
+
+def _skeleton(t: Term, memo: dict[Term, int]) -> int:
+    """A hash of `t` blind to variable and binder names; `memo` has each node's."""
+    h = memo.get(t)
+    if h is None:
+        cls = t.__class__
+        if cls is Lam or cls is Pi:
+            first, body = (t.binder_type, t.body) if cls is Lam else (t.domain, t.codomain)
+            h = hash((cls, first and _skeleton(first, memo), _skeleton(body, memo)))
+        elif cls is Var or cls is Const or cls is Sort:
+            h = hash(Var) if cls is Var else hash(t)
+        else:  # an application
+            h = hash((_skeleton(t.fn, memo), _skeleton(t.arg, memo)))
+        memo[t] = h
+    return h
 
 
 def _plugged(normal: Normalizer, raws: list[Term]) -> list[Term]:

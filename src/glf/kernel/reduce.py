@@ -43,8 +43,8 @@ spine, C[η] and C[arg] take the same steps through the same nodes, η for
 arg. There C[arg] contracts `arg a₁ … aₖ` with a₁ … aₖ as they stand,
 while C[η] normalizes them; the two agree only if each aᵢ is normal
 already, so the normalizer checks that `norm` gives each back as the very
-node and raises `HoleApplied` if not. When the check passes, normalizing
-nf(C[η]) with arg in place of η gives the node C[arg] normalizes to.
+node, spending no step, or raises `HoleApplied`. If the check passes,
+normalizing nf(C[η]) with arg for η gives the node C[arg] normalizes to.
 Counted without the memo, the context's steps and the plugged term's add
 up to C[arg]'s; the memo saves steps in both.
 """
@@ -79,6 +79,11 @@ class _Budget:
             raise NonTerminationGuard(
                 f"reduction exceeded the step budget of {self.total}"
             )
+
+
+class _NoSteps:
+    def spend(self) -> None:  # in the hole check, a step means "not normal"
+        raise HoleApplied("a hole is applied to a term not in normal form")
 
 
 def _whnf(t: Term, sig: Signature | None, delta: str,
@@ -158,7 +163,7 @@ class Normalizer:
             return done
         head, args = _whnf(t, self.sig, self.delta, bud)
         if args:
-            if head is hole and any(self._norm(a, bud, hole) is not a for a in reversed(args)):
+            if head is hole and any(self._norm(a, _NoSteps(), hole) is not a for a in args):
                 raise HoleApplied(f"{hole.name} is applied to a term not in normal form")
             done = head
             for a in reversed(args):

@@ -3,11 +3,12 @@
 A belief state tracks everything asserted so far as a set of tableau
 branches; each open branch is one way the discourse could be true. Feeding
 the state a new (possibly ambiguous) sentence copies every open branch for
-every reading, counting readings equal modulo AC of ∧ and ∨ once, then
-saturates: conjunctive formulas extend a branch, disjunctive ones split it,
-and a branch closes as soon as it contains an atom together with its
-negation. What survives are the Herbrand-style models of the discourse,
-read off with :func:`extract_models`.
+every reading, counting readings equal modulo α and AC of ∧ and ∨ once
+(and α-normalizing only one per AC class as they stand), then saturates:
+conjunctive formulas extend a branch, disjunctive ones split it, and a
+branch closes as soon as it contains an atom together with its negation.
+What survives are the Herbrand-style models of the discourse, read off
+with :func:`extract_models`.
 
 The machine is parameterized over the logic: a flat signature plus a map
 saying which constants play the roles of the connectives. Quantifiers are
@@ -341,41 +342,44 @@ def _ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> H
     literal sets, which is all :func:`extract_models` reads.
     """
     key = memo.get(t)
-    if key is None:
-        key = memo[t] = _new_ac_key(signature, t, memo)
-    return key
-
-
-def _new_ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> Hashable:
-    """`_ac_key` of a node not in `memo`."""
+    if key is not None:
+        return key
     role, args = signature.connective(t)
     if role == "and" or role == "or":
         operands: Counter[Hashable] = Counter()
-        todo = list(args)
-        while todo:
-            part = todo.pop()
-            part_role, part_args = signature.connective(part)
-            if part_role == role:
-                todo.extend(part_args)
-                continue
-            key = _ac_key(signature, part, memo)
-            if type(key) is tuple and key[0] == role:  # ¬¬ around a chain
-                operands.update(dict(key[1]))
+        for part in args:
+            part_key = _ac_key(signature, part, memo)
+            if type(part_key) is tuple and part_key[0] == role:  # a chain, perhaps under ¬¬
+                operands.update(dict(part_key[1]))
             else:
-                operands[key] += 1
-        return role, frozenset(operands.items())
-    if role == "neg":
-        inner = _ac_key(signature, args[0], memo)
-        if type(inner) is tuple and inner[0] == "neg":
-            return inner[1]
-        return "neg", inner
-    if role == "impl":
-        return "impl", _ac_key(signature, args[0], memo), _ac_key(signature, args[1], memo)
-    if role is not None:  # a quantifier
-        return role, _ac_key(signature, args[0], memo)
-    if isinstance(t, Lam):
-        return "λ", t.binder, t.binder_type, _ac_key(signature, t.body, memo)
-    return t
+                operands[part_key] += 1
+        key = role, frozenset(operands.items())
+    elif role == "neg":
+        key = _ac_key(signature, args[0], memo)
+        key = key[1] if type(key) is tuple and key[0] == "neg" else ("neg", key)
+    elif role == "impl":
+        key = "impl", _ac_key(signature, args[0], memo), _ac_key(signature, args[1], memo)
+    elif role is not None:  # a quantifier
+        key = role, _ac_key(signature, args[0], memo)
+    elif isinstance(t, Lam):
+        key = "λ", t.binder, t.binder_type, _ac_key(signature, t.body, memo)
+    else:
+        key = t
+    memo[t] = key
+    return key
+
+
+def _reading_classes(signature: LogicSignature, terms: list[Term]) -> list[Term]:
+    """The α-normal forms of the first of each α/AC class of `terms`; ∧ and ∨
+    bind nothing, so only the first term of each AC key is α-normalized."""
+    keys: dict[Term, Hashable] = {}
+    groups: dict[Hashable, Term] = {}
+    classes: dict[Hashable, Term] = {}
+    for t in terms:
+        groups.setdefault(_ac_key(signature, t, keys), t)
+    for n in map(alpha_normal, groups.values()):
+        classes.setdefault(_ac_key(signature, n, keys), n)
+    return list(classes.values())
 
 
 def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefState:
@@ -383,11 +387,11 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
 
     Readings are type-checked by one checker, normalized and grounded by
     one normalizer, and AC-keyed with one memo, so each subterm they share
-    is inferred, normalized and keyed once. Only the first of
-    those equal up to α-equivalence and AC of ∧ and ∨ is grounded and
-    saturated, so syntactic ambiguity that melts away semantically costs
-    nothing and the models come out as if every reading had been asserted.
-    Closed branches are dropped from the result.
+    is inferred, normalized and keyed once. Only the first of those equal
+    up to α and AC of ∧ and ∨ is grounded and saturated, and one per AC
+    class as they stand is α-normalized (`_reading_classes`). Ambiguity
+    that melts away semantically costs nothing, and the models come out as
+    if every reading had been asserted. Closed branches are dropped.
     """
     with nesting_limit("a reading"):
         readings = tuple(readings)
@@ -397,13 +401,10 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
 
         checker = Checker(flat)
         normal = Normalizer(flat)
-        keys: dict[Term, Hashable] = {}
-        classes: dict[Hashable, Term] = {}
         for r in readings:
             _check_proposition(checker, state.signature, r, "reading")
-            n = alpha_normal(normal(r))
-            classes.setdefault(_ac_key(state.signature, n, keys), n)
-        grounded = [_ground(state.signature, n, normal) for n in classes.values()]
+        classes = _reading_classes(state.signature, [normal(r) for r in readings])
+        grounded = [_ground(state.signature, n, normal) for n in classes]
 
         open_branches = state.open_branches
         branches = tuple(

@@ -803,6 +803,21 @@ def clashing_terms(max_depth: int = 5):
     )
 
 
+def alpha_variant(t: Term, rng) -> Term:
+    """An α-variant of `t`: now and then a binder is primed until it is
+    fresh for its body, and its occurrences with it."""
+    if isinstance(t, App):
+        return App(alpha_variant(t.fn, rng), alpha_variant(t.arg, rng))
+    if isinstance(t, (Lam, Pi)):
+        binder, first, body = (getattr(t, field) for field in t.__match_args__)
+        first = first if first is None else alpha_variant(first, rng)
+        body = alpha_variant(body, rng)
+        if rng.random() < 0.5:
+            binder, body = rename_away(binder, body, {binder})
+        return type(t)(binder, first, body)
+    return t
+
+
 def signature_terms(sig: Signature, max_leaves: int = 12):
     """Terms, not necessarily well typed, over the constants of `sig` by
     plain and by qualified name, and over names it does not declare.
@@ -1013,6 +1028,64 @@ def reference_update(state, readings):
         )
         state = reference_saturate(state)
         return replace(state, branches=state.open_branches)
+
+
+def reference_ac_key(signature, t: Term, memo: dict):
+    """`glf.tableau._ac_key` as it was before a chain merged in the memoized
+    keys of its same-role operands: each reading's chains flattened again."""
+    key = memo.get(t)
+    if key is None:
+        key = memo[t] = _reference_new_ac_key(signature, t, memo)
+    return key
+
+
+def _reference_new_ac_key(signature, t: Term, memo: dict):
+    from collections import Counter
+
+    role, args = signature.connective(t)
+    if role == "and" or role == "or":
+        operands = Counter()
+        todo = list(args)
+        while todo:
+            part = todo.pop()
+            part_role, part_args = signature.connective(part)
+            if part_role == role:
+                todo.extend(part_args)
+                continue
+            key = reference_ac_key(signature, part, memo)
+            if type(key) is tuple and key[0] == role:  # ¬¬ around a chain
+                operands.update(dict(key[1]))
+            else:
+                operands[key] += 1
+        return role, frozenset(operands.items())
+    if role == "neg":
+        inner = reference_ac_key(signature, args[0], memo)
+        if type(inner) is tuple and inner[0] == "neg":
+            return inner[1]
+        return "neg", inner
+    if role == "impl":
+        return ("impl", reference_ac_key(signature, args[0], memo),
+                reference_ac_key(signature, args[1], memo))
+    if role is not None:  # a quantifier
+        return role, reference_ac_key(signature, args[0], memo)
+    if isinstance(t, Lam):
+        return "λ", t.binder, t.binder_type, reference_ac_key(signature, t.body, memo)
+    return t
+
+
+def reference_reading_classes(signature, readings) -> list[Term]:
+    """The readings `update_belief_state` grounds, as it chose them before
+    only one reading per AC class was α-normalized: every reading
+    normalized and α-normalized, then keyed, the first of each key kept."""
+    from glf.kernel import Normalizer, alpha_normal
+
+    normal = Normalizer(signature.flat)
+    keys: dict = {}
+    classes: dict = {}
+    for r in readings:
+        n = alpha_normal(normal(r))
+        classes.setdefault(reference_ac_key(signature, n, keys), n)
+    return list(classes.values())
 
 
 def reference_extract_models(state):

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from glf import bridge as bridge_module, tableau as tableau_module
 from glf.bridge import (
     Fragment,
     Reading,
@@ -22,6 +23,8 @@ from glf.bridge import (
     parse_sentence,
     term_to_ast,
     translate,
+    _new_alpha_class,
+    _skeleton,
 )
 from glf.corpus import fragment_dir
 from glf.errors import BridgeError, GrammarError, NameClash, NonTerminationGuard
@@ -48,8 +51,12 @@ from glf.shell import load_fragment, parse_gold_file
 from glf.shell.loader import initial_state
 from glf.tableau import update_belief_state
 from helpers import (
+    alpha_variant,
+    clashing_terms,
     cyclic_garbage,
     enumerate_asts,
+    reference_ac_key,
+    reference_alpha_eq,
     reference_apply_view,
     reference_check_in_target_logic,
     reference_normalize,
@@ -489,6 +496,16 @@ class TestSharedContexts:
         # Plugged in unreduced, `([x : ι] c') w` made `pair`'s `w` be renamed.
         assert "[w' : ind]" in show(readings[0].term)
 
+    def test_a_dropped_context_spends_no_steps(self, normalizer_calls):
+        fragment = hole_fragment(HOLE_DIVERGES)
+        normalizer_calls.clear()
+        readings = construct_semantics(fragment, "says b and b and b")
+        ((_, _, steps, ok),) = [c for c in normalizer_calls if c[1] is not None]
+        # The step that puts the hole in place, and none on the diverging
+        # term the hole is applied to.
+        assert not ok and steps == 1
+        assert readings == reference_construct(fragment, "says b and b and b")
+
     def test_a_context_that_raises_is_dropped(self):
         fragment = hole_fragment(HOLE_DIVERGES)
         # `b` drops the diverging proposition, so each tree normalizes.
@@ -505,6 +522,112 @@ class TestSharedContexts:
         assert err.value.ast is first
         assert type(err.value.__cause__) is NonTerminationGuard
         assert str(err.value.__cause__) == str(alone.value)
+
+
+def twin_fragment(one: str, two: str) -> Fragment:
+    """A fragment whose one sentence `says` has two trees, `one` and `two`,
+    which the view maps to the terms `one` and `two`."""
+    registry = GrammarRegistry()
+    parse_grammar_file(registry, """
+    abstract Twin = { flags startcat = S ; cat S ; fun one : S ; two : S ; }
+    concrete TwinEng of Twin = {
+      lincat S = { s : Str } ;
+      lin one = { s = "says" } ; two = { s = "says" } ;
+    }
+    """)
+    abstract, concrete = registry.abstract("Twin"), registry.concrete("TwinEng")
+    g = TheoryGraph()
+    parse_theory_file(g, """
+    theory TwinLogic : LF =
+      prop : type # o ;
+      ind : type # ι ;
+      k' : (ι -> ι -> ι) -> o ;
+    end
+    """)
+    g.add(generate_language_theory(abstract))
+    flat = g.flatten("TwinLogic")
+    g.add(View("TwinSemantics", "Twin", "TwinLogic",
+               assignments=(("S", parse_term(flat, "o")), ("one", parse_term(flat, one)),
+                            ("two", parse_term(flat, two)))))
+    return Fragment(
+        name="twin",
+        abstract=abstract,
+        concretes={"Eng": concrete},
+        cfgs={"Eng": compile_cfg(abstract, concrete)},
+        graph=g,
+        language_theory=g.theory("Twin"),
+        target_logic=g.theory("TwinLogic"),
+        domain_theory=g.theory("TwinLogic"),
+        semantics_view=g.view("TwinSemantics"),
+        start_category="S",
+        proposition_type="prop",
+        individual_type="ind",
+    )
+
+
+class TestAlphaClasses:
+    """Readings are told apart by α-normal form, asked for only where a
+    hash blind to variable and binder names collides."""
+
+    @given(st.lists(clashing_terms(), min_size=1, max_size=6), st.randoms(use_true_random=False),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_first_of_each_alpha_class_as_a_set_of_alpha_normal_forms(self, terms, rng, collide):
+        terms = list(terms)
+        for _ in range(rng.randint(0, 4)):
+            variant = alpha_variant(rng.choice(terms), rng)
+            terms.insert(rng.randint(0, len(terms)), variant)
+        want = []
+        for t in terms:
+            if not any(reference_alpha_eq(t, w) for w in want):
+                want.append(t)
+        # With `collide`, every term's hash is the same: only the exact
+        # comparison tells them apart.
+        buckets, skeletons = {}, dict.fromkeys(terms, 0) if collide else {}
+        got = [t for t in terms if _new_alpha_class(t, buckets, skeletons)]
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("two, readings", [
+        # An α-variant of `one`, reached through a redex: another node, one reading.
+        ("([f : ι -> ι -> ι] k' f) ([u : ι, v : ι] u)", 1),
+        # The same skeleton, but not α-equal to `one`: two readings.
+        ("k' ([x : ι, y : ι] y)", 2),
+    ], ids=["alpha_variants", "equal_skeletons"])
+    def test_twin_trees_against_the_per_tree_construction(self, two, readings):
+        fragment = twin_fragment("k' ([x : ι, y : ι] x)", two)
+        first, second = [normalize(fragment.target_flat, apply_view(
+            fragment.graph, fragment.semantics_view, ast)) for ast in parse_sentence(fragment, "says")]
+        assert first is not second and _skeleton(first, {}) == _skeleton(second, {})
+        got = construct_semantics(fragment, "says")
+        assert len(got) == readings and got == reference_construct(fragment, "says")
+        assert got[0].term is first
+
+    def test_readings_ask_for_alpha_normal_forms_only_where_they_could_collide(
+            self, quantified, monkeypatch):
+        asked, skeletons = [], []
+        for module in (bridge_module, tableau_module):
+            monkeypatch.setattr(module, "alpha_normal",
+                                lambda t, alpha_normal=module.alpha_normal: (
+                                    asked.append(t) or alpha_normal(t)))
+        monkeypatch.setattr(bridge_module, "_skeleton",
+                            lambda t, memo, skeleton=_skeleton: (
+                                skeletons.append(t) or skeleton(t, memo)))
+        # One tree: no hash, no α-normal form.
+        assert len(construct_semantics(quantified, "everyone runs")) == 1
+        assert asked == skeletons == []
+        # 132 trees with 132 readings, whose hashes do not collide.
+        readings = construct_semantics(quantified, coordination(7, "love someone"))
+        assert len(readings) == 132 and asked == []
+        # The update α-normalizes one reading per AC class of the readings
+        # as they stand; its tableau α-normalizes literals besides.
+        state = initial_state(quantified)
+        normal = Normalizer(state.signature.flat)
+        terms = [normal(r.term) for r in readings if r.in_target_logic]
+        update_belief_state(state, terms)
+        keys: dict = {}
+        classes = {reference_ac_key(state.signature, t, keys) for t in terms}
+        asked_of_readings = [t for t in asked if any(t is u for u in terms)]
+        assert len(asked_of_readings) == len(classes) < len(terms)
 
 
 class TestNoCyclicGarbage:

@@ -20,7 +20,7 @@ from glf.errors import (
     TableauError,
     TypeError_,
 )
-from glf.kernel import App, Const, Lam, Term, Var, alpha_eq, app, spine
+from glf.kernel import App, Const, Lam, Normalizer, Term, Var, alpha_eq, app, spine
 from glf.kernel.typecheck import EMPTY
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.tableau import (
@@ -36,17 +36,22 @@ from glf.tableau import (
     init_belief_state,
     saturate,
     update_belief_state,
+    _ac_key,
+    _reading_classes,
 )
 from helpers import (
     PROP_ATOMS as ATOMS,
+    alpha_variant,
     assignments,
     atoms_in,
     evaluate,
     prop_signature,
     random_formula,
+    reference_ac_key,
     reference_check_type,
     reference_expand_step,
     reference_extract_models,
+    reference_reading_classes,
     reference_saturate,
     reference_update,
     satisfiable,
@@ -151,11 +156,14 @@ AND = Const("and")
 def ac_variant(f: Term, rng: random.Random) -> Term:
     """A formula equal to `f` modulo AC of ∧ and ∨, and ¬¬.
 
-    Every ∧/∨ chain has its operands shuffled and regrouped at random, and
-    now and then a subformula is wrapped in ¬¬.
+    Every ∧/∨ chain has its operands shuffled and regrouped at random, also
+    under quantifiers, and now and then a subformula is wrapped in ¬¬.
     """
+    if isinstance(f, Lam):  # a quantifier's body
+        return Lam(f.binder, f.binder_type, ac_variant(f.body, rng))
     head, args = spine(f)
-    if head.name in ("and", "or"):
+    role = head.name if isinstance(head, Const) else None
+    if role in ("and", "or"):
         operands, todo = [], [f]
         while todo:
             part = todo.pop()
@@ -166,9 +174,9 @@ def ac_variant(f: Term, rng: random.Random) -> Term:
                 operands.append(ac_variant(part, rng))
         rng.shuffle(operands)
         g = _regroup(head, operands, rng)
-    elif args:
+    elif role in ("neg", "impl", "forall", "exists"):
         g = app(head, *(ac_variant(a, rng) for a in args))
-    else:
+    else:  # an atom
         g = f
     return app(NEG, app(NEG, g)) if rng.random() < 0.1 else g
 
@@ -486,6 +494,17 @@ class TestReadingClasses:
         assert rendered(got) == rendered(want)
         assert len(got.branches) <= len(want.branches)
 
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_ac_keys_are_the_reference_keys(self, rng):
+        f = random_formula(rng, 5)
+        memo, reference = {}, {}
+        want = reference_ac_key(PROP_SIG, f, reference)
+        assert _ac_key(PROP_SIG, f, memo) == want
+        for g in [ac_variant(f, rng) for _ in range(3)]:
+            assert _ac_key(PROP_SIG, g, {}) == _ac_key(PROP_SIG, g, memo) == want
+            assert reference_ac_key(PROP_SIG, g, reference) == want
+
     def test_role_of_prefers_the_first_role_listed(self):
         signature = LogicSignature(PROP_SIG.flat, {"and": "both", "or": "both"})
         assert signature.role_of("both") == "and"
@@ -575,6 +594,28 @@ class TestSharedTypeChecking:
         assert (self.outcome(update_belief_state, readings)
                 == self.outcome(reference_update, readings))
         assert self.init_outcome(readings) == self.reference_init_outcome(readings)
+
+
+class TestReadingClassesAsTheyStand:
+    """`update_belief_state` α-normalizes one reading per AC class of the
+    readings as they stand, and grounds the nodes that α-normalizing every
+    reading gives."""
+
+    @given(fol_readings(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_classes_are_the_reference_s_nodes(self, readings, rng):
+        readings = readings + [alpha_variant(ac_variant(r, rng), rng)
+                               for r in readings for _ in range(rng.randint(0, 2))]
+        rng.shuffle(readings)
+        normal = Normalizer(FOL_P_SIG.flat)
+        got = _reading_classes(FOL_P_SIG, [normal(r) for r in readings])
+        want = reference_reading_classes(FOL_P_SIG, readings)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+        try:
+            state = update_belief_state(init_belief_state(FOL_P_SIG), readings)
+        except IllTypedAxiom:
+            return
+        assert state.history[1] == f"update with {len(want)} reading(s) over 1 branch(es)"
 
 
 #: Literals over atoms that print alike (`p1` the constant and `p1` the
