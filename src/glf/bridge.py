@@ -11,14 +11,13 @@ no lambda residues outside higher-order argument positions.
 The trees of an ambiguous sentence often differ in one subtree only: the
 Catalan(n−1) bracketings of a coordinated subject share their verb phrase.
 `construct_semantics` then normalizes what their images share once, as a
-context C[η] whose hole η stands for the one argument they differ in.
-Each tree normalizes the context's normal form with its own argument arg
-in the hole. Normal-order reduction never looks into η until η reaches
-head position, so C[arg] and C[η] reduce in lockstep, through the same
-nodes and with the same steps. Where η does reach head position, its
-arguments must already be normal, or the context is dropped and its trees
-normalized one by one (`_plugged` has the argument). Each reading is the
-very node per-tree normalization gives, binder names included.
+context C[η] whose hole η stands for the one argument they differ in, and
+each tree plugs its own argument into the context's normal form. That is
+glf's one context mechanism (`glf.kernel.reduce`), which also serves the
+prefixes a belief chain repeats; `_plugged` only chooses the argument. A
+context whose hole reaches head position applied to a term not normal is
+dropped, and its trees normalized one by one. Each reading is the very
+node per-tree normalization gives, binder names included.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from glf.grammar import (
 )
 from glf.kernel import (
     TYPE,
+    App,
     Const,
     Lam,
     Normalizer,
@@ -50,7 +50,6 @@ from glf.kernel import (
     constants,
     free_vars,
     spine,
-    substitute,
 )
 from glf.kernel.declarations import Declaration
 from glf.modsys import Theory, TheoryGraph, View, ViewApplier, print_term
@@ -251,24 +250,14 @@ def _plugged(normal: Normalizer, raws: list[Term]) -> list[Term]:
     in each, form a group. The group's context is the image with that
     argument replaced by a hole η: a variable named outside the identifier
     syntax, so no binder, and no name `fresh_name` primes, is ever η. The
-    context is normalized once, and each member's term is the context's
-    normal form with the member's own argument in place of η.
+    normalizer normalizes the context once (`Normalizer.context`), and each
+    member's term applies the context's prefix `λη. C` to the member's own
+    argument, which the normalizer plugs into the context's normal form.
+    Counted without the memo, the context's steps and a tree's own add up
+    to the image's: the group pays for its context once, not once per tree.
 
-    Normal-order reduction never looks into η until η comes to head
-    position. A closed argument has no free variable to capture, and no
-    binder is named η, so no binder is renamed for either: C[arg] and C[η]
-    reduce in lockstep, through the same nodes (η for arg), with the same
-    binder names and the same steps. Where η comes to head position with
-    arguments already normal, C[arg] goes on reducing `arg a₁ … aₖ` from
-    there, and so does normalizing the plugged term. So the normal form is
-    the very node, and, counted without the memo, the context's steps and
-    a tree's own add up to C[arg]'s: the group pays for its context once,
-    not once per tree. Each call has its own step budget.
-
-    If an argument there is not normal yet, C[arg] would substitute it
-    unreduced, so `Normalizer` raises `HoleApplied`. Then, or if the
-    context raises anything else, the group is dropped and its images are
-    normalized as they are.
+    If the context raises, `HoleApplied` among others, the group is dropped
+    and its images are normalized as they are.
     """
     plugged = list(raws)
     if len(raws) < 2:
@@ -287,11 +276,11 @@ def _plugged(normal: Normalizer, raws: list[Term]) -> list[Term]:
             continue
         hole = Var(f"η{n}")
         try:
-            shared = normal(app(head, *first[:k], hole, *first[k + 1:]), hole)
+            prefix = normal.context(app(head, *first[:k], hole, *first[k + 1:]), hole)
         except (GlfError, RecursionError):
             continue
         for i, args in members:
-            plugged[i] = substitute(shared, hole.name, args[k])
+            plugged[i] = App(prefix, args[k])
     return plugged
 
 

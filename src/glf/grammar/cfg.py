@@ -10,6 +10,10 @@ Each production remembers its syntax function and which argument each
 nonterminal occurrence consumes, so chart parsing can rebuild abstract
 syntax trees. A row that drops or duplicates an argument's string would
 make that impossible, so compilation rejects it.
+
+A nonterminal whose one derivation is one empty tree, such as a polarity
+that linearizes as the empty string, never reaches the chart: `CFG` drops
+it from every right-hand side, and its tree becomes a fixed argument.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from glf.errors import GrammarError, MissingLin, ParamBlowup
 from glf.grammar.abstract import AbstractGrammar
 from glf.grammar.concrete import ConcreteGrammar, check_against_lintype, eval_lin
-from glf.kernel import Const
+from glf.kernel import App, Const, Term, app
 
 MAX_PRODUCTIONS = 100_000
 
@@ -57,10 +61,12 @@ class CFG:
     The tables are derived from the productions once, at construction.
     Nonterminals become small int codes, left-hand sides first, each in
     order of first appearance. Production `i` has right-hand side
-    `rhs[i]`, a tuple of terminal strings and codes. `by_lhs[c]` lists the
-    productions of code `c` in declaration order, `nullable[c]` says
-    whether `c` derives the empty string, and `starts` are the codes of
-    the start category, in order of first appearance as a left-hand side.
+    `rhs[i]`, a tuple of terminal strings and codes, less the codes whose
+    one production holds only such codes: one tree over the empty string.
+    `by_lhs[c]` lists the productions of code `c` in declaration order,
+    `nullable[c]` says whether `c` derives the empty string, and `starts`
+    are the codes of the start category, in order of first appearance as
+    a left-hand side.
     `cyclic` holds the codes that can derive themselves over one span, by
     productions whose other symbols derive the empty string.
 
@@ -76,10 +82,13 @@ class CFG:
     productions of `c` that derive the empty string, for any other token
     and for the end of the input.
 
-    `builds[i]` rebuilds production `i`'s abstract syntax tree: for a
-    nullary function the `Const` itself, otherwise the pair of that
-    `Const` and the order in which the subtrees of its codes, taken in
-    surface order, become its arguments (None when it is surface order).
+    `builds[i]` rebuilds production `i`'s abstract syntax tree. Its
+    arguments are the subtrees of its codes, taken in surface order, and
+    the fixed trees of the codes left out of `rhs[i]`. With no subtrees it
+    is the whole tree. Otherwise it is the pair of its head, the function's
+    `Const` applied to its leading fixed arguments, and its other arguments:
+    None when they are the subtrees in surface order, else a list holding
+    for each the index of its subtree or its fixed tree.
     """
 
     start: str
@@ -105,6 +114,30 @@ class CFG:
         by_lhs: list[list[int]] = [[] for _ in codes]
         for idx, c in enumerate(lhs):
             by_lhs[c].append(idx)
+        # trees[c]: the one tree of a code with one derivation.
+        trees: dict[int, Term] = {}
+        changed = True
+        while changed:
+            changed = False
+            for c, idxs in enumerate(by_lhs):
+                if c in trees or len(idxs) != 1:
+                    continue
+                p, r = self.productions[idxs[0]], rhs[idxs[0]]
+                if all(it.__class__ is int and it in trees for it in r):
+                    args = sorted(zip((it[1] for it in p.rhs), r))  # (argument, code)
+                    trees[c] = app(Const(p.fun), *(trees[code] for _, code in args))
+                    changed = True
+        builds: list = []
+        for idx, p in enumerate(self.productions):
+            fixed = {it[1]: trees[code] for it, code in zip(p.rhs, rhs[idx]) if code in trees}
+            slots = [it[1] for it in p.rhs if not isinstance(it, str) and it[1] not in fixed]
+            head, k = Const(p.fun), 0
+            while k in fixed:
+                head, k = App(head, fixed[k]), k + 1
+            rest = [fixed[a] if a in fixed else slots.index(a) for a in range(k, p.arity)]
+            builds.append((head, None if rest == list(range(len(rest))) else rest)
+                          if rest else head)
+            rhs[idx] = tuple(it for it in rhs[idx] if it not in trees)
         nullable = [False] * len(codes)
         changed = True
         while changed:
@@ -172,15 +205,6 @@ class CFG:
                 predict[c].setdefault(t, []).append(s0)
             for t in {t.lower() for t in f}:
                 predict_initial[c].setdefault(t, []).append(s0)
-        builds: list = []
-        for p in self.productions:
-            slots = [it[1] for it in p.rhs if not isinstance(it, str)]
-            if not slots:
-                builds.append(Const(p.fun))
-            elif slots == sorted(slots):
-                builds.append((Const(p.fun), None))
-            else:
-                builds.append((Const(p.fun), sorted(range(len(slots)), key=slots.__getitem__)))
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "by_lhs", by_lhs)
         object.__setattr__(self, "nullable", nullable)

@@ -12,7 +12,9 @@ the item's origin. The recognizer keeps, per position, the items waiting
 on each nonterminal: a nonterminal is predicted the first time an item
 waits on it, a completion advances only the items waiting on its
 left-hand side at its origin, and the usual eager advance over nullable
-nonterminals makes empty linearizations work.
+nonterminals makes empty linearizations work. A nonterminal with one
+empty derivation is compiled out of the rules (see `CFG`): no shipped
+grammar keeps a nullable one, so their charts never take that advance.
 
 Lookahead. A prediction adds only the productions that can begin with the
 next token or derive the empty string. The first token matches in any
@@ -49,7 +51,8 @@ code, so their extraction is plain memoized recursion.
 
 Trees are interned terms, so equal trees are the same object and the
 duplicates a parse finds collapse as dict keys. Extraction still recurses
-once per level of embedding.
+once per level of embedding, three frames for a level of "Mary believes
+that", so `glf parse` takes chains of up to 329 levels.
 """
 
 from __future__ import annotations
@@ -199,12 +202,12 @@ class _Extraction:
                 continue
             build = builds[idx]
             if build.__class__ is not tuple:
-                trees[build] = None  # a nullary function: the chart item is its match
+                trees[build] = None  # no subtrees: the chart item is its match
                 continue
             head, order = build
             for subs in self.splits(idx, 0, i, j, above):
                 if order is not None:
-                    subs = [subs[k] for k in order]
+                    subs = [subs[k] if k.__class__ is int else k for k in order]
                 trees[app(head, *subs)] = None
         found = self.memo[key] = list(trees)
         return found

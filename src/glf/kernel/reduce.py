@@ -43,10 +43,17 @@ spine, C[η] and C[arg] take the same steps through the same nodes, η for
 arg. There C[arg] contracts `arg a₁ … aₖ` with a₁ … aₖ as they stand,
 while C[η] normalizes them; the two agree only if each aᵢ is normal
 already, so the normalizer checks that `norm` gives each back as the very
-node, spending no step, or raises `HoleApplied`. If the check passes,
-normalizing nf(C[η]) with arg for η gives the node C[arg] normalizes to.
-Counted without the memo, the context's steps and the plugged term's add
-up to C[arg]'s; the memo saves steps in both.
+node, spending no step, or raises `HoleApplied`, and the context is not
+used. Counted without the memo, the context's steps and the plugged
+term's add up to C[arg]'s; the memo saves steps in both.
+
+One mechanism serves the context P η of a redex prefix P met a third time
+with a closed last argument (a belief chain's levels) and the contexts
+`Normalizer.context` keeps as prefixes `λη. C` (a sentence's trees, see
+`glf.bridge`). A prefix applied to a closed arg gives nf(C[η]) with
+nf(arg) for η, or with arg where η heads a spine, normalized on from
+there. A context forms on its term's budget: a failed one charges
+nothing, and one that runs out raises, as its term would.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ from __future__ import annotations
 from glf.errors import HoleApplied, NonTerminationGuard
 from glf.kernel.declarations import Signature
 from glf.kernel.terms import (
-    App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, substitute_all,
+    App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, fresh_name, substitute,
+    substitute_all,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -69,9 +77,9 @@ def _check_delta(delta: str) -> None:
 class _Budget:
     __slots__ = ("left", "total")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, total: int | None = None):
         self.left = n
-        self.total = n
+        self.total = n if total is None else total
 
     def spend(self) -> None:
         self.left -= 1
@@ -82,6 +90,8 @@ class _Budget:
 
 
 class _NoSteps:
+    left = 0  # it never spends a step
+
     def spend(self) -> None:  # in the hole check, a step means "not normal"
         raise HoleApplied("a hole is applied to a term not in normal form")
 
@@ -143,7 +153,8 @@ class Normalizer:
     Called with a `hole`, a variable that stands for a closed term not
     known yet, it normalizes a context: it raises `HoleApplied` where the
     hole heads a spine whose arguments are not normal already. Anywhere
-    else the hole is a plain free variable.
+    else the hole is a plain free variable. It plugs each context it keeps
+    wherever the context's prefix is applied to a closed argument.
     """
 
     def __init__(self, sig: Signature | None, *, delta: str = "applied",
@@ -153,36 +164,103 @@ class Normalizer:
         self.delta = delta
         self.budget = budget
         self._normal: dict[Term, Term] = {}
+        self._holes: frozenset[Var] = frozenset()
+        # prefix -> how often it headed a redex with a closed last argument,
+        # then None or its context: (hole, normal form, whether the hole
+        # heads a spine there).
+        self._contexts: dict[Term, object] = {}
 
     def __call__(self, t: Term, hole: Var | None = None) -> Term:
-        return self._norm(t, _Budget(self.budget), hole)
+        if hole is not None:
+            self._holes |= {hole}
+        return self._norm(t, _Budget(self.budget))
 
-    def _norm(self, t: Term, bud: _Budget, hole: Var | None) -> Term:
+    def context(self, c: Term, hole: Var) -> Term:
+        """Normalize context `c` as `self(c, hole)` does; keep and return its prefix `λhole. c`."""
+        shared = self(c, hole)
+        prefix = Lam(hole.name, None, c)
+        self._contexts[prefix] = (hole, shared, _heads(shared, hole))
+        return prefix
+
+    def _norm(self, t: Term, bud: _Budget) -> Term:
         done = self._normal.get(t)
         if done is not None:
             return done
-        head, args = _whnf(t, self.sig, self.delta, bud)
+        if t.__class__ is App:
+            seen = self._contexts.get(t.fn, 0)
+            if seen and (seen.__class__ is tuple or seen == _MET) and not free_vars(t.arg):
+                if seen == _MET and bud.__class__ is _Budget:
+                    seen = self._prefix_context(t.fn, bud)
+                if seen.__class__ is tuple:
+                    done = self._normal[t] = self._plug(seen, t.arg, bud)
+                    return done
+            left = bud.left
+            head, args = _whnf(t, self.sig, self.delta, bud)
+            if bud.left != left and seen.__class__ is int and seen < _MET and not free_vars(t.arg):
+                self._contexts[t.fn] = seen + 1
+        else:
+            head, args = _whnf(t, self.sig, self.delta, bud)
         if args:
-            if head is hole and any(self._norm(a, _NoSteps(), hole) is not a for a in args):
-                raise HoleApplied(f"{hole.name} is applied to a term not in normal form")
+            if head in self._holes and any(self._norm(a, _NoSteps()) is not a for a in args):
+                raise HoleApplied(f"{head.name} is applied to a term not in normal form")
             done = head
             for a in reversed(args):
-                done = App(done, self._norm(a, bud, hole))
+                done = App(done, self._norm(a, bud))
         else:
             cls = head.__class__
             if cls is Lam:
                 bt = head.binder_type
-                done = Lam(head.binder, self._norm(bt, bud, hole) if bt is not None else None,
-                           self._norm(head.body, bud, hole))
+                done = Lam(head.binder, self._norm(bt, bud) if bt is not None else None,
+                           self._norm(head.body, bud))
             elif cls is Const or cls is Var or cls is Sort:
                 done = head
             elif cls is Pi:
-                done = Pi(head.binder, self._norm(head.domain, bud, hole),
-                          self._norm(head.codomain, bud, hole))
+                done = Pi(head.binder, self._norm(head.domain, bud),
+                          self._norm(head.codomain, bud))
             else:
                 raise TypeError(f"not a term: {head!r}")
         self._normal[t] = done
         return done
+
+    def _prefix_context(self, prefix: Term, bud: _Budget) -> object:
+        """Form the context `prefix η` on `bud`, which a failed one leaves."""
+        hole = Var(fresh_name("η", free_vars(prefix)))
+        self._holes |= {hole}
+        trial = _Budget(bud.left, bud.total)
+        try:
+            shared = self._norm(App(prefix, hole), trial)
+        except HoleApplied:
+            context = None
+        else:
+            bud.left = trial.left
+            context = (hole, shared, _heads(shared, hole))
+        self._contexts[prefix] = context
+        return context
+
+    def _plug(self, context: tuple, arg: Term, bud: _Budget) -> Term:
+        """The normal form of the context's term with the closed `arg` for its hole."""
+        hole, shared, applied = context
+        if applied:
+            return self._norm(substitute(shared, hole.name, arg), bud)
+        if hole.name not in free_vars(shared):
+            return shared  # normal order drops `arg` too
+        return substitute(shared, hole.name, self._norm(arg, bud))
+
+
+# A context costs a walk more than normal order, so a prefix gets one the
+# third time it heads a redex: grounding meets many bodies just twice.
+_MET = 2
+
+
+def _heads(t: Term, hole: Var) -> bool:
+    """Whether `hole` heads an application spine in `t`."""
+    if hole.name not in free_vars(t):
+        return False
+    if t.__class__ is App:
+        return t.fn is hole or _heads(t.fn, hole) or _heads(t.arg, hole)
+    if t.__class__ is Lam:
+        return _heads(t.body, hole) or t.binder_type is not None and _heads(t.binder_type, hole)
+    return t.__class__ is Pi and (_heads(t.domain, hole) or _heads(t.codomain, hole))
 
 
 def normalize(sig: Signature | None, t: Term, *, delta: str = "applied",

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from functools import cached_property
 from typing import NamedTuple
 
 from glf.errors import AmbiguousParse, TermSyntaxError
@@ -81,9 +80,9 @@ STRUCTURAL = {
 }
 RESERVED_TOKENS = frozenset(STRUCTURAL) | frozenset({"//", "--"})
 
-# Whitespace and `//` comments, then a word or a symbol (longest first).
-_TOKEN = r"(?:\s+|//[^\n]*)*(?:({ident})|({symbols}))?"
-_SYMBOLS = frozenset(STRUCTURAL)
+# Whitespace and `//` comments, then perhaps a word; if no word follows,
+# the longest symbol there is looked up in the notation table.
+_TOKEN = re.compile(rf"(?:\s+|//[^\n]*)*({IDENT_RE.pattern})?")
 _KINDS = {**STRUCTURAL, **dict.fromkeys(KEYWORDS, "KEYWORD"), "type": "TYPE"}
 # A notation's words run from its `#` to the first `;` or `end`, and may
 # close with `prec N`.
@@ -114,7 +113,9 @@ class NotationTable:
         self.printed: dict[tuple[int, bool], weakref.WeakKeyDictionary[Term, str]] = {}
         self.delimiters: set[str] = set()
         self.word_lexemes: set[str] = set()
-        self.symbols: frozenset[str] = frozenset()
+        self.symbols: set[str] = set()
+        self.lengths: dict[str, list[int]] = {}  # by first character, longest first
+        self._add_symbols(STRUCTURAL)
         self.kinds = dict(_KINDS)
         # The signature's map, not the signature: the table is cached on the
         # signature, so holding the signature would make a cycle.
@@ -169,18 +170,22 @@ class NotationTable:
         self.kinds.update(dict.fromkeys(lexemes, "LEXEME"))
         words = {t for t in lexemes if IDENT_RE.fullmatch(t)}
         self.word_lexemes |= words
-        if not lexemes - words <= self.symbols:
-            self.symbols |= lexemes - words
-            self.__dict__.pop("matcher", None)
+        self._add_symbols(lexemes - words)
 
-    @cached_property
-    def matcher(self) -> re.Pattern:
-        """The token pattern for the table's symbols, longest first; `re`
-        keeps the compiled pattern for tables with the same symbols."""
-        symbols = sorted(self.symbols | _SYMBOLS, key=len, reverse=True)
-        return re.compile(_TOKEN.format(
-            ident=IDENT_RE.pattern, symbols="|".join(map(re.escape, symbols))
-        ))
+    def _add_symbols(self, symbols) -> None:
+        self.symbols.update(symbols)
+        for sym in symbols:
+            lengths = self.lengths.setdefault(sym[0], [])
+            if len(sym) not in lengths:
+                lengths.append(len(sym))
+                lengths.sort(reverse=True)
+
+    def symbol_at(self, text: str, pos: int) -> str | None:
+        """The longest of the table's symbols that `text` has at `pos`."""
+        for n in self.lengths.get(text[pos:pos + 1], ()):
+            if text[pos:pos + n] in self.symbols:
+                return text[pos:pos + n]
+        return None
 
 
 def notation_table(signature: Signature) -> NotationTable:
@@ -216,16 +221,16 @@ class _Parser:
     def peek(self) -> _Token:
         tok = self.tok
         if tok is None:
-            m = self.table.matcher.match(self.text, self.pos)
-            text = m[1] or m[2]
-            end = m.end()
+            m = _TOKEN.match(self.text, self.pos)
+            start = m.start(1) if m[1] else m.end()
+            text = m[1] or self.table.symbol_at(self.text, start)
             if text:
-                tok = _Token(self.table.kinds.get(text, "IDENT"), text, end - len(text))
-            elif end == len(self.text):
-                tok = _Token("EOF", "", end)
+                tok = _Token(self.table.kinds.get(text, "IDENT"), text, start)
+            elif start == len(self.text):
+                tok = _Token("EOF", "", start)
             else:
                 raise TermSyntaxError(
-                    f"unexpected character {self.text[end]!r}", *self.where(end)
+                    f"unexpected character {self.text[start]!r}", *self.where(start)
                 )
             self.tok = tok
         return tok

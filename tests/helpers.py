@@ -1134,6 +1134,17 @@ def run_cli(*args):
     )
 
 
+def benchmark_workload(name: str, seed: int):
+    """A `perfbench` workload's sessions of sentences, from its `workloads`
+    module, which is read and never changed."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+
+    return workloads.WORKLOADS[name](seed)
+
+
 # --- the reference chart parser ------------------------------------------------
 #
 # The Earley parser as it stood before it ran on the CFG's integer tables,

@@ -52,6 +52,7 @@ from glf.shell.loader import initial_state
 from glf.tableau import update_belief_state
 from helpers import (
     alpha_variant,
+    benchmark_workload,
     clashing_terms,
     cyclic_garbage,
     enumerate_asts,
@@ -522,6 +523,32 @@ class TestSharedContexts:
         assert err.value.ast is first
         assert type(err.value.__cause__) is NonTerminationGuard
         assert str(err.value.__cause__) == str(alone.value)
+
+
+class TestPrefixContextsInConstruction:
+    """A belief chain's levels apply one of four view images of
+    `modifyS pol (believe X)` to the level below: met a third time, each is
+    reduced once more, as a context, and not again at every level."""
+
+    def test_a_modal_pass_reduces_each_repeated_prefix_once(self, modal, monkeypatch):
+        calls, spent = [0], [0]
+        whnf, spend = reduce_module._whnf, reduce_module._Budget.spend
+
+        def counted_whnf(*args):
+            calls[0] += 1
+            return whnf(*args)
+
+        def counted_spend(budget):
+            spent[0] += 1
+            spend(budget)
+
+        monkeypatch.setattr(reduce_module, "_whnf", counted_whnf)
+        monkeypatch.setattr(reduce_module._Budget, "spend", counted_spend)
+        for (sentence,) in benchmark_workload("modal_depth", 7).sessions:
+            assert len(construct_semantics(modal, sentence.text)) == 1
+        # Reducing every level's prefix again takes 1 010 calls and 3 902 steps.
+        assert calls[0] <= 1010 // 2
+        assert spent[0] <= 3902 // 2
 
 
 def twin_fragment(one: str, two: str) -> Fragment:

@@ -209,6 +209,26 @@ class TestOneScopePerTheory:
             lines.append(f"  c{k} : i -> o" + (f" # w{k}' %1 prec 10 ;" if notations else " ;"))
         return "\n".join(lines + ["end"])
 
+    def test_new_symbol_notations_never_rebuild_the_lexer(self, monkeypatch):
+        # Each declaration brings a new symbol; ⊕1 is a prefix of ⊕10 and ⊕100.
+        lines = ["theory Base =", "  o : type ;", "  i : type ;", "  a : i ;", "end",
+                 "theory Long =", "  include Base ;"]
+        lines += [f"  c{k} : i -> o # ⊕{k} %1 prec 10 ;" for k in range(300)]
+        text = "\n".join(lines + ["end"])
+        compiled = []
+        compile_ = re.compile
+        monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args) or compile_(*args))
+        g = TheoryGraph()
+        assert parse_theory_file(g, text) == ["Base", "Long"]
+        assert len(compiled) <= 2  # a pattern compiled per new symbol would make 300
+        monkeypatch.undo()
+        want = TheoryGraph()
+        reference_parse_theory_file(want, text)
+        assert g.theories == want.theories
+        flat = g.flatten("Long")
+        assert parse_term(flat, "⊕10 ⊕1 a") == app(Const("c10"), app(Const("c1"), Const("a")))
+        assert parse_term(flat, "⊕100 a") == app(Const("c100"), Const("a"))
+
     @pytest.mark.parametrize("notations", [False, True])
     def test_reading_builds_one_table_and_scope_per_block(self, monkeypatch, notations):
         parse_theory_file(TheoryGraph(), "")  # the table between blocks is built once

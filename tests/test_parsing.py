@@ -24,7 +24,9 @@ from glf.grammar import (
 )
 from glf.kernel import App, Const
 from glf.shell import load_fragment, parse_gold_file
+from glf.grammar import earley
 from helpers import (
+    benchmark_workload,
     enumerate_asts,
     reference_parse_tokens,
     reference_parse_tokens_before,
@@ -276,18 +278,47 @@ _SYMBOLS = ("a", "b", "A", S_, NT("S", ("x",), ()), A_SG, B_)
 
 
 @st.composite
-def random_cfgs(draw):
+def random_cfgs(draw, symbols=_SYMBOLS):
     """Small CFGs with cycles, empty right-hand sides, several start symbols,
     permuted arguments, and one function name on several productions."""
     productions = []
     for _ in range(draw(st.integers(1, 7))):
         lhs = draw(st.sampled_from([s for s in _SYMBOLS if isinstance(s, NT)]))
-        rhs = draw(st.lists(st.sampled_from(_SYMBOLS), max_size=3))
+        rhs = draw(st.lists(st.sampled_from(symbols), max_size=3))
         order = iter(draw(st.permutations(range(sum(isinstance(it, NT) for it in rhs)))))
         rhs = tuple(it if isinstance(it, str) else (it, next(order)) for it in rhs)
         arity = sum(not isinstance(it, str) for it in rhs)
         productions.append(Production(lhs, rhs, draw(st.sampled_from("fgh")), arity))
     return CFG("S", tuple(productions))
+
+
+E_, Z_, N_, D_, G_ = (NT(cat, (), ()) for cat in "EZNDG")
+
+#: E and Z each derive one empty tree, and N one tree of both, its
+#: arguments permuted: all three are compiled out of every right-hand side.
+#: D derives two empty trees and G derives an empty tree and "a": both stay.
+EMPTIES = (
+    Production(E_, (), "e", 0),
+    Production(Z_, (), "z", 0),
+    Production(N_, ((E_, 1), (Z_, 0)), "n", 2),
+    Production(D_, (), "d1", 0),
+    Production(D_, (), "d2", 0),
+    Production(G_, (), "g0", 0),
+    Production(G_, ("a",), "ga", 0),
+)
+
+
+@st.composite
+def cfgs_with_empty_categories(draw):
+    """`random_cfgs` whose right-hand sides may hold E, N, D and G anywhere;
+    now and then the start category's one production is `s : N -> S`, so
+    that it derives one empty tree too."""
+    cfg = draw(random_cfgs(_SYMBOLS + (E_, N_, D_, G_)))
+    productions = cfg.productions + EMPTIES
+    if draw(st.booleans()):
+        productions = tuple(p for p in productions if p.lhs.cat != "S") + (
+            Production(S_, ((N_, 0),), "s", 1),)
+    return CFG("S", productions)
 
 
 class TestAgainstReference:
@@ -303,6 +334,13 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(random_cfgs(), st.lists(st.sampled_from(("a", "b", "A")), max_size=6))
     def test_random_grammars(self, cfg, tokens):
+        assert parse_tokens(cfg, tokens) == reference_parse_tokens(cfg, tokens)
+        assert recognize(cfg, tokens) == reference_recognize(cfg, tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfgs_with_empty_categories(), st.lists(st.sampled_from(("a", "b", "A")), max_size=6))
+    @example(CFG("S", (Production(S_, ((N_, 0),), "s", 1),) + EMPTIES), [])
+    def test_random_grammars_with_empty_categories(self, cfg, tokens):
         assert parse_tokens(cfg, tokens) == reference_parse_tokens(cfg, tokens)
         assert recognize(cfg, tokens) == reference_recognize(cfg, tokens)
 
@@ -410,6 +448,50 @@ class TestCycles:
         rnd.shuffle(shuffled)
         assert set(parse_tokens(cfg, tokens)) == set(
             parse_tokens(CFG(cfg.start, tuple(shuffled)), tokens))
+
+
+class TestEmptyCategories:
+    """A category whose one derivation is one empty tree leaves every
+    right-hand side, and its tree becomes a fixed argument of the parent."""
+
+    def test_only_categories_with_one_empty_derivation_leave_the_rules(self):
+        cfg = CFG("S", (
+            Production(S_, ((E_, 0), "a", (D_, 1), (N_, 2), (G_, 3), (E_, 4)), "f", 5),
+        ) + EMPTIES)
+        # Codes number the left-hand sides in order of first appearance:
+        # S, E, Z, N, D, G. E, Z and N leave every right-hand side.
+        d, g = 4, 5
+        assert cfg.rhs[:4] == [("a", d, g), (), (), ()]
+        assert cfg.productions[0].rhs[0] == (E_, 0)  # the productions stay as they are
+        n = ast("n", ast("z"), ast("e"))
+        assert parse_tokens(cfg, ["a"]) == reference_parse_tokens(cfg, ["a"]) == [
+            ast("f", ast("e"), ast("d1"), n, ast("g0"), ast("e")),
+            ast("f", ast("e"), ast("d2"), n, ast("g0"), ast("e")),
+        ]
+
+    @pytest.mark.parametrize("name", ["life", "quantified", "modal"])
+    def test_no_shipped_rule_holds_a_nullable_code(self, name):
+        for cfg in load_fragment(fragment_dir(name)).cfgs.values():
+            assert not any(it.__class__ is int and cfg.nullable[it] for r in cfg.rhs for it in r)
+        if name == "modal":  # its polarities linearize as the empty string
+            assert any(not p.rhs for p in cfg.productions)
+
+    def test_a_modal_pass_completes_fewer_chart_items(self, monkeypatch):
+        # With the polarities in the chart, this pass completes 4 219 items.
+        done_sizes = []
+        run = earley._run
+
+        def counted(cfg, tokens, done=None):
+            completed = run(cfg, tokens, done)
+            if done is not None:
+                done_sizes.append(len(done))
+            return completed
+
+        monkeypatch.setattr(earley, "_run", counted)
+        cfg = load_fragment(fragment_dir("modal")).cfgs["Eng"]
+        for (sentence,) in benchmark_workload("modal_depth", 7).sessions:
+            assert len(parse_tokens(cfg, tokenize(sentence.text))) == 1
+        assert sum(done_sizes) == 1954
 
 
 class TestLinearize:

@@ -14,6 +14,7 @@ from glf.kernel import (
     Var,
     alpha_eq,
     app,
+    arrow,
     def_eq,
     free_vars,
     infer_type,
@@ -22,6 +23,7 @@ from glf.kernel import (
     substitute,
     whnf,
 )
+from glf.kernel import reduce as reduce_module
 from glf.kernel.reduce import DEFAULT_BUDGET
 from glf.kernel.typecheck import EMPTY
 from helpers import (
@@ -35,6 +37,7 @@ from helpers import (
     reference_whnf,
     signature_terms,
     typed_terms,
+    untyped_terms,
 )
 
 love = Const("love'")
@@ -512,3 +515,117 @@ class TestContexts:
         assert normal(app(Const("f"), HOLE, App(I, Const("c"))), HOLE) is app(
             Const("f"), HOLE, Const("c"))
         assert normal(App(HOLE, Const("c")), HOLE) is App(HOLE, Const("c"))
+
+
+@st.composite
+def prefix_families(draw):
+    """(signature, terms): one prefix applied to several closed arguments,
+    now and then to a term that applies it already. The prefix and the
+    arguments are well typed over `ksig`, the hole taking a proposition or
+    a function on them, or untyped; an untyped prefix is mostly a λ whose
+    variable occurs in its body, so that it heads a redex."""
+    if draw(st.booleans()):
+        sig = ksig()
+        prop, fun = typed_terms(sig, O), typed_terms(sig, arrow(O, O))
+        if draw(st.booleans()):
+            prefix = draw(fun | prop.map(lambda x: Lam("p", O, app(Const("and"), Var("p"), x)))
+                          | prop.map(lambda x: Lam("p", O, app(Const("or"), x, Var("p"))))
+                          | fun.map(lambda f: Lam("p", O, App(f, App(Const("neg"), Var("p"))))))
+            args = draw(st.lists(prop, min_size=3, max_size=6))
+        else:  # the hole heads a spine
+            q = Var("q")
+            prefix = draw(prop.map(lambda x: Lam("q", arrow(O, O), App(q, x)))
+                          | prop.map(lambda x: Lam("q", arrow(O, O), App(q, App(q, x)))))
+            args = draw(st.lists(fun, min_size=3, max_size=6))
+    else:
+        sig = None
+        prefix = draw(untyped_terms(4) | terms_with_x_free().map(lambda t: Lam("x", None, t)))
+        args = [lam(sorted(free_vars(a)), a)
+                for a in draw(st.lists(untyped_terms(3), min_size=3, max_size=6))]
+    terms = []
+    for a in args:
+        if terms and draw(st.booleans()):
+            a = terms[-1]
+        terms.append(App(prefix, a))
+    return sig, terms
+
+
+def spends(monkeypatch) -> list[int]:
+    """A one-item list that counts the steps glf's budgets spend from now on."""
+    spent = [0]
+    spend = reduce_module._Budget.spend
+
+    def counted(budget):
+        spent[0] += 1
+        spend(budget)
+
+    monkeypatch.setattr(reduce_module._Budget, "spend", counted)
+    return spent
+
+
+class TestPrefixContexts:
+    """A prefix P that heads a redex a third time with a closed argument is
+    normalized once, as the context P η, and each P a from then on is its
+    normal form with nf(a) in the hole: the very node normal order gives,
+    and no more steps."""
+
+    @given(prefix_families())
+    @example((None, [App(Lam("x", None, app(Var("x"), Const("c"))), arg)
+                     for arg in (Lam("y", None, Var("y")), Lam("z", None, Const("d")), I)]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_nodes_and_no_more_steps_than_the_reference(self, family):
+        sig, terms = family
+        normal = Normalizer(sig)
+        for t in terms:
+            want = outcome(reference_normalize, sig, t, budget=CONTEXT_BUDGET)
+            if want is NonTerminationGuard:
+                continue
+            # The least budget the reference needs is enough here too.
+            normal.budget = reference_steps(sig, t, "applied")
+            assert normal(t) is want
+
+    def test_an_argument_the_context_drops_is_never_normalized(self):
+        drop = Lam("x", None, App(Const("f"), Const("c")))
+        normal = Normalizer(None, budget=50)
+        for arg in (Const("d"), Const("e")):
+            assert normal(App(drop, arg)) is App(Const("f"), Const("c"))
+        # Met a third time: its context holds no hole, so the diverging
+        # argument is never looked at, as normal order never looks at it.
+        assert normal(App(drop, OMEGA)) is App(Const("f"), Const("c"))
+        assert normal._contexts[drop][1] is App(Const("f"), Const("c"))
+
+    def test_a_hole_at_the_head_with_normal_arguments_reduces_on(self):
+        # λx. λy. x y: the hole applied to y, which is normal; the plugged
+        # argument's binder y is renamed as normal order renames it.
+        apply = Lam("x", None, Lam("y", None, App(Var("x"), Var("y"))))
+        args = [lam(["a", "y"], app(Const("g"), Var("a"), Var("y"))),
+                lam(["a"], app(Const("f"), Var("a"), Var("a"))),
+                lam(["b", "c"], Var("c"))]
+        normal = Normalizer(None)
+        for arg in args:
+            t = App(apply, arg)
+            assert normal(t) is reference_normalize(None, t)
+        hole, shared, applied = normal._contexts[apply]
+        assert applied and shared is Lam("y", None, App(hole, Var("y")))
+
+    def test_a_hole_applied_to_a_redex_falls_back_to_normal_order(self):
+        redex = Lam("x", None, App(Var("x"), App(I, Const("c"))))
+        normal = Normalizer(None)
+        for arg in (I, Lam("w", None, Const("d")), Lam("w", None, App(Var("w"), Var("w")))):
+            t = App(redex, arg)
+            # The failed context charges no step: the least budget suffices.
+            normal.budget = reference_steps(None, t, "applied")
+            assert normal(t) is reference_normalize(None, t)
+        assert not isinstance(normal._contexts[redex], tuple)  # no context for it
+
+    def test_a_diverging_context_raises_one_guard(self, monkeypatch):
+        diverging = Lam("x", None, app(Const("f"), Var("x"), OMEGA))
+        normal = Normalizer(None, budget=100)
+        for arg in (Const("c"), Const("e")):
+            with pytest.raises(NonTerminationGuard):
+                normal(App(diverging, arg))
+        spent = spends(monkeypatch)
+        with pytest.raises(NonTerminationGuard) as err:
+            normal(App(diverging, Const("d")))  # the context P η diverges
+        assert str(err.value) == "reduction exceeded the step budget of 100"
+        assert spent[0] == 101  # the context's, and no second try in normal order
