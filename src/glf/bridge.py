@@ -54,6 +54,7 @@ from glf.kernel import (
 from glf.kernel.declarations import Declaration
 from glf.modsys import Theory, TheoryGraph, View, ViewApplier, print_term
 from glf.modsys.syntax import KEYWORDS
+from glf.tableau import DEFAULT_STEP_BUDGET
 
 # Names the theory-file syntax reserves; a grammar using one of these could
 # not round-trip through the generated language theory.
@@ -131,7 +132,7 @@ class Fragment:
     proposition_type: str
     individual_type: str | None = None
     connectives: dict[str, str] = field(default_factory=dict)
-    step_budget: int = 10_000
+    step_budget: int = DEFAULT_STEP_BUDGET
     knowledge: tuple[Term, ...] = ()
 
     @property

@@ -253,11 +253,13 @@ _MET = 2
 
 
 def _heads(t: Term, hole: Var) -> bool:
-    """Whether `hole` heads an application spine in `t`."""
+    """Whether `hole` heads an application spine in `t`, or sits in a Π that
+    heads one, which `_norm` leaves as it stands."""
     if hole.name not in free_vars(t):
         return False
     if t.__class__ is App:
-        return t.fn is hole or _heads(t.fn, hole) or _heads(t.arg, hole)
+        return (t.fn is hole or t.fn.__class__ is Pi and hole.name in free_vars(t.fn)
+                or _heads(t.fn, hole) or _heads(t.arg, hole))
     if t.__class__ is Lam:
         return _heads(t.body, hole) or t.binder_type is not None and _heads(t.binder_type, hole)
     return t.__class__ is Pi and (_heads(t.domain, hole) or _heads(t.codomain, hole))

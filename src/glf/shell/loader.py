@@ -35,7 +35,9 @@ from glf.kernel import Const, Term, alpha_eq
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.modsys.theory import Theory, check_totality
-from glf.tableau import CONNECTIVE_ROLES, BeliefState, LogicSignature, init_belief_state
+from glf.tableau import (
+    CONNECTIVE_ROLES, DEFAULT_STEP_BUDGET, BeliefState, LogicSignature, init_belief_state,
+)
 
 _SIMPLE_KEYS = frozenset({
     "name", "theories", "grammars", "language_theories", "views",
@@ -259,7 +261,7 @@ def load_fragment(directory: str | Path) -> Fragment:
         connectives = {role: role for role in CONNECTIVE_ROLES}
 
     try:
-        step_budget = int(entries.get("step_budget", "10000"))
+        step_budget = int(entries.get("step_budget", DEFAULT_STEP_BUDGET))
     except ValueError:
         raise FragmentLoadError("step_budget must be an integer") from None
     if step_budget < 1:

@@ -7,6 +7,8 @@ every reading, counting readings equal modulo α and AC of ∧ and ∨ once
 (and α-normalizing only one per AC class as they stand), then saturates:
 conjunctive formulas extend a branch, disjunctive ones split it, and a
 branch closes as soon as it contains an atom together with its negation.
+A branch keeps its literals as one map from the α-normal form of each
+atom to its literal, so spotting a clash or a repeat is one lookup.
 What survives are the Herbrand-style models of the discourse, read off
 with :func:`extract_models`.
 
@@ -47,6 +49,9 @@ CONNECTIVE_ROLES = tuple(_ARITY)
 #: legal identifiers, so they can never collide with a declared constant.
 TOP = Const("⊤")
 BOTTOM = Const("⊥")
+
+#: The expansion steps one saturation may take unless a fragment says otherwise.
+DEFAULT_STEP_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -123,11 +128,13 @@ class Literal:
 
 @dataclass(frozen=True)
 class Branch:
-    literals: tuple[Literal, ...] = ()
+    """One way the discourse could be true. ``literals`` maps the α-normal
+    form of each atom met to its first literal, in the order met; it is
+    left out of the hash, and equality reads it as a set."""
+
+    literals: Mapping[Term, Literal] = field(default_factory=dict, hash=False)
     pending: tuple[Term, ...] = ()
     closed: bool = False
-    #: The α-normal form of each literal's atom, mapped to its polarity.
-    polarity: Mapping[Term, bool] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -136,7 +143,7 @@ class BeliefState:
     world_knowledge: tuple[Term, ...]
     branches: tuple[Branch, ...]
     history: tuple[str, ...]
-    step_budget: int = 10_000
+    step_budget: int = DEFAULT_STEP_BUDGET
     exhausted: bool = False
 
     @property
@@ -210,41 +217,13 @@ def _with_literal(branch: Branch, lit: Literal, rest: tuple[Term, ...]) -> Branc
     key = alpha_normal(lit.atom)
     # The designated atoms carry their truth value with them.
     if key == TOP:
-        return Branch(branch.literals, rest, not lit.positive, branch.polarity)
+        return Branch(branch.literals, rest, not lit.positive)
     if key == BOTTOM:
-        return Branch(branch.literals, rest, lit.positive, branch.polarity)
-    known = branch.polarity.get(key)
+        return Branch(branch.literals, rest, lit.positive)
+    known = branch.literals.get(key)
     if known is not None:
-        return Branch(branch.literals, rest, known != lit.positive, branch.polarity)
-    return Branch(
-        branch.literals + (lit,), rest, False, {**branch.polarity, key: lit.positive}
-    )
-
-
-def _expand(
-    signature: LogicSignature, branch: Branch, classified: dict[Term, tuple]
-) -> tuple[tuple[Branch, ...], str, str]:
-    """Apply one rule to the first pending formula of an open branch.
-
-    Returns the branches it becomes, in order, and the two halves of the
-    step's history note, which go either side of the branch's index.
-    Branches are built directly: `replace` would cost more than the rule.
-    `classified` remembers `_classify` of each formula met so far, as the
-    branches of one update share a few formulas.
-    """
-    t, rest = branch.pending[0], branch.pending[1:]
-    found = classified.get(t)
-    if found is None:
-        found = classified[t] = _classify(signature, t)
-    kind, parts = found
-    if kind == "alpha":
-        new = (Branch(branch.literals, parts + rest, False, branch.polarity),)
-        return new, "α-expand", f" ({len(parts)} part(s))"
-    if kind == "beta":
-        new = tuple(Branch(branch.literals, (p,) + rest, False, branch.polarity) for p in parts)
-        return new, "β-split", ""
-    new = (_with_literal(branch, parts, rest),)
-    return new, "literal", " -- closed" if new[0].closed else ""
+        return Branch(branch.literals, rest, known.positive != lit.positive)
+    return Branch({**branch.literals, key: lit}, rest)
 
 
 def expand_step(state: BeliefState) -> BeliefState:
@@ -267,7 +246,9 @@ def saturate(state: BeliefState) -> BeliefState:
     the same branch order and one history note per step. Branches still to
     be looked at sit on a stack, first on top, so each step costs only its
     own rule; the branches before the current one are finished, which makes
-    its index the length of ``done``.
+    its index the length of ``done``. A step pushes what the branch becomes
+    and appends its note; `classified` remembers `_classify` of each formula
+    met, as the branches of one update share a few formulas.
 
     Exhausting the budget is not an error: the state is returned with
     ``exhausted`` set, and everything derived so far remains usable.
@@ -280,13 +261,25 @@ def saturate(state: BeliefState) -> BeliefState:
         branch = todo.pop()
         if branch.closed or not branch.pending:
             done.append(branch)
-        elif len(notes) >= state.step_budget:
+            continue
+        if len(notes) >= state.step_budget:
             todo.append(branch)
             break
+        t, rest = branch.pending[0], branch.pending[1:]
+        found = classified.get(t)
+        if found is None:
+            found = classified[t] = _classify(state.signature, t)
+        kind, parts = found
+        if kind == "alpha":
+            todo.append(Branch(branch.literals, parts + rest))
+            notes.append(f"α-expand on branch {len(done)} ({len(parts)} part(s))")
+        elif kind == "beta":
+            todo.extend(Branch(branch.literals, (p,) + rest) for p in reversed(parts))
+            notes.append(f"β-split on branch {len(done)}")
         else:
-            new, verb, detail = _expand(state.signature, branch, classified)
-            notes.append(f"{verb} on branch {len(done)}{detail}")
-            todo.extend(reversed(new))
+            branch = _with_literal(branch, parts, rest)
+            todo.append(branch)
+            notes.append(f"literal on branch {len(done)}" + (" -- closed" if branch.closed else ""))
     return replace(
         state,
         branches=(*done, *reversed(todo)),
@@ -306,7 +299,7 @@ def init_belief_state(
     signature: LogicSignature,
     axioms: Iterable[Term] = (),
     *,
-    step_budget: int = 10_000,
+    step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> BeliefState:
     """Start a belief state from world knowledge and saturate it once.
 
@@ -408,7 +401,7 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
 
         open_branches = state.open_branches
         branches = tuple(
-            Branch(b.literals, b.pending + (g,), False, b.polarity)
+            Branch(b.literals, b.pending + (g,))
             for g in grounded
             for b in open_branches
         )
@@ -436,13 +429,13 @@ def extract_models(state: BeliefState) -> tuple[tuple[Literal, ...], ...]:
         if branch.closed:
             continue
         # Equal literal sets sort to equal fingerprints.
-        literal_set = frozenset(branch.literals)
+        literal_set = frozenset(branch.literals.values())
         if literal_set in seen_sets:
             continue
         seen_sets.add(literal_set)
         keyed = sorted(
             (((0 if lit.positive else 1, print_term(flat, lit.atom)), lit)
-             for lit in branch.literals),
+             for lit in branch.literals.values()),
             key=itemgetter(0),
         )
         fingerprint = tuple(k for k, _ in keyed)

@@ -945,14 +945,31 @@ def random_formula(rng, depth: int) -> Term:
 #
 # `glf.tableau`'s saturation and update as they stood before saturation ran
 # over a worklist and readings were grouped modulo AC of ∧ and ∨. Kept
-# verbatim, but for the names, as oracles: `reference_saturate` rescans
-# every branch per step and rebuilds both tuples, and `reference_update`
-# saturates every α-distinct reading.
+# verbatim, but for the names and the branch's literal map, as oracles:
+# `reference_saturate` rescans every branch per step and rebuilds both
+# tuples, `reference_with_literal` looks for an α-equal atom literal by
+# literal, and `reference_update` saturates every α-distinct reading.
+
+def reference_with_literal(branch, lit, rest):
+    from dataclasses import replace
+
+    from glf.tableau import BOTTOM, TOP, Branch
+
+    # The designated atoms carry their truth value with them.
+    if lit.atom == TOP:
+        return replace(branch, pending=rest, closed=not lit.positive)
+    if lit.atom == BOTTOM:
+        return replace(branch, pending=rest, closed=lit.positive)
+    for known in branch.literals.values():
+        if reference_alpha_eq(known.atom, lit.atom):
+            return replace(branch, pending=rest, closed=known.positive != lit.positive)
+    return Branch({**branch.literals, reference_alpha_normal(lit.atom): lit}, rest)
+
 
 def reference_expand_step(state):
     from dataclasses import replace
 
-    from glf.tableau import _classify, _with_literal
+    from glf.tableau import _classify
 
     for i, branch in enumerate(state.branches):
         if not branch.closed and branch.pending:
@@ -969,7 +986,7 @@ def reference_expand_step(state):
         new = tuple(replace(branch, pending=(p,) + rest) for p in parts)
         note = f"β-split on branch {i}"
     else:
-        new = (_with_literal(branch, parts, rest),)
+        new = (reference_with_literal(branch, parts, rest),)
         note = f"literal on branch {i}" + (" -- closed" if new[0].closed else "")
 
     return replace(
@@ -1105,7 +1122,7 @@ def reference_extract_models(state):
     for branch in state.branches:
         if branch.closed:
             continue
-        lits = tuple(sorted(branch.literals, key=key))
+        lits = tuple(sorted(branch.literals.values(), key=key))
         fingerprint = tuple(map(key, lits))
         if fingerprint not in seen:
             seen.add(fingerprint)

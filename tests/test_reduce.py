@@ -11,6 +11,7 @@ from glf.kernel import (
     Const,
     Lam,
     Normalizer,
+    Pi,
     Var,
     alpha_eq,
     app,
@@ -550,6 +551,15 @@ def prefix_families(draw):
     return sig, terms
 
 
+# P = λx. (Πx:x. x) x, applied three times. In the context P η the hole sits
+# in a Π that heads a spine, which normal order leaves as it stands, so the
+# normal form of P (P (λy.y)) keeps P (λy.y) there unreduced.
+PI_PREFIX = Lam("x", None, App(Pi("x", Var("x"), Var("x")), Var("x")))
+PI_PREFIX_TERMS = [App(PI_PREFIX, Lam("x", None, Var("x"))),
+                   App(PI_PREFIX, Lam("y", None, Var("y"))),
+                   App(PI_PREFIX, App(PI_PREFIX, Lam("y", None, Var("y"))))]
+
+
 def spends(monkeypatch) -> list[int]:
     """A one-item list that counts the steps glf's budgets spend from now on."""
     spent = [0]
@@ -572,6 +582,7 @@ class TestPrefixContexts:
     @given(prefix_families())
     @example((None, [App(Lam("x", None, app(Var("x"), Const("c"))), arg)
                      for arg in (Lam("y", None, Var("y")), Lam("z", None, Const("d")), I)]))
+    @example((None, PI_PREFIX_TERMS))
     @settings(max_examples=200, deadline=None)
     def test_same_nodes_and_no_more_steps_than_the_reference(self, family):
         sig, terms = family
@@ -583,6 +594,13 @@ class TestPrefixContexts:
             # The least budget the reference needs is enough here too.
             normal.budget = reference_steps(sig, t, "applied")
             assert normal(t) is want
+
+    def test_a_hole_in_a_pi_heading_a_spine_is_plugged_as_it_stands(self):
+        normal = Normalizer(None)
+        for t in PI_PREFIX_TERMS:
+            assert normal(t) is reference_normalize(None, t)
+        hole, shared, applied = normal._contexts[PI_PREFIX]
+        assert applied and shared is App(Pi("x", hole, Var("x")), hole)
 
     def test_an_argument_the_context_drops_is_never_normalized(self):
         drop = Lam("x", None, App(Const("f"), Const("c")))

@@ -20,7 +20,7 @@ from glf.errors import (
     TableauError,
     TypeError_,
 )
-from glf.kernel import App, Const, Lam, Normalizer, Term, Var, alpha_eq, app, spine
+from glf.kernel import App, Const, Lam, Normalizer, Term, Var, alpha_eq, alpha_normal, app, spine
 from glf.kernel.typecheck import EMPTY
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.tableau import (
@@ -278,6 +278,8 @@ class TestExpansionRules:
     def test_repeated_literal_is_recorded_once(self):
         state = init_belief_state(PROP_SIG, (prop("p1 ∧ p1"),))
         assert rendered(state) == [("p1",)]
+        [branch] = state.branches
+        assert branch.literals == {Const("p1"): Literal(True, Const("p1"))}
 
     def test_modus_ponens_shape(self):
         state = init_belief_state(PROP_SIG, (prop("p1"), prop("p1 ⇒ p2")))
@@ -292,6 +294,8 @@ class TestExpansionRules:
         assert state.open_branches == ()
         state = init_belief_state(FOL_SIG, (boxed_x, boxed_y))
         assert [len(model) for model in extract_models(state)] == [1]
+        [branch] = state.branches
+        assert branch.literals == {alpha_normal(boxed_y): Literal(True, boxed_x)}
 
     def test_expand_step_is_identity_when_quiescent(self):
         state = init_belief_state(PROP_SIG, (prop("p1"),))
@@ -661,7 +665,8 @@ class TestExtractModels:
     def test_same_models_as_the_reference(self, case):
         branches, closed_first = case
         state = BeliefState(
-            PROP_SIG, (), tuple(Branch(lits, (), closed_first and i == 0)
+            PROP_SIG, (), tuple(Branch({alpha_normal(l.atom): l for l in lits}, (),
+                                       closed_first and i == 0)
                                 for i, lits in enumerate(branches)), ())
         models = extract_models(state)
         assert models == reference_extract_models(state)
