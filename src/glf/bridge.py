@@ -14,10 +14,11 @@ Catalan(n−1) bracketings of a coordinated subject share their verb phrase.
 context C[η] whose hole η stands for the one argument they differ in, and
 each tree plugs its own argument into the context's normal form. That is
 glf's one context mechanism (`glf.kernel.reduce`), which also serves the
-prefixes a belief chain repeats; `_plugged` only chooses the argument. A
-context whose hole reaches head position applied to a term not normal is
-dropped, and its trees normalized one by one. Each reading is the very
-node per-tree normalization gives, binder names included.
+prefixes a belief chain repeats: the normalizer mints the hole and keeps
+the context or not, and `_plugged` only chooses the argument. The trees of
+a context not kept (its hole heads a spine on a term not normal) are
+normalized one by one. Each reading is the very node per-tree
+normalization gives, binder names included.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from glf.kernel import (
     constants,
     free_vars,
     spine,
+    whnf,
 )
 from glf.kernel.declarations import Declaration
 from glf.modsys import Theory, TheoryGraph, View, ViewApplier, print_term
@@ -249,16 +251,15 @@ def _plugged(normal: Normalizer, raws: list[Term]) -> list[Term]:
 
     Images with the same head and arity that differ in one argument, closed
     in each, form a group. The group's context is the image with that
-    argument replaced by a hole η: a variable named outside the identifier
-    syntax, so no binder, and no name `fresh_name` primes, is ever η. The
-    normalizer normalizes the context once (`Normalizer.context`), and each
-    member's term applies the context's prefix `λη. C` to the member's own
-    argument, which the normalizer plugs into the context's normal form.
-    Counted without the memo, the context's steps and a tree's own add up
-    to the image's: the group pays for its context once, not once per tree.
+    argument replaced by a hole η the normalizer mints. The normalizer
+    normalizes the context once (`Normalizer.context`), and each member's
+    term applies the context's prefix `λη. C` to the member's own argument,
+    which the normalizer plugs into the context's normal form. Counted
+    without the memo, the context's steps and a tree's own add up to the
+    image's: the group pays for its context once, not once per tree.
 
-    If the context raises, `HoleApplied` among others, the group is dropped
-    and its images are normalized as they are.
+    A group whose context is not kept, or raises, is dropped, and its
+    images are normalized as they are.
     """
     plugged = list(raws)
     if len(raws) < 2:
@@ -267,7 +268,7 @@ def _plugged(normal: Normalizer, raws: list[Term]) -> list[Term]:
     for i, raw in enumerate(raws):
         head, args = spine(raw)
         groups.setdefault((head, len(args)), []).append((i, args))
-    for n, ((head, _), members) in enumerate(groups.items()):
+    for (head, _), members in groups.items():
         first = members[0][1]
         varying = {k for _, args in members[1:] for k, a in enumerate(args) if a is not first[k]}
         if len(varying) != 1:
@@ -275,13 +276,14 @@ def _plugged(normal: Normalizer, raws: list[Term]) -> list[Term]:
         (k,) = varying
         if any(free_vars(args[k]) for _, args in members):
             continue
-        hole = Var(f"η{n}")
+        hole = normal.hole()
         try:
             prefix = normal.context(app(head, *first[:k], hole, *first[k + 1:]), hole)
         except (GlfError, RecursionError):
             continue
-        for i, args in members:
-            plugged[i] = App(prefix, args[k])
+        if prefix is not None:
+            for i, args in members:
+                plugged[i] = App(prefix, args[k])
     return plugged
 
 
@@ -311,8 +313,7 @@ class TargetLogicGate:
     """`check_in_target_logic` over one fragment, for one call.
 
     A gate remembers, for as long as it lives, each subterm that passed in
-    a position with the same `sanctioned` flag, and the full δ-normal form
-    of each declared domain type it asked about. A pair that produced no
+    a position with the same `sanctioned` flag. A pair that produced no
     diagnostic once produces none again, so skipping it leaves each term's
     diagnostics, and their order, as a fresh gate gives them. The readings
     of one sentence share one gate, and each subterm they share is checked
@@ -321,7 +322,6 @@ class TargetLogicGate:
 
     def __init__(self, fragment: Fragment):
         self.flat = fragment.target_flat
-        self._full = Normalizer(self.flat, delta="full")
         self._clean: set[tuple[Term, bool]] = set()
 
     def __call__(self, t: Term) -> tuple[bool, tuple[str, ...]]:
@@ -371,7 +371,7 @@ class TargetLogicGate:
                     ok_here = (
                         isinstance(arg, Lam)
                         and i < len(domains)
-                        and isinstance(self._full(domains[i]), Pi)
+                        and isinstance(whnf(flat, domains[i], delta="full"), Pi)
                     )
                     self._visit(arg, ok_here, diagnostics)
             else:

@@ -293,39 +293,31 @@ class _LinParser:
             return e
         if tok == "table":
             self.expect("{")
-            rows = []
-            while True:
-                ctor = self.ident()
-                self.expect("=>")
-                rows.append((ctor, self.expr()))
-                if self.peek() == ";":
-                    self.next()
-                    if self.peek() == "}":
-                        break
-                    continue
-                break
-            self.expect("}")
-            return Table(tuple(rows))
+            return Table(self.entries("=>"))
         if tok == "{":
-            fields = []
-            while True:
-                fname = self.ident()
-                self.expect("=")
-                fields.append((fname, self.expr()))
-                if self.peek() == ";":
-                    self.next()
-                    if self.peek() == "}":
-                        break
-                    continue
-                break
-            self.expect("}")
-            return Record(tuple(fields))
+            return Record(self.entries("="))
         if _NAME_RE.match(tok):
             if self.peek() == ".":
                 self.next()
                 return ArgField(tok, self.ident())
             return Ctor(tok)
         raise TermSyntaxError(f"{self.where}: unexpected {tok!r}")
+
+    def entries(self, sep: str) -> tuple[tuple[str, object], ...]:
+        """`name sep expr` entries, `;`-separated with an optional trailing
+        `;`, up to and including the closing `}`."""
+        out = []
+        while True:
+            name = self.ident()
+            self.expect(sep)
+            out.append((name, self.expr()))
+            if self.peek() != ";":
+                break
+            self.next()
+            if self.peek() == "}":
+                break
+        self.expect("}")
+        return tuple(out)
 
     def ident(self) -> str:
         tok = self.next()

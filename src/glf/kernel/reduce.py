@@ -36,24 +36,31 @@ normalized once. Only completed normal forms are stored, so a term that
 diverges or is not a term raises where and as it would without the memo.
 
 A `Normalizer` also normalizes a context C[η] that many terms C[arg]
-share, arg closed, before any arg is known. η is a variable that no binder
-and no `fresh_name` can name, so it is never renamed, and it captures or
-forces a rename nowhere that a closed arg would not. Until η heads a
-spine, C[η] and C[arg] take the same steps through the same nodes, η for
-arg. There C[arg] contracts `arg a₁ … aₖ` with a₁ … aₖ as they stand,
-while C[η] normalizes them; the two agree only if each aᵢ is normal
-already, so the normalizer checks that `norm` gives each back as the very
-node, spending no step, or raises `HoleApplied`, and the context is not
-used. Counted without the memo, the context's steps and the plugged
-term's add up to C[arg]'s; the memo saves steps in both.
+share, arg closed, before any arg is known. It mints each hole itself:
+η0, η1, … (`Normalizer.hole`), a name no binder and no `fresh_name` can
+take, so η is never renamed, it captures or forces a rename nowhere that
+a closed arg would not, and no two of its contexts share one. Until η
+heads a spine, C[η] and C[arg] take the same steps through the same
+nodes, η for arg. There C[arg] contracts `arg a₁ … aₖ` with a₁ … aₖ as
+they stand, while C[η] normalizes them; the two agree only if each aᵢ is
+normal already, so the normalizer checks that `norm` gives each back as
+the very node, spending no step, or raises `HoleApplied`. Counted without
+the memo, the context's steps and the plugged term's add up to C[arg]'s.
 
-One mechanism serves the context P η of a redex prefix P met a third time
-with a closed last argument (a belief chain's levels) and the contexts
-`Normalizer.context` keeps as prefixes `λη. C` (a sentence's trees, see
-`glf.bridge`). A prefix applied to a closed arg gives nf(C[η]) with
-nf(arg) for η, or with arg where η heads a spine, normalized on from
-there. A context forms on its term's budget: a failed one charges
-nothing, and one that runs out raises, as its term would.
+One method, `Normalizer._form`, forms the context P η of a redex prefix P
+met a third time with a closed last argument (a belief chain's levels)
+and the contexts `Normalizer.context` keeps as prefixes `λη. C` (a
+sentence's trees, see `glf.bridge`). It normalizes C[η] on a trial of its
+term's budget, so a failed context charges nothing and one that runs out
+raises as its term would; it catches `HoleApplied` and keeps no context,
+or keeps nf(C[η]) and whether η is in the applied set: the holes the
+check met at a spine head. A prefix applied to a closed arg gives
+nf(C[η]) with nf(arg) for η, or, if η is applied, with arg for η,
+normalized on. That second way is always correct, and the set errs only
+towards it: η is unique to its context, and reaches a spine head of
+nf(C[η]) only through the check (or a memo entry the check made). A Π
+left at the head of a spine (a Π applied: ill-typed terms only) is
+normalized like any Π, so η in it is a plain free variable.
 """
 
 from __future__ import annotations
@@ -61,8 +68,7 @@ from __future__ import annotations
 from glf.errors import HoleApplied, NonTerminationGuard
 from glf.kernel.declarations import Signature
 from glf.kernel.terms import (
-    App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, fresh_name, substitute,
-    substitute_all,
+    App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, free_vars, substitute, substitute_all,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -150,11 +156,9 @@ class Normalizer:
     never more; a term that diverges exhausts its own budget whatever was
     normalized before it.
 
-    Called with a `hole`, a variable that stands for a closed term not
-    known yet, it normalizes a context: it raises `HoleApplied` where the
-    hole heads a spine whose arguments are not normal already. Anywhere
-    else the hole is a plain free variable. It plugs each context it keeps
-    wherever the context's prefix is applied to a closed argument.
+    It also forms contexts, each with a hole of its own (`hole`), and
+    plugs each context it keeps wherever the context's prefix is applied
+    to a closed argument; see the module docstring.
     """
 
     def __init__(self, sig: Signature | None, *, delta: str = "applied",
@@ -164,23 +168,28 @@ class Normalizer:
         self.delta = delta
         self.budget = budget
         self._normal: dict[Term, Term] = {}
-        self._holes: frozenset[Var] = frozenset()
+        self._holes: set[Var] = set()
+        self._applied: set[Var] = set()  # holes met heading a spine
         # prefix -> how often it headed a redex with a closed last argument,
-        # then None or its context: (hole, normal form, whether the hole
-        # heads a spine there).
+        # then None or its context: (hole, normal form, whether the hole is
+        # in the applied set).
         self._contexts: dict[Term, object] = {}
 
-    def __call__(self, t: Term, hole: Var | None = None) -> Term:
-        if hole is not None:
-            self._holes |= {hole}
+    def __call__(self, t: Term) -> Term:
         return self._norm(t, _Budget(self.budget))
 
-    def context(self, c: Term, hole: Var) -> Term:
-        """Normalize context `c` as `self(c, hole)` does; keep and return its prefix `λhole. c`."""
-        shared = self(c, hole)
+    def hole(self) -> Var:
+        """A hole that no other context of this normalizer has."""
+        hole = Var(f"η{len(self._holes)}")
+        self._holes.add(hole)
+        return hole
+
+    def context(self, c: Term, hole: Var) -> Term | None:
+        """Form the context `c` on a fresh budget; its prefix `λhole. c`, to
+        be applied to closed arguments, or None where `hole`, from `hole()`,
+        is applied to a term not normal."""
         prefix = Lam(hole.name, None, c)
-        self._contexts[prefix] = (hole, shared, _heads(shared, hole))
-        return prefix
+        return prefix if self._form(prefix, c, hole, _Budget(self.budget)) else None
 
     def _norm(self, t: Term, bud: _Budget) -> Term:
         done = self._normal.get(t)
@@ -190,7 +199,8 @@ class Normalizer:
             seen = self._contexts.get(t.fn, 0)
             if seen and (seen.__class__ is tuple or seen == _MET) and not free_vars(t.arg):
                 if seen == _MET and bud.__class__ is _Budget:
-                    seen = self._prefix_context(t.fn, bud)
+                    hole = self.hole()
+                    seen = self._form(t.fn, App(t.fn, hole), hole, bud)
                 if seen.__class__ is tuple:
                     done = self._normal[t] = self._plug(seen, t.arg, bud)
                     return done
@@ -201,9 +211,11 @@ class Normalizer:
         else:
             head, args = _whnf(t, self.sig, self.delta, bud)
         if args:
-            if head in self._holes and any(self._norm(a, _NoSteps()) is not a for a in args):
-                raise HoleApplied(f"{head.name} is applied to a term not in normal form")
-            done = head
+            if head in self._holes:
+                if any(self._norm(a, _NoSteps()) is not a for a in args):
+                    raise HoleApplied(f"{head.name} is applied to a term not in normal form")
+                self._applied.add(head)
+            done = self._norm(head, bud) if head.__class__ is Pi else head
             for a in reversed(args):
                 done = App(done, self._norm(a, bud))
         else:
@@ -222,18 +234,17 @@ class Normalizer:
         self._normal[t] = done
         return done
 
-    def _prefix_context(self, prefix: Term, bud: _Budget) -> object:
-        """Form the context `prefix η` on `bud`, which a failed one leaves."""
-        hole = Var(fresh_name("η", free_vars(prefix)))
-        self._holes |= {hole}
+    def _form(self, prefix: Term, c: Term, hole: Var, bud: _Budget) -> tuple | None:
+        """Normalize the context `c` on a trial of `bud`, which a failed one
+        leaves; keep and return its context, or None, under `prefix`."""
         trial = _Budget(bud.left, bud.total)
         try:
-            shared = self._norm(App(prefix, hole), trial)
+            shared = self._norm(c, trial)
         except HoleApplied:
             context = None
         else:
             bud.left = trial.left
-            context = (hole, shared, _heads(shared, hole))
+            context = (hole, shared, hole in self._applied)
         self._contexts[prefix] = context
         return context
 
@@ -250,19 +261,6 @@ class Normalizer:
 # A context costs a walk more than normal order, so a prefix gets one the
 # third time it heads a redex: grounding meets many bodies just twice.
 _MET = 2
-
-
-def _heads(t: Term, hole: Var) -> bool:
-    """Whether `hole` heads an application spine in `t`, or sits in a Π that
-    heads one, which `_norm` leaves as it stands."""
-    if hole.name not in free_vars(t):
-        return False
-    if t.__class__ is App:
-        return (t.fn is hole or t.fn.__class__ is Pi and hole.name in free_vars(t.fn)
-                or _heads(t.fn, hole) or _heads(t.arg, hole))
-    if t.__class__ is Lam:
-        return _heads(t.body, hole) or t.binder_type is not None and _heads(t.binder_type, hole)
-    return t.__class__ is Pi and (_heads(t.domain, hole) or _heads(t.codomain, hole))
 
 
 def normalize(sig: Signature | None, t: Term, *, delta: str = "applied",

@@ -106,6 +106,9 @@ def _cmd_analyze(args) -> int:
     fragment = load_fragment(args.fragment)
     sentence = " ".join(args.words)
     readings = construct_semantics(fragment, sentence, language=args.lang)
+    if not readings:
+        print(f"no parse: {sentence}", file=sys.stderr)
+        return 1
     usable = [r.term for r in readings if r.in_target_logic]
     if not usable:
         print(f"no usable reading: {sentence}", file=sys.stderr)

@@ -199,7 +199,7 @@ def reference_normalize(sig, t: Term, *, delta: str = "applied",
         match t:
             case App():
                 head, args = spine(t)
-                return app(head, *[norm(a) for a in args])
+                return app(norm(head), *[norm(a) for a in args])
             case Lam(binder, binder_type, body):
                 bt = norm(binder_type) if binder_type is not None else None
                 return Lam(binder, bt, norm(body))

@@ -338,8 +338,9 @@ class TestSharedConstruction:
 
 @pytest.fixture
 def normalizer_calls(monkeypatch):
-    """Every call of a δ-applied `Normalizer`, in order, as (term, hole,
-    steps spent, whether it returned)."""
+    """Every term a δ-applied `Normalizer` is called on and every context
+    it is asked to form, in order, as (term, hole or None, steps spent,
+    whether it returned a normal form or a kept context)."""
     spent = [0]
     spend = reduce_module._Budget.spend
 
@@ -348,20 +349,22 @@ def normalizer_calls(monkeypatch):
         spend(budget)
 
     calls = []
-    call = Normalizer.__call__
 
-    def recorded(self, t, hole=None):
-        before, returned = spent[0], False
-        try:
-            result = call(self, t, hole)
-            returned = True
-            return result
-        finally:
-            if self.delta == "applied":
-                calls.append((t, hole, spent[0] - before, returned))
+    def recording(method):
+        def recorded(self, t, *hole):
+            before, returned = spent[0], False
+            try:
+                result = method(self, t, *hole)
+                returned = result is not None
+                return result
+            finally:
+                if self.delta == "applied":
+                    calls.append((t, hole[0] if hole else None, spent[0] - before, returned))
+        return recorded
 
     monkeypatch.setattr(reduce_module._Budget, "spend", counted)
-    monkeypatch.setattr(Normalizer, "__call__", recorded)
+    monkeypatch.setattr(Normalizer, "__call__", recording(Normalizer.__call__))
+    monkeypatch.setattr(Normalizer, "context", recording(Normalizer.context))
     return calls
 
 

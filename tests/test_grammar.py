@@ -41,6 +41,7 @@ from glf.grammar.concrete import (
     Table,
     eval_lin,
 )
+from glf.grammar.files import _parse_lin_expr
 from glf.kernel import App, Const, Lam, Var
 from helpers import reference_parse_grammar_file
 
@@ -314,6 +315,17 @@ class TestGrammarFiles:
         assert [f.name for f in lex.funs] == ["act", "john", "mary"]
         assert [f.name for f in lex.own_funs] == ["john", "mary"]
         assert lex.own_cats == ()
+
+    @pytest.mark.parametrize("text, want", [
+        ('{ s = "x" ; t = A }', Record((("s", Literal("x")), ("t", Ctor("A"))))),
+        ('table { A => "a" ; B => "b" }', Table((("A", Literal("a")), ("B", Literal("b"))))),
+    ])
+    def test_records_and_tables_take_a_trailing_semicolon(self, text, want):
+        assert _parse_lin_expr(text.split(), "lin") == want
+        assert _parse_lin_expr(text.replace(" }", " ; }").split(), "lin") == want
+        for unclosed in (text[:-2], text[:-2] + " ;"):
+            with pytest.raises(TermSyntaxError, match="unexpected end of expression"):
+                _parse_lin_expr(unclosed.split(), "lin")
 
     def test_comments_stripped_but_not_inside_literals(self):
         text = """

@@ -26,6 +26,7 @@ from glf.kernel import (
 )
 from glf.kernel import reduce as reduce_module
 from glf.kernel.reduce import DEFAULT_BUDGET
+from glf.kernel.terms import show
 from glf.kernel.typecheck import EMPTY
 from helpers import (
     O,
@@ -446,7 +447,6 @@ def reference_steps(sig, t, delta: str) -> int:
 
 
 CONTEXT_BUDGET = 300
-HOLE = Var("η0")
 I = Lam("z", None, Var("z"))
 
 
@@ -473,7 +473,8 @@ class TestContexts:
     its normal form, gives the node that normalizing C[arg] gives; and,
     counted without the memo, the context's steps and the plugged term's
     add up to C[arg]'s. Where η heads a spine whose arguments are not
-    normal, the context raises `HoleApplied`."""
+    normal, forming the context raises `HoleApplied`, and no context is
+    kept."""
 
     @given(terms_with_x_free(), st.lists(some_terms(6), min_size=1, max_size=3),
            st.sampled_from(DELTAS))
@@ -490,12 +491,16 @@ class TestContexts:
     @settings(max_examples=150, deadline=None)
     def test_plugged_context_gives_the_reference(self, body, args, delta):
         sig = ksig()
-        context = substitute(body, "x", HOLE)
         normal = Normalizer(sig, delta=delta, budget=CONTEXT_BUDGET)
+        hole = normal.hole()
+        context = substitute(body, "x", hole)
         try:
-            shared = normal(context, HOLE)
-        except (HoleApplied, NonTerminationGuard):
+            prefix = normal.context(context, hole)
+        except NonTerminationGuard:
             return
+        if prefix is None:  # HoleApplied
+            return
+        _, shared, _ = normal._contexts[prefix]
         context_steps = reference_steps(sig, context, delta)
         for arg in args:
             arg = lam(sorted(free_vars(arg)), arg)
@@ -503,19 +508,33 @@ class TestContexts:
             want = outcome(reference_normalize, sig, whole, delta=delta, budget=CONTEXT_BUDGET)
             if want is NonTerminationGuard:
                 continue
-            plugged = substitute(shared, HOLE.name, arg)
+            plugged = substitute(shared, hole.name, arg)
             assert normal(plugged) is want
             assert context_steps + reference_steps(sig, plugged, delta) == reference_steps(
                 sig, whole, delta)
 
     def test_a_hole_applied_to_a_redex_raises(self):
         normal = Normalizer(None)
+        hole = normal.hole()
+        c = Lam("y", None, App(hole, App(I, Var("y"))))
         with pytest.raises(HoleApplied):
-            normal(Lam("y", None, App(HOLE, App(I, Var("y")))), HOLE)
+            normal._norm(c, reduce_module._Budget(10))
+        # Forming the context catches it, and keeps no context.
+        assert normal.context(c, hole) is None and normal._contexts[Lam(hole.name, None, c)] is None
         # Anywhere but at the head of a spine, the hole is a free variable.
-        assert normal(app(Const("f"), HOLE, App(I, Const("c"))), HOLE) is app(
-            Const("f"), HOLE, Const("c"))
-        assert normal(App(HOLE, Const("c")), HOLE) is App(HOLE, Const("c"))
+        hole = normal.hole()
+        prefix = normal.context(app(Const("f"), hole, App(I, Const("c"))), hole)
+        _, shared, applied = normal._contexts[prefix]
+        assert shared is app(Const("f"), hole, Const("c")) and not applied
+        hole = normal.hole()
+        prefix = normal.context(App(hole, Const("c")), hole)
+        _, shared, applied = normal._contexts[prefix]
+        assert shared is App(hole, Const("c")) and applied
+
+    def test_each_context_gets_a_hole_of_its_own(self):
+        normal = Normalizer(None)
+        assert [normal.hole() for _ in range(3)] == [Var("η0"), Var("η1"), Var("η2")]
+        assert Normalizer(None).hole() == Var("η0")
 
 
 @st.composite
@@ -552,8 +571,9 @@ def prefix_families(draw):
 
 
 # P = λx. (Πx:x. x) x, applied three times. In the context P η the hole sits
-# in a Π that heads a spine, which normal order leaves as it stands, so the
-# normal form of P (P (λy.y)) keeps P (λy.y) there unreduced.
+# in a Π that heads a spine (an ill-typed term). Normal order normalizes that
+# Π like any other, so the hole is a plain free variable there, and the
+# normal form of P (P (λy.y)) holds P (λy.y) normalized.
 PI_PREFIX = Lam("x", None, App(Pi("x", Var("x"), Var("x")), Var("x")))
 PI_PREFIX_TERMS = [App(PI_PREFIX, Lam("x", None, Var("x"))),
                    App(PI_PREFIX, Lam("y", None, Var("y"))),
@@ -600,7 +620,7 @@ class TestPrefixContexts:
         for t in PI_PREFIX_TERMS:
             assert normal(t) is reference_normalize(None, t)
         hole, shared, applied = normal._contexts[PI_PREFIX]
-        assert applied and shared is App(Pi("x", hole, Var("x")), hole)
+        assert not applied and shared is App(Pi("x", hole, Var("x")), hole)
 
     def test_an_argument_the_context_drops_is_never_normalized(self):
         drop = Lam("x", None, App(Const("f"), Const("c")))
@@ -647,3 +667,53 @@ class TestPrefixContexts:
             normal(App(diverging, Const("d")))  # the context P η diverges
         assert str(err.value) == "reduction exceeded the step budget of 100"
         assert spent[0] == 101  # the context's, and no second try in normal order
+
+
+def beta_redexes(t) -> list:
+    """The β-redexes in `t`, each λ applied, wherever it is: inside a Π
+    that heads a spine too."""
+    found, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is App:
+            if t.fn.__class__ is Lam:
+                found.append(t)
+            todo += [t.fn, t.arg]
+        elif cls is Lam:
+            todo += [t.body] if t.binder_type is None else [t.body, t.binder_type]
+        elif cls is Pi:
+            todo += [t.domain, t.codomain]
+    return found
+
+
+class TestBetaNormalForms:
+    """No normal form holds a β-redex."""
+
+    @given(untyped_terms(4) | some_terms(12))
+    @example(PI_PREFIX_TERMS[2])
+    @settings(max_examples=200, deadline=None)
+    def test_plain_terms(self, t):
+        try:
+            done = Normalizer(ksig(), budget=CONTEXT_BUDGET)(t)
+        except NonTerminationGuard:
+            return
+        assert beta_redexes(done) == []
+
+    @given(prefix_families())
+    @example((None, PI_PREFIX_TERMS))
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_families(self, family):
+        sig, terms = family
+        normal = Normalizer(sig, budget=CONTEXT_BUDGET)
+        for t in terms:
+            try:
+                done = normal(t)
+            except NonTerminationGuard:
+                continue
+            assert beta_redexes(done) == []
+
+    def test_a_pi_heading_a_spine_is_normalized(self):
+        done = normalize(None, PI_PREFIX_TERMS[2])
+        assert beta_redexes(done) == []
+        assert show(done) == "({x : ({x : [y] y} x) ([y] y)} x) (({x : [y] y} x) ([y] y))"

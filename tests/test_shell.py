@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from glf.bridge import TargetLogicGate
 from glf.corpus import FRAGMENTS, corpus_root, fragment_dir
 from glf.errors import FragmentLoadError, GlfError, GoldFormatError, TotalityFailure
 from glf.shell import (
@@ -622,6 +623,17 @@ class TestCli:
                      "Mary", "loves", "herself"])
         assert code == 0
         assert "contradiction" in capsys.readouterr().out
+
+    def test_analyze_without_a_parse(self, capsys):
+        assert main(["analyze", str(fragment_dir("quantified")), "xyzzy", "runs"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "no parse: xyzzy runs\n"
+
+    def test_analyze_with_no_reading_in_the_target_logic(self, monkeypatch, capsys):
+        monkeypatch.setattr(TargetLogicGate, "__call__", lambda self, t: (False, ("forced",)))
+        assert main(["analyze", str(fragment_dir("life")), "Joan", "runs"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "no usable reading: Joan runs\n"
 
     def test_analyze_with_an_exhausted_budget_is_an_error(self, tmp_path, capsys):
         root = str(tight_budget(tmp_path))

@@ -131,3 +131,51 @@ def test_no_module_but_the_kernel_s_reads_the_signature_s_private_attributes():
             ast.parse(path.read_text(encoding="utf-8")), private)
     ]
     assert offenders == []
+
+
+HOLE_MODULES = {PACKAGE / "kernel" / "reduce.py", PACKAGE / "errors.py"}
+
+
+def hole_decisions(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) of each `Var` built with a name that holds `η`, and of
+    each mention of `HoleApplied`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "Var" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            parts = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(c, ast.Constant) and isinstance(c.value, str) and "η" in c.value
+                   for part in parts for c in ast.walk(part)):
+                found.append((node.lineno, "Var"))
+        elif "HoleApplied" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+            found.append((node.lineno, "HoleApplied"))
+    return sorted(found)
+
+
+def test_the_check_finds_hole_names_and_hole_failures():
+    source = (
+        "from glf.errors import HoleApplied\n"
+        "from glf import kernel\n"
+        "def f(n):\n"
+        "    hole = kernel.Var(f'η{n}')\n"
+        "    other = Var(name='x')\n"
+        "    try:\n"
+        "        return Var('η')\n"
+        "    except errors.HoleApplied:\n"
+        "        return other\n"
+    )
+    assert hole_decisions(ast.parse(source)) == [(1, "HoleApplied"), (4, "Var"), (7, "Var"),
+                                                 (8, "HoleApplied")]
+
+
+def test_no_module_but_the_normalizer_s_names_holes_or_sees_them_fail():
+    """The normalizer mints each context's hole and decides whether to keep
+    the context: no other module names a hole, or catches the failure that
+    drops a context."""
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line} {what}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path not in HOLE_MODULES
+        for line, what in hole_decisions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
