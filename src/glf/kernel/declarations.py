@@ -4,11 +4,17 @@ A `Signature` is what reduction, type checking, parsing and printing run
 against: an ordered list of declarations, and the scope that resolves a
 plain or qualified (`Theory?name`) name in them. Flattening makes
 signatures, the theory reader grows one, and kernel tests build them.
+
+A signature also holds `known_normal`, a weak set of the normal forms
+its normalizers with δ "applied" have found for closed terms, which only
+`glf.kernel.reduce` reads and fills. A declaration added can change what
+a constant unfolds to, so `add` empties it.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,10 +85,12 @@ class Signature:
     def __init__(self, declarations: tuple[Declaration, ...] | list[Declaration] = ()):
         self.declarations: list[Declaration] = []
         self.names: dict[str, Declaration | None] = {}
+        self.known_normal: weakref.WeakSet[Term] = weakref.WeakSet()
         for d in declarations:
             self.add(d)
 
     def add(self, d: Declaration) -> None:
+        self.known_normal.clear()
         self.declarations.append(d)
         if d.home:
             self.names[d.qualified] = d

@@ -35,6 +35,22 @@ looked up by the node itself, and each subterm the terms share is
 normalized once. Only completed normal forms are stored, so a term that
 diverges or is not a term raises where and as it would without the memo.
 
+What outlives a normalizer is the set of terms known to be normal under
+its signature with δ "applied", `Signature.known_normal`. A normalizer
+with a signature and δ "applied" returns a term in the set as it is, and
+adds to it the normal form of each closed term it is called on; δ "full"
+and pure β never consult it. Normalization is idempotent by identity (the
+normal form of a normal form is the very node), and a normal term spends
+no step, so a lookup answers what the walk would, with the same budget
+left. A hole is a free variable, and the normal form of a closed term
+has none (definientia are closed), so no term that holds a hole enters
+the set. Closedness is tested on the term called with, not on its normal
+form: the parts of the terms `glf.bridge` plugs into a context have their
+free variables cached already, and a new normal form has not. So the
+update of a belief state looks up the readings `glf.bridge` has just
+normalized, and a checker the types another checker has. A declaration
+added to the signature empties the set.
+
 A `Normalizer` also normalizes a context C[η] that many terms C[arg]
 share, arg closed, before any arg is known. It mints each hole itself:
 η0, η1, … (`Normalizer.hole`), a name no binder and no `fresh_name` can
@@ -154,7 +170,9 @@ class Normalizer:
     long as it lives. Each call to it gets a fresh step budget. Memo hits
     cost no steps, so a term may spend fewer steps than it would alone,
     never more; a term that diverges exhausts its own budget whatever was
-    normalized before it.
+    normalized before it. With δ "applied", a call also looks the term up
+    in the signature's known normal forms, and adds the normal form of a
+    closed term to them; see the module docstring.
 
     It also forms contexts, each with a hole of its own (`hole`), and
     plugs each context it keeps wherever the context's prefix is applied
@@ -167,6 +185,7 @@ class Normalizer:
         self.sig = sig
         self.delta = delta
         self.budget = budget
+        self._known = sig.known_normal if sig is not None and delta == "applied" else None
         self._normal: dict[Term, Term] = {}
         self._holes: set[Var] = set()
         self._applied: set[Var] = set()  # holes met heading a spine
@@ -176,7 +195,15 @@ class Normalizer:
         self._contexts: dict[Term, object] = {}
 
     def __call__(self, t: Term) -> Term:
-        return self._norm(t, _Budget(self.budget))
+        known = self._known
+        if known is None:
+            return self._norm(t, _Budget(self.budget))
+        if t in known:
+            return t
+        done = self._norm(t, _Budget(self.budget))
+        if not free_vars(t):
+            known.add(done)
+        return done
 
     def hole(self) -> Var:
         """A hole that no other context of this normalizer has."""

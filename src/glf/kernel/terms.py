@@ -20,7 +20,10 @@ asserted; an atom keyed on every tableau step) is a lookup. When the
 α-normal form is the node itself the slot holds a marker, not the node, so
 no node refers to itself and the cyclic collector is never needed to free
 one. Neither cache is a field: not an argument, a match pattern, or part
-of ``repr``, ``==`` or ``hash``.
+of ``repr``, ``==`` or ``hash``. A term with no `Lam` or `Pi` has no
+binder to rename, so it is its own α-normal form: `alpha_normal` finds
+that out by a scan that looks at each shared node once and stops at the
+first binder, and walks only a term that has one.
 
 Every substitution is one walk, `substitute_all`, which substitutes
 several variables at once and renames a binder only where a value's free
@@ -235,9 +238,12 @@ def free_vars(t: Term) -> frozenset[str]:
 
     Nodes share their sets where they can, so caching costs little memory.
     """
-    fv = t._free_vars
-    if fv is not None:
-        return fv
+    try:
+        fv = t._free_vars
+        if fv is not None:
+            return fv
+    except AttributeError:
+        raise TypeError(f"not a term: {t!r}") from None
     cls = t.__class__
     if cls is App:
         fv = _union(free_vars(t.fn), free_vars(t.arg))
@@ -362,6 +368,9 @@ def alpha_normal(t: Term) -> Term:
     normal = t._alpha_normal
     if normal is not None:
         return t if normal is _ITSELF else normal
+    if _binder_free(t):
+        object.__setattr__(t, "_alpha_normal", _ITSELF)
+        return t
     free: list[str] = []  # the free variable occurrences met
     normal = _alpha(t, {}, 0, _NO_VARS, free)
     # Only a free name starting with "$" can clash with a binder's.
@@ -379,14 +388,37 @@ def alpha_normal(t: Term) -> Term:
     return normal
 
 
+def _binder_free(t: Term) -> bool:
+    """Whether no `Lam` or `Pi` occurs in `t`, which is then its own
+    α-normal form; a scan that looks at each shared node once and stops at
+    the first binder."""
+    seen: set[Term] = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is App:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t.fn)
+                todo.append(t.arg)
+        elif cls is Lam or cls is Pi:
+            return False
+        elif not (cls is Var or cls is Const or cls is Sort):
+            raise TypeError(f"not a term: {t!r}")
+    return True
+
+
 def _alpha(t: Term, env: dict[str, str], depth: int, avoid: AbstractSet[str],
            free: list[str]) -> Term:
     """`alpha_normal`'s walk: `env` maps the binders above to their new
     names, no new name is in `avoid`, and each free variable occurrence met
-    is appended to `free`."""
+    is appended to `free`. An application whose parts come back unchanged
+    is returned as it is, not interned again."""
     cls = t.__class__
     if cls is App:
-        return App(_alpha(t.fn, env, depth, avoid, free), _alpha(t.arg, env, depth, avoid, free))
+        fn, arg = _alpha(t.fn, env, depth, avoid, free), _alpha(t.arg, env, depth, avoid, free)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if cls is Var:
         name = t.name
         if name in env:

@@ -26,6 +26,7 @@ grammar -- drift between the two is a hard error, not a warning.
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 
 from glf.bridge import Fragment, generate_language_theory
@@ -317,10 +318,25 @@ def logic_signature(fragment: Fragment) -> LogicSignature:
     )
 
 
+# id(fragment) -> its initial belief state, for as long as the fragment lives.
+_INITIAL_STATES: dict[int, BeliefState] = {}
+
+
 def initial_state(fragment: Fragment) -> BeliefState:
-    """A belief state holding exactly the fragment's world knowledge."""
-    return init_belief_state(
-        logic_signature(fragment),
-        fragment.knowledge,
-        step_budget=fragment.step_budget,
-    )
+    """A belief state holding exactly the fragment's world knowledge.
+
+    The first call for a fragment builds the state, and every later call
+    returns that very state: each session of the fragment, and each REPL
+    `reset`, starts from it. Sharing is safe because neither a fragment
+    nor a belief state is changed in place; an update returns a new state.
+    """
+    key = id(fragment)
+    state = _INITIAL_STATES.get(key)
+    if state is None:
+        state = _INITIAL_STATES[key] = init_belief_state(
+            logic_signature(fragment),
+            fragment.knowledge,
+            step_budget=fragment.step_budget,
+        )
+        weakref.finalize(fragment, _INITIAL_STATES.pop, key)
+    return state

@@ -53,12 +53,13 @@ def _split_language(session: Session, rest: str) -> tuple[str, str]:
     return language, rest
 
 
-def _readings(session: Session, rest: str, write) -> list:
+def _readings(session: Session, rest: str, write) -> tuple[str, list]:
+    """The sentence in `rest` and its readings; says so when there are none."""
     language, sentence = _split_language(session, rest)
     readings = construct_semantics(session.fragment, sentence, language=language)
     if not readings:
         write(f"no parse: {sentence}\n")
-    return readings
+    return sentence, readings
 
 
 def execute(session: Session, line: str, write) -> bool:
@@ -99,7 +100,8 @@ def execute(session: Session, line: str, write) -> bool:
                 write(linearize(fragment.abstract, fragment.concretes[language], ast) + "\n")
 
             elif command == "construct":
-                for r in _readings(session, rest, write):
+                _, readings = _readings(session, rest, write)
+                for r in readings:
                     if session.trace:
                         write("raw: " + print_term(flat, r.raw) + "\n")
                     gate = "" if r.in_target_logic else "   [not in target logic]"
@@ -108,10 +110,10 @@ def execute(session: Session, line: str, write) -> bool:
                         write(f"  ! {d}\n")
 
             elif command == "analyze":
-                readings = _readings(session, rest, write)
+                sentence, readings = _readings(session, rest, write)
                 usable = [r.term for r in readings if r.in_target_logic]
                 if readings and not usable:
-                    write("error: no reading lies in the target logic\n")
+                    write(f"error: no usable reading: {sentence}\n")
                 elif usable:
                     session.state = update_belief_state(session.state, usable)
                     _show_state(session, write)

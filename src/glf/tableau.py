@@ -380,11 +380,13 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
 
     Readings are type-checked by one checker, normalized and grounded by
     one normalizer, and AC-keyed with one memo, so each subterm they share
-    is inferred, normalized and keyed once. Only the first of those equal
-    up to α and AC of ∧ and ∨ is grounded and saturated, and one per AC
-    class as they stand is α-normalized (`_reading_classes`). Ambiguity
-    that melts away semantically costs nothing, and the models come out as
-    if every reading had been asserted. Closed branches are dropped.
+    is inferred, normalized and keyed once; a reading `construct_semantics`
+    has normalized is known normal, and not normalized again. Only the
+    first of those equal up to α and AC of ∧ and ∨ is grounded and
+    saturated, and one per AC class as they stand is α-normalized
+    (`_reading_classes`). Ambiguity that melts away semantically costs
+    nothing, and the models come out as if every reading had been
+    asserted. Closed branches are dropped.
     """
     with nesting_limit("a reading"):
         readings = tuple(readings)

@@ -25,6 +25,7 @@ from glf.kernel import (
     whnf,
 )
 from glf.kernel import reduce as reduce_module
+from glf.kernel.declarations import Declaration, Signature
 from glf.kernel.reduce import DEFAULT_BUDGET
 from glf.kernel.terms import show
 from glf.kernel.typecheck import EMPTY
@@ -220,6 +221,12 @@ class TestSharedNormalizer:
         for _ in range(2):
             with pytest.raises(TypeError, match="not a term: 'john'"):
                 normal(t)
+        # A non-term as a redex's argument, alone or after a closed one.
+        for t in (App(Lam("x", None, Var("x")), "john"),
+                  app(lam(["x", "y"], Var("y")), Const("c"), "john")):
+            for _ in range(2):
+                with pytest.raises(TypeError, match="not a term: 'john'"):
+                    normalize(None, t)
 
     def test_the_memo_dies_with_its_normalizer(self, sig):
         # Without the cyclic collector, only reference counting can free
@@ -685,6 +692,72 @@ def beta_redexes(t) -> list:
         elif cls is Pi:
             todo += [t.domain, t.codomain]
     return found
+
+
+def lambda_definitions() -> Signature:
+    """`ksig` with λ-definitions that unfold when applied: `twice f x` and
+    `both p` (`and p p`)."""
+    sig = ksig()
+    sig.add(Declaration("twice", arrow(arrow(O, O), O, O),
+                        lam(["f", "x"], App(Var("f"), App(Var("f"), Var("x"))))))
+    sig.add(Declaration("both", arrow(O, O), Lam("p", O, app(and_, Var("p"), Var("p")))))
+    return sig
+
+
+class TestKnownNormalForms:
+    """A signature keeps the normal forms its normalizers with δ "applied"
+    found for closed terms, and its normalizers return them as they are."""
+
+    @given(some_terms(12) | untyped_terms(4) | signature_terms(lambda_definitions(), 12))
+    @example(app(Const("twice"), Const("neg"), App(Const("both"), Const("sunny'"))))
+    @settings(max_examples=200, deadline=None)
+    def test_a_normal_form_normalizes_to_itself(self, t):
+        sig = lambda_definitions()
+        try:
+            n = normalize(sig, t, budget=CONTEXT_BUDGET)
+        except (NonTerminationGuard, RecursionError):
+            assume(False)
+        assert (n in sig.known_normal) == (not free_vars(t))
+        assert Normalizer(sig)(n) is n
+        # Without the set, normalizing it again is a walk that gives it back.
+        assert Normalizer(Signature(sig.declarations))(n) is n
+        assert reference_normalize(sig, n) is n
+
+    def test_a_term_known_under_one_signature_is_normalized_under_another(self):
+        t = app(Const("twice"), Const("neg"), Const("sunny'"))
+        opaque, unfolding = ksig(), lambda_definitions()
+        assert normalize(opaque, t) is t and t in opaque.known_normal
+        assert t not in unfolding.known_normal
+        assert normalize(unfolding, t) is app(neg, App(neg, Const("sunny'")))
+        assert t not in unfolding.known_normal
+
+    def test_adding_a_declaration_empties_the_set(self):
+        sig = ksig()
+        t = App(Const("both"), Const("sunny'"))
+        assert normalize(sig, t) is t and t in sig.known_normal
+        sig.add(Declaration("both", arrow(O, O), Lam("p", O, app(and_, Var("p"), Var("p")))))
+        assert len(sig.known_normal) == 0
+        assert normalize(sig, t) is app(and_, Const("sunny'"), Const("sunny'"))
+
+    def test_full_delta_ignores_the_set(self, sig):
+        known = normalize(sig, Const("or"))
+        assert known is Const("or") and known in sig.known_normal
+        before = set(sig.known_normal)
+        unfolded = normalize(sig, Const("or"), delta="full")
+        assert isinstance(unfolded, Lam)
+        assert set(sig.known_normal) == before
+
+    def test_normal_forms_of_open_terms_stay_out(self, sig):
+        t = App(Lam("x", None, App(run, Var("x"))), Var("y"))
+        assert normalize(sig, t) is App(run, Var("y"))
+        assert App(run, Var("y")) not in sig.known_normal
+
+    def test_a_known_term_spends_no_step(self, sig):
+        t = app(Const("or"), App(run, joan), App(run, mary))
+        n = normalize(sig, t)
+        assert n in sig.known_normal
+        assert Normalizer(sig, budget=0)(n) is n
+        assert Normalizer(Signature(sig.declarations), budget=0)(n) is n
 
 
 class TestBetaNormalForms:

@@ -23,7 +23,7 @@ from glf.shell import (
     run_repl,
 )
 from glf.shell.cli import main
-from glf.tableau import extract_models
+from glf.tableau import extract_models, init_belief_state
 from helpers import run_cli
 
 
@@ -217,6 +217,28 @@ class TestLoadFragment:
         (model,) = extract_models(state)
         rendered = {lit.render(state.signature.flat) for lit in model}
         assert rendered == {"run' joan'", "¬ love' mary' mary'"}
+
+    def test_the_initial_state_is_built_once_per_fragment(self, life):
+        assert initial_state(life) is initial_state(life)
+        assert new_session(life).state is initial_state(life)
+        again = load_fragment(fragment_dir("life"))
+        assert initial_state(again) is not initial_state(life)
+        assert initial_state(again) is initial_state(again)
+
+    def test_sessions_leave_the_shared_initial_state_as_it_was(self, life):
+        shared = initial_state(life)
+        branches, history = shared.branches, shared.history
+        literals = [dict(b.literals) for b in branches]
+        first, second = new_session(life), new_session(life)
+        for sentence in ("Mary runs", "Mary loves herself"):
+            collect(first, f"analyze {sentence}")
+            collect(second, f"analyze {sentence}")
+            collect(second, "analyze Joan runs")
+        assert first.state is not shared and second.state is not shared
+        assert initial_state(life) is shared
+        assert shared.branches is branches
+        assert [dict(b.literals) for b in shared.branches] == literals
+        assert shared.history is history
 
 
 def _sources(name):
@@ -504,6 +526,19 @@ class TestRepl:
         _, out = collect(session, "reset")
         assert out == "belief state reset\n"
         assert len(session.state.open_branches) == 1
+        fresh = init_belief_state(logic_signature(life), life.knowledge,
+                                  step_budget=life.step_budget)
+        assert session.state.branches == fresh.branches
+        assert session.state.history == fresh.history
+        assert extract_models(session.state) == extract_models(fresh)
+
+    def test_analyze_with_no_reading_in_the_target_logic(self, life, monkeypatch):
+        monkeypatch.setattr(TargetLogicGate, "__call__", lambda self, t: (False, ("forced",)))
+        session = new_session(life)
+        for line in ("analyze Joan runs", "analyze Eng Joan runs"):
+            alive, out = collect(session, line)
+            assert alive and out == "error: no usable reading: Joan runs\n"
+        assert session.state is initial_state(life)
 
     def test_state_shows_recent_history(self, life):
         session = new_session(life)

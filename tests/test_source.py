@@ -179,3 +179,42 @@ def test_no_module_but_the_normalizer_s_names_holes_or_sees_them_fail():
         for line, what in hole_decisions(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+KERNEL = PACKAGE / "kernel"
+KNOWN_NORMAL = "known_normal"
+
+
+def known_normal_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) of each attribute named `known_normal`, read or written,
+    and of each string that names it, as `getattr` would take it."""
+    strings = [
+        (node.lineno, "string") for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == KNOWN_NORMAL
+    ]
+    return sorted(attribute_reads(tree, {KNOWN_NORMAL}) + strings)
+
+
+def test_the_check_finds_uses_of_the_known_normal_set():
+    source = (
+        "def f(sig, t, normal):\n"
+        "    known = normal(t)\n"
+        "    if t in sig.known_normal:\n"
+        "        return t\n"
+        "    sig.known_normal = set()\n"
+        "    getattr(sig, 'known_normal').add(known)\n"
+    )
+    assert known_normal_uses(ast.parse(source)) == [(3, KNOWN_NORMAL), (5, KNOWN_NORMAL),
+                                                    (6, "string")]
+
+
+def test_no_module_outside_the_kernel_uses_the_known_normal_set():
+    """Only the kernel decides which terms are known to be normal: no other
+    module reads the set, where a stale answer would go unnoticed, or adds
+    to it a term that is not normal."""
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line} {what}"
+        for path in sorted(PACKAGE.rglob("*.py")) if KERNEL not in path.parents
+        for line, what in known_normal_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import sys
 import weakref
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import pytest
@@ -27,6 +28,7 @@ from glf.kernel import (
     spine,
     substitute,
 )
+from glf.kernel import terms as terms_module
 from glf.kernel.terms import show, substitute_all
 from helpers import (
     clashing_terms,
@@ -264,6 +266,26 @@ class TestFreeVarCache:
             Var("x", frozenset({"x"}))
 
 
+def has_binder(t) -> bool:
+    match t:
+        case App(fn, arg):
+            return has_binder(fn) or has_binder(arg)
+        case Lam() | Pi():
+            return True
+    return False
+
+
+@contextmanager
+def no_alpha_walk():
+    """Within it, `alpha_normal` fails if it walks a term."""
+    def walked(*args):
+        raise AssertionError("alpha_normal walked the term")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(terms_module, "_alpha", walked)
+        yield
+
+
 class TestAlphaNormalCache:
     """`alpha_normal` caches its result on the node; the cached form is the
     one the uncached walk computes."""
@@ -305,6 +327,39 @@ class TestAlphaNormalCache:
             assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
+
+    @given(untyped_terms())
+    @example(Lam("x", None, Var("x")))
+    def test_a_binder_free_term_is_its_own_without_the_walk(self, t):
+        t = uncached_copy(t)
+        with no_alpha_walk():
+            if has_binder(t):
+                with pytest.raises(AssertionError, match="walked"):
+                    alpha_normal(t)
+            else:
+                assert alpha_normal(t) is t
+                assert alpha_normal(t) is t
+
+    def test_a_shared_binder_free_term_is_scanned_once_per_node(self):
+        # 2^200 leaves as a tree, 201 nodes as a DAG.
+        t = Var("shared-x")
+        for _ in range(200):
+            t = App(t, t)
+        with no_alpha_walk():
+            assert alpha_normal(t) is t
+
+    @pytest.mark.parametrize("walk", [free_vars, alpha_normal])
+    def test_a_non_term_inside_a_term_is_named(self, walk):
+        for t in (App(Const("c"), "john"), App(Lam("x", None, Var("x")), "john")):
+            with pytest.raises(TypeError, match="not a term: 'john'"):
+                walk(t)
+
+    def test_a_binder_under_shared_nodes_is_found(self):
+        t = Lam("shared-y", None, Var("shared-y"))
+        for _ in range(8):
+            t = App(t, t)
+        assert alpha_normal(t) is reference_alpha_normal(t)
+        assert alpha_normal(t) is not t
 
     # Each example costs two full collections, so each runs a batch.
     @given(st.lists(clashing_terms(), min_size=1, max_size=20))
