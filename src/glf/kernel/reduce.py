@@ -74,8 +74,14 @@ check met at a spine head. A prefix applied to a closed arg gives
 nf(C[η]) with nf(arg) for η, or, if η is applied, with arg for η,
 normalized on. That second way is always correct, and the set errs only
 towards it: η is unique to its context, and reaches a spine head of
-nf(C[η]) only through the check (or a memo entry the check made). A Π
-left at the head of a spine (a Π applied: ill-typed terms only) is
+nf(C[η]) only through the check (or a memo entry the check made).
+Plugging the context of a redex prefix kept from before spends one step,
+for the redex `P arg` it contracts: normal order spends at least that
+one, and without it a term that plugs contexts into itself again and
+again, like (λx. x x) (λx. Πy:(λy. x x). c), would spend no step and
+overflow the stack instead of running out of budget. A prefix `λη. C`
+stands for C[arg], no redex of the term, so plugging it spends none.
+A Π left at the head of a spine (a Π applied: ill-typed terms only) is
 normalized like any Π, so η in it is a plain free variable.
 """
 
@@ -189,6 +195,7 @@ class Normalizer:
         self._normal: dict[Term, Term] = {}
         self._holes: set[Var] = set()
         self._applied: set[Var] = set()  # holes met heading a spine
+        self._given: set[Term] = set()  # the prefixes `context` formed
         # prefix -> how often it headed a redex with a closed last argument,
         # then None or its context: (hole, normal form, whether the hole is
         # in the applied set).
@@ -216,6 +223,7 @@ class Normalizer:
         be applied to closed arguments, or None where `hole`, from `hole()`,
         is applied to a term not normal."""
         prefix = Lam(hole.name, None, c)
+        self._given.add(prefix)
         return prefix if self._form(prefix, c, hole, _Budget(self.budget)) else None
 
     def _norm(self, t: Term, bud: _Budget) -> Term:
@@ -228,6 +236,8 @@ class Normalizer:
                 if seen == _MET and bud.__class__ is _Budget:
                     hole = self.hole()
                     seen = self._form(t.fn, App(t.fn, hole), hole, bud)
+                elif seen.__class__ is tuple and t.fn not in self._given:
+                    bud.spend()  # the redex `t` the plug contracts
                 if seen.__class__ is tuple:
                     done = self._normal[t] = self._plug(seen, t.arg, bud)
                     return done

@@ -4,7 +4,8 @@ A belief state tracks everything asserted so far as a set of tableau
 branches; each open branch is one way the discourse could be true. Feeding
 the state a new (possibly ambiguous) sentence copies every open branch for
 every reading, counting readings equal modulo α and AC of ∧ and ∨ once
-(and α-normalizing only one per AC class as they stand), then saturates:
+(and type-checking and α-normalizing only one per AC class as they stand),
+then saturates:
 conjunctive formulas extend a branch, disjunctive ones split it, and a
 branch closes as soon as it contains an atom together with its negation.
 A branch keeps its literals as one map from the α-normal form of each
@@ -17,7 +18,10 @@ saying which constants play the roles of the connectives. Quantifiers are
 eliminated up front by grounding over the (finite) set of individual
 constants, so everything after :func:`ground_quantifiers` is propositional.
 Formulas whose head is none of the connectives -- for example a modal
-operator -- are treated as atoms.
+operator -- are treated as atoms. When each connective has the boolean type
+its rule assumes (`LogicSignature.boolean_connectives`), readings of one AC
+class are typed alike, so one check stands for the class; for any other
+logic one check stands for each repeated node.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from glf.errors import (
     TypeError_,
     nesting_limit,
 )
-from glf.kernel import App, Const, Lam, Normalizer, Term, alpha_normal, app, spine
+from glf.kernel import App, Const, Lam, Normalizer, Pi, Term, alpha_normal, app, spine
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import print_term
 from glf.modsys.theory import FlatTheory
@@ -61,6 +65,9 @@ class LogicSignature:
     ``connectives`` maps role names (from :data:`CONNECTIVE_ROLES`) to
     constant names; roles the logic lacks are simply absent. Whatever the
     map does not cover is atomic as far as the tableau is concerned.
+    Whether the mapped constants have the boolean types the rules assume is
+    worked out once, as `boolean_connectives`; it decides whether an update
+    type-checks one reading per AC class or one per distinct node.
     """
 
     flat: FlatTheory
@@ -76,6 +83,41 @@ class LogicSignature:
         for role, const in self.connectives.items():
             roles.setdefault(const, role)
         return roles
+
+    @cached_property
+    def boolean_connectives(self) -> bool:
+        """Whether each role-mapped constant has the type its tableau rule
+        assumes, over a proposition type o that no definition unfolds:
+        ∧, ∨, ⇒ : o → o → o, ¬ : o → o, and ∀, ∃ : (D → o) → o for a type D.
+
+        Then every operand a connective takes is checked against the same
+        type wherever it stands, so permuting ∧/∨ operands and collapsing ¬¬
+        where a formula stands, which is all `_ac_key` does, leave a term
+        exactly as well typed as it was: formulas with equal keys are well
+        typed together or not at all. A constant typed otherwise makes this
+        false. One that is not declared is skipped, unless it is ¬: each
+        formula keyed through it holds it and is ill-typed, as is each with
+        its key. ¬¬A keys as A, so an undeclared ¬ makes this false.
+        """
+        o = Const(self.proposition_type)
+        prop = self.flat.lookup(self.proposition_type)
+        if prop is None or prop.definiens is not None:
+            return False
+        for role, name in self.connectives.items():
+            decl = self.flat.lookup(name)
+            if decl is None and role != "neg":
+                continue
+            domains, result = [], decl.type_ if decl is not None else None
+            while isinstance(result, Pi):
+                domains.append(result.domain)
+                result = result.codomain
+            if role == "forall" or role == "exists":
+                expected = len(domains) == 1 and isinstance(domains[0], Pi) and domains[0].codomain == o
+            else:
+                expected = domains == [o] * _ARITY[role]
+            if not (expected and result == o):
+                return False
+        return True
 
     def role_of(self, name: str) -> str | None:
         return self._roles.get(name)
@@ -329,10 +371,13 @@ def _ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> H
     A chain of one of them keys as the multiset of its operands' keys. It
     is a multiset, not a set: (p ∨ q) ∧ (p ∨ q) has the model {p, q}, which
     p ∨ q lacks. ¬¬A keys as A, since the α-rule makes them branch-identical.
-    The other connectives, the quantifiers and λ-bodies keep their operands
-    in order, and any other formula is an opaque atom that keys as itself.
+    ⇒ keeps its operands in order, and a quantifier keys the body of its λ
+    as a formula. Anything else is an opaque atom that keys as itself: so
+    does a quantifier's argument that is not a λ, which is no formula, and
+    a λ where a formula should stand.
     Formulas with equal keys saturate to the same set of open-branch
-    literal sets, which is all :func:`extract_models` reads.
+    literal sets, which is all :func:`extract_models` reads; under
+    `LogicSignature.boolean_connectives` they are also typed alike.
     """
     key = memo.get(t)
     if key is not None:
@@ -353,19 +398,23 @@ def _ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> H
     elif role == "impl":
         key = "impl", _ac_key(signature, args[0], memo), _ac_key(signature, args[1], memo)
     elif role is not None:  # a quantifier
-        key = role, _ac_key(signature, args[0], memo)
-    elif isinstance(t, Lam):
-        key = "λ", t.binder, t.binder_type, _ac_key(signature, t.body, memo)
+        body = args[0]
+        if isinstance(body, Lam):
+            body = "λ", body.binder, body.binder_type, _ac_key(signature, body.body, memo)
+        key = role, body
     else:
         key = t
     memo[t] = key
     return key
 
 
-def _reading_classes(signature: LogicSignature, terms: list[Term]) -> list[Term]:
+def _reading_classes(
+    signature: LogicSignature, terms: list[Term], keys: dict[Term, Hashable]
+) -> list[Term]:
     """The α-normal forms of the first of each α/AC class of `terms`; ∧ and ∨
-    bind nothing, so only the first term of each AC key is α-normalized."""
-    keys: dict[Term, Hashable] = {}
+    bind nothing, so only the first term of each AC key is α-normalized.
+    `keys` is the `_ac_key` memo, so a term the caller has keyed already
+    (each reading as given, to type-check one per class) is looked up."""
     groups: dict[Hashable, Term] = {}
     classes: dict[Hashable, Term] = {}
     for t in terms:
@@ -381,25 +430,40 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
     Readings are type-checked by one checker, normalized and grounded by
     one normalizer, and AC-keyed with one memo, so each subterm they share
     is inferred, normalized and keyed once; a reading `construct_semantics`
-    has normalized is known normal, and not normalized again. Only the
-    first of those equal up to α and AC of ∧ and ∨ is grounded and
-    saturated, and one per AC class as they stand is α-normalized
-    (`_reading_classes`). Ambiguity that melts away semantically costs
-    nothing, and the models come out as if every reading had been
-    asserted. Closed branches are dropped.
+    has normalized is known normal, and not normalized again. Readings
+    with one AC key as they stand are well typed together or not at all
+    when the connectives are boolean (`LogicSignature.boolean_connectives`),
+    so then only the first of each key is type-checked; otherwise only
+    the first of each repeated node is. Either way the first ill-typed
+    reading raises, as it is the first of its key. Only the first of those
+    equal up to α and AC of ∧ and ∨ is grounded and saturated, and one per
+    AC class as they stand is α-normalized (`_reading_classes`). Ambiguity that melts away
+    semantically costs nothing, and the models come out as if every
+    reading had been asserted. Closed branches are dropped.
     """
     with nesting_limit("a reading"):
         readings = tuple(readings)
         if not readings:
             raise EmptyReadings("a sentence must have at least one reading")
-        flat = state.signature.flat
+        signature = state.signature
+        flat = signature.flat
 
         checker = Checker(flat)
         normal = Normalizer(flat)
+        keys: dict[Term, Hashable] = {}
+        # Terms are interned, so a reading repeated as the very node is
+        # typed alike under any signature.
+        key = ((lambda r: _ac_key(signature, r, keys)) if signature.boolean_connectives
+               else (lambda r: r))
+        checked: set[Hashable] = set()
         for r in readings:
-            _check_proposition(checker, state.signature, r, "reading")
-        classes = _reading_classes(state.signature, [normal(r) for r in readings])
-        grounded = [_ground(state.signature, n, normal) for n in classes]
+            k = key(r)
+            if k in checked:
+                continue
+            checked.add(k)
+            _check_proposition(checker, signature, r, "reading")
+        classes = _reading_classes(signature, [normal(r) for r in readings], keys)
+        grounded = [_ground(signature, n, normal) for n in classes]
 
         open_branches = state.open_branches
         branches = tuple(

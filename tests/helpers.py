@@ -1083,10 +1083,12 @@ def _reference_new_ac_key(signature, t: Term, memo: dict):
     if role == "impl":
         return ("impl", reference_ac_key(signature, args[0], memo),
                 reference_ac_key(signature, args[1], memo))
-    if role is not None:  # a quantifier
-        return role, reference_ac_key(signature, args[0], memo)
-    if isinstance(t, Lam):
-        return "λ", t.binder, t.binder_type, reference_ac_key(signature, t.body, memo)
+    if role is not None:  # a quantifier: only a λ's body is a formula
+        body = args[0]
+        if isinstance(body, Lam):
+            return role, ("λ", body.binder, body.binder_type,
+                          reference_ac_key(signature, body.body, memo))
+        return role, body
     return t
 
 
@@ -1133,12 +1135,12 @@ def reference_extract_models(state):
 CLI_MODULE = "glf.shell.cli"
 
 
-def run_cli(*args):
+def run_cli(*args, module=CLI_MODULE):
     """Run the `glf` command in a child process, from the imported `glf`.
 
     This is what the installed `glf` console script does, but it runs the
     package under test rather than whatever `glf` is on PATH, and needs no
-    install.
+    install. `module` is the one `python -m` runs.
     """
     source_root = str(Path(glf.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -1146,7 +1148,7 @@ def run_cli(*args):
         filter(None, [source_root, env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", CLI_MODULE, *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 

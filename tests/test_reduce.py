@@ -586,6 +586,12 @@ PI_PREFIX_TERMS = [App(PI_PREFIX, Lam("x", None, Var("x"))),
                    App(PI_PREFIX, Lam("y", None, Var("y"))),
                    App(PI_PREFIX, App(PI_PREFIX, Lam("y", None, Var("y"))))]
 
+# W X with W = λx. x x and X = λx. Πy:(λy. x x). c diverges, and each step
+# nests one more Π domain and λ body: at a budget of 300 the recursion limit
+# comes before the step budget runs out, at 50 it does not.
+DEEPENING_TERM = App(Lam("x", None, App(Var("x"), Var("x"))),
+                     Lam("x", None, Pi("y", Lam("y", None, App(Var("x"), Var("x"))), Const("c"))))
+
 
 def spends(monkeypatch) -> list[int]:
     """A one-item list that counts the steps glf's budgets spend from now on."""
@@ -674,6 +680,15 @@ class TestPrefixContexts:
             normal(App(diverging, Const("d")))  # the context P η diverges
         assert str(err.value) == "reduction exceeded the step budget of 100"
         assert spent[0] == 101  # the context's, and no second try in normal order
+
+    def test_plugging_a_kept_context_spends_a_step(self, monkeypatch):
+        # Normalizing W X plugs X's context into X X again and again: the
+        # plug must spend the step of the redex it contracts, or the loop
+        # spends none and overflows the stack at any budget.
+        spent = spends(monkeypatch)
+        with pytest.raises(NonTerminationGuard):
+            Normalizer(None, budget=50)(DEEPENING_TERM)
+        assert spent[0] == 51
 
 
 def beta_redexes(t) -> list:
@@ -765,16 +780,21 @@ class TestBetaNormalForms:
 
     @given(untyped_terms(4) | some_terms(12))
     @example(PI_PREFIX_TERMS[2])
+    @example(DEEPENING_TERM)
     @settings(max_examples=200, deadline=None)
     def test_plain_terms(self, t):
         try:
             done = Normalizer(ksig(), budget=CONTEXT_BUDGET)(t)
         except NonTerminationGuard:
             return
+        except RecursionError:
+            self.runs_out_of_steps_first(ksig(), t)
+            return
         assert beta_redexes(done) == []
 
     @given(prefix_families())
     @example((None, PI_PREFIX_TERMS))
+    @example((None, [DEEPENING_TERM]))
     @settings(max_examples=200, deadline=None)
     def test_prefix_families(self, family):
         sig, terms = family
@@ -784,7 +804,18 @@ class TestBetaNormalForms:
                 done = normal(t)
             except NonTerminationGuard:
                 continue
+            except RecursionError:
+                self.runs_out_of_steps_first(sig, t)
+                continue
             assert beta_redexes(done) == []
+
+    @staticmethod
+    def runs_out_of_steps_first(sig, t):
+        """Both errors mean `t` is not normal within the limits, but a term
+        whose normalization overflows the stack must do so only after many
+        steps: at a budget of 50 it runs out of steps instead."""
+        with pytest.raises(NonTerminationGuard):
+            Normalizer(sig, budget=50)(t)
 
     def test_a_pi_heading_a_spine_is_normalized(self):
         done = normalize(None, PI_PREFIX_TERMS[2])

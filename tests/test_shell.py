@@ -619,6 +619,11 @@ class TestRepl:
 
 
 class TestCli:
+    def test_python_m_glf_is_the_cli(self):
+        for args in (("load", str(fragment_dir("life"))), ("parse",)):
+            run, want = run_cli(*args, module="glf"), run_cli(*args)
+            assert (run.returncode, run.stdout, run.stderr) == (want.returncode, want.stdout, want.stderr)
+
     def test_load_summarizes(self, capsys):
         assert main(["load", str(fragment_dir("life"))]) == 0
         out = capsys.readouterr().out

@@ -8,11 +8,13 @@ beyond the term datatype.
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from glf import tableau
 from glf.errors import (
     EmptyReadings,
     IllTypedAxiom,
@@ -157,7 +159,9 @@ def ac_variant(f: Term, rng: random.Random) -> Term:
     """A formula equal to `f` modulo AC of ∧ and ∨, and ¬¬.
 
     Every ∧/∨ chain has its operands shuffled and regrouped at random, also
-    under quantifiers, and now and then a subformula is wrapped in ¬¬.
+    under quantifiers, and now and then a subformula is wrapped in ¬¬. So
+    is, now and then, a quantifier's argument that is not a λ: that one is
+    no formula, and the variant is ill-typed and keyed apart.
     """
     if isinstance(f, Lam):  # a quantifier's body
         return Lam(f.binder, f.binder_type, ac_variant(f.body, rng))
@@ -543,7 +547,8 @@ def run_on(binder_type: Term, arg: Term) -> Term:
 @st.composite
 def fol_readings(draw):
     """Propositions over TinyFolP, perhaps with one ill-typed reading that
-    reuses a well-typed one inside it."""
+    reuses a well-typed one inside it, and with AC and α variants of some
+    readings (the ill-typed one too) put in at random places."""
     readings = draw(st.lists(typed_terms(FOL_P_SIG.flat, PROP_T, depth=3, bases=(PROP_T, IND_T)),
                              min_size=1, max_size=3))
     if draw(st.booleans()):
@@ -554,18 +559,35 @@ def fol_readings(draw):
             app(AND, shared, Const("a'")),
         ]))
         readings.insert(draw(st.integers(0, len(readings))), bad)
+    rng = draw(st.randoms(use_true_random=False))
+    for r in list(readings):
+        for _ in range(rng.randint(0, 2)):
+            variant = ac_variant(r, rng)
+            if rng.random() < 0.5:
+                variant = alpha_variant(variant, rng)
+            readings.insert(rng.randint(0, len(readings)), variant)
     return readings
 
 
+#: TinyFolP whose ∧ is `both : ι → o → o`: AC variants of a well-typed
+#: conjunction need not be well typed.
+BOTH_SIG = LogicSignature(
+    flat_of(FOL + "theory TinyFolBoth = include TinyFol ; p' : o ; both : ι -> o -> o ; end",
+            "TinyFolBoth"),
+    {**FOL_CONNECTIVES, "and": "both"}, individual_type="ind",
+)
+
+
 class TestSharedTypeChecking:
-    """`update_belief_state` checks all readings of a sentence, and
-    `init_belief_state` all axioms, with one checker; they must accept and
-    reject them as the reference checker does."""
+    """`update_belief_state` checks the readings of a sentence, one per AC
+    class as they stand, and `init_belief_state` all axioms, with one
+    checker; they must accept and reject them as the reference checker,
+    which checks every reading, does."""
 
     @staticmethod
-    def outcome(update, readings):
+    def outcome(update, readings, signature=FOL_P_SIG):
         try:
-            return rendered(update(init_belief_state(FOL_P_SIG), readings))
+            return rendered(update(init_belief_state(signature), readings))
         except IllTypedAxiom as err:
             return str(err)
 
@@ -593,11 +615,69 @@ class TestSharedTypeChecking:
     # The third reading is ill-typed around a subterm both others share.
     @example([fol("run' a' ∧ run' b'"), fol("(run' a' ∧ run' b') ∧ run' a'"),
               App(Const("run'"), fol("run' a' ∧ run' b'"))])
+    # ¬¬ around a quantifier's argument, which is no formula, is ill-typed.
+    @example([App(Const("forall"), Const("run'")),
+              App(Const("forall"), app(NEG, app(NEG, Const("run'"))))])
     @settings(max_examples=100, deadline=None)
     def test_readings_as_the_reference_update(self, readings):
         assert (self.outcome(update_belief_state, readings)
                 == self.outcome(reference_update, readings))
         assert self.init_outcome(readings) == self.reference_init_outcome(readings)
+
+    @given(fol_readings())
+    @settings(max_examples=100, deadline=None)
+    def test_each_class_as_given_is_checked_once(self, readings):
+        keys, firsts = {}, {}
+        for r in readings:
+            firsts.setdefault(reference_ac_key(FOL_P_SIG, r, keys), r)
+        want = []
+        for r in firsts.values():  # up to the first ill-typed reading
+            want.append(r)
+            if self.reference_init_outcome([r]) is not None:
+                break
+        start = init_belief_state(FOL_P_SIG)
+        with mock.patch.object(tableau, "_check_proposition",
+                               wraps=tableau._check_proposition) as check:
+            try:
+                update_belief_state(start, readings)
+            except IllTypedAxiom:
+                pass
+        assert [call.args[2] for call in check.call_args_list] == want
+
+    @pytest.mark.parametrize("signature, shares", [
+        (PROP_SIG, True),
+        (FOL_P_SIG, True),
+        (BOTH_SIG, False),
+        (LogicSignature(FOL_P_SIG.flat, {**FOL_CONNECTIVES, "impl": "implies"}), True),
+        (LogicSignature(FOL_P_SIG.flat, {**FOL_CONNECTIVES, "neg": "not"}), False),
+        (LogicSignature(FOL_P_SIG.flat, {**FOL_CONNECTIVES, "neg": "and"}), False),
+        (LogicSignature(FOL_P_SIG.flat, {**FOL_CONNECTIVES, "exists": "run'"}), False),
+        (LogicSignature(FOL_P_SIG.flat, FOL_CONNECTIVES, proposition_type="ind"), False),
+        (LogicSignature(FOL_P_SIG.flat, FOL_CONNECTIVES, proposition_type="o"), False),
+    ])
+    def test_classes_share_checks_only_over_boolean_connectives(self, signature, shares):
+        assert signature.boolean_connectives is shares
+
+    def test_an_undeclared_role_constant_raises_as_the_reference(self):
+        signature = LogicSignature(FOL_P_SIG.flat, {**FOL_CONNECTIVES, "impl": "implies"})
+        p, q = Const("p'"), App(Const("run'"), Const("a'"))
+        implies = app(Const("implies"), p, q)
+        for readings in ([p, implies], [app(AND, p, q), app(AND, q, p), implies, implies]):
+            want = self.outcome(reference_update, readings, signature)
+            assert want.startswith("reading is not a proposition: ")
+            assert self.outcome(update_belief_state, readings, signature) == want
+
+    def test_a_non_boolean_conjunction_checks_every_reading(self):
+        both = Const("both")
+        well = app(both, Const("a'"), App(Const("run'"), Const("b'")))
+        ill = app(both, App(Const("run'"), Const("b'")), Const("a'"))
+        assert _ac_key(BOTH_SIG, well, {}) == _ac_key(BOTH_SIG, ill, {})
+        for readings in ([well, ill], [well, app(NEG, app(NEG, ill))]):
+            want = self.outcome(reference_update, readings, BOTH_SIG)
+            assert want.startswith("reading is not a proposition: ")
+            assert self.outcome(update_belief_state, readings, BOTH_SIG) == want
+        assert (self.outcome(update_belief_state, [well, well], BOTH_SIG)
+                == self.outcome(reference_update, [well, well], BOTH_SIG) == [("a'", "run' b'")])
 
 
 class TestReadingClassesAsTheyStand:
@@ -612,7 +692,7 @@ class TestReadingClassesAsTheyStand:
                                for r in readings for _ in range(rng.randint(0, 2))]
         rng.shuffle(readings)
         normal = Normalizer(FOL_P_SIG.flat)
-        got = _reading_classes(FOL_P_SIG, [normal(r) for r in readings])
+        got = _reading_classes(FOL_P_SIG, [normal(r) for r in readings], {})
         want = reference_reading_classes(FOL_P_SIG, readings)
         assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
         try:
