@@ -10,8 +10,10 @@ conjunctive formulas extend a branch, disjunctive ones split it, and a
 branch closes as soon as it contains an atom together with its negation.
 A branch keeps its literals as one map from the α-normal form of each
 atom to its literal, so spotting a clash or a repeat is one lookup.
-What survives are the Herbrand-style models of the discourse, read off
-with :func:`extract_models`.
+Saturation steps plain ``(literals, pending, closed)`` tuples and builds
+each :class:`Branch` once, for the state it returns. What survives are
+the Herbrand-style models of the discourse, read off with
+:func:`extract_models`.
 
 The machine is parameterized over the logic: a flat signature plus a map
 saying which constants play the roles of the connectives. Quantifiers are
@@ -26,7 +28,6 @@ logic one check stands for each repeated node.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
@@ -255,19 +256,6 @@ def _classify(
     return "literal", Literal(True, t)
 
 
-def _with_literal(branch: Branch, lit: Literal, rest: tuple[Term, ...]) -> Branch:
-    key = alpha_normal(lit.atom)
-    # The designated atoms carry their truth value with them.
-    if key == TOP:
-        return Branch(branch.literals, rest, not lit.positive)
-    if key == BOTTOM:
-        return Branch(branch.literals, rest, lit.positive)
-    known = branch.literals.get(key)
-    if known is not None:
-        return Branch(branch.literals, rest, known.positive != lit.positive)
-    return Branch({**branch.literals, key: lit}, rest)
-
-
 def expand_step(state: BeliefState) -> BeliefState:
     """Process one pending formula on the first branch that has any.
 
@@ -288,43 +276,61 @@ def saturate(state: BeliefState) -> BeliefState:
     the same branch order and one history note per step. Branches still to
     be looked at sit on a stack, first on top, so each step costs only its
     own rule; the branches before the current one are finished, which makes
-    its index the length of ``done``. A step pushes what the branch becomes
-    and appends its note; `classified` remembers `_classify` of each formula
-    met, as the branches of one update share a few formulas.
+    its index the length of ``done``. Both hold plain ``(literals, pending,
+    closed)`` tuples, most of which a later step pops again at once, and a
+    `Branch` is built once for each branch of the result. A step pushes
+    what the branch becomes and appends its note; `classified` remembers
+    `_classify` of each formula met, as the branches of one update share a
+    few formulas. A literal step extends the branch's literal map under the
+    α-normal form of its atom, so a clash or a repeat is one lookup; the
+    map is copied then, never changed in place, as branches share it.
 
     Exhausting the budget is not an error: the state is returned with
     ``exhausted`` set, and everything derived so far remains usable.
     """
-    todo = list(reversed(state.branches))
-    done: list[Branch] = []
+    todo = [(b.literals, b.pending, b.closed) for b in reversed(state.branches)]
+    done: list[tuple] = []
     notes: list[str] = []
     classified: dict[Term, tuple] = {}
     while todo:
         branch = todo.pop()
-        if branch.closed or not branch.pending:
+        literals, pending, closed = branch
+        if closed or not pending:
             done.append(branch)
             continue
         if len(notes) >= state.step_budget:
             todo.append(branch)
             break
-        t, rest = branch.pending[0], branch.pending[1:]
+        t, rest = pending[0], pending[1:]
         found = classified.get(t)
         if found is None:
             found = classified[t] = _classify(state.signature, t)
         kind, parts = found
         if kind == "alpha":
-            todo.append(Branch(branch.literals, parts + rest))
+            todo.append((literals, parts + rest, False))
             notes.append(f"α-expand on branch {len(done)} ({len(parts)} part(s))")
-        elif kind == "beta":
-            todo.extend(Branch(branch.literals, (p,) + rest) for p in reversed(parts))
+            continue
+        if kind == "beta":
+            todo.extend((literals, (p,) + rest, False) for p in reversed(parts))
             notes.append(f"β-split on branch {len(done)}")
+            continue
+        key = alpha_normal(parts.atom)
+        # The designated atoms carry their truth value with them.
+        if key == TOP:
+            closed = not parts.positive
+        elif key == BOTTOM:
+            closed = parts.positive
         else:
-            branch = _with_literal(branch, parts, rest)
-            todo.append(branch)
-            notes.append(f"literal on branch {len(done)}" + (" -- closed" if branch.closed else ""))
+            known = literals.get(key)
+            if known is None:
+                literals = {**literals, key: parts}
+            else:
+                closed = known.positive != parts.positive
+        todo.append((literals, rest, closed))
+        notes.append(f"literal on branch {len(done)}" + (" -- closed" if closed else ""))
     return replace(
         state,
-        branches=(*done, *reversed(todo)),
+        branches=tuple(Branch(*b) for b in (*done, *reversed(todo))),
         history=state.history + tuple(notes),
         exhausted=bool(todo),
     )
@@ -384,13 +390,15 @@ def _ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> H
         return key
     role, args = signature.connective(t)
     if role == "and" or role == "or":
-        operands: Counter[Hashable] = Counter()
+        operands: dict[Hashable, int] = {}
+        get = operands.get
         for part in args:
             part_key = _ac_key(signature, part, memo)
             if type(part_key) is tuple and part_key[0] == role:  # a chain, perhaps under ¬¬
-                operands.update(dict(part_key[1]))
+                for k, n in part_key[1]:
+                    operands[k] = get(k, 0) + n
             else:
-                operands[part_key] += 1
+                operands[part_key] = get(part_key, 0) + 1
         key = role, frozenset(operands.items())
     elif role == "neg":
         key = _ac_key(signature, args[0], memo)
@@ -486,16 +494,21 @@ def extract_models(state: BeliefState) -> tuple[tuple[Literal, ...], ...]:
 
     Within a model, positive literals come first, each group ordered by
     the printed form of its atom, so output is stable across runs.
+    A branch whose literal set was met already is skipped before sorting.
+    That set is taken as the `(positive, atom)` pairs of its literals, not
+    as the `Literal` objects: a `Literal` compares and hashes as that pair,
+    and terms are interned, so atoms compare by identity. The pairs mean
+    the same set, without a dataclass `__hash__` call per literal.
     """
     flat = state.signature.flat
     models: list[tuple[Literal, ...]] = []
     seen: set[tuple[tuple[int, str], ...]] = set()
-    seen_sets: set[frozenset[Literal]] = set()
+    seen_sets: set[frozenset[tuple[bool, Term]]] = set()
     for branch in state.branches:
         if branch.closed:
             continue
         # Equal literal sets sort to equal fingerprints.
-        literal_set = frozenset(branch.literals.values())
+        literal_set = frozenset([(lit.positive, lit.atom) for lit in branch.literals.values()])
         if literal_set in seen_sets:
             continue
         seen_sets.add(literal_set)

@@ -423,6 +423,58 @@ class TestWorklistSaturation:
         resumed = dataclasses.replace(got, step_budget=200_000)
         assert saturate(resumed) == reference_saturate(resumed)
 
+    @given(
+        st.lists(small_formulas, max_size=2),
+        st.lists(st.tuples(small_formulas, st.integers(0, 40)), min_size=2, max_size=5),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sessions_match_the_reference_update(self, axioms, updates, init_budget):
+        # An exhausted state is carried into the next update as it stands,
+        # so later updates start from branches with formulas still pending.
+        state = init_belief_state(PROP_SIG, axioms, step_budget=init_budget)
+        for f, budget in updates:
+            state = dataclasses.replace(state, step_budget=budget)
+            got = update_belief_state(state, (f,))
+            want = reference_update(state, (f,))
+            assert got.branches == want.branches
+            assert got.history == want.history
+            assert got.exhausted == want.exhausted
+            assert got == want
+            state = got
+
+    @given(
+        st.lists(small_formulas, min_size=1, max_size=2),
+        st.lists(small_formulas, min_size=1, max_size=2),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_input_state_is_left_unchanged(self, axioms, extra, budget):
+        # Branches split from one share its literal map; adding the new
+        # atoms p5–p8 to it in place would show up in every input branch.
+        extra = [app(AND, f, Const(a)) for f, a in zip(extra, ATOMS[4:])]
+        start = init_belief_state(PROP_SIG, axioms, step_budget=200_000)
+        state = dataclasses.replace(
+            start,
+            branches=(
+                *(Branch(b.literals, b.pending + tuple(extra)) for b in start.branches),
+                Branch(start.branches[0].literals, tuple(extra), closed=True)
+                if start.branches else Branch(closed=True),
+            ),
+            step_budget=budget,
+        )
+
+        def snapshot(s):
+            return [(list(b.literals.items()), b.pending, b.closed) for b in s.branches]
+
+        before, start_before = snapshot(state), snapshot(start)
+        saturate(state)
+        expand_step(state)
+        update_belief_state(state, extra)
+        update_belief_state(start, extra)
+        assert snapshot(state) == before
+        assert snapshot(start) == start_before
+
     def test_stopping_at_the_budget_leaves_the_rest_in_order(self):
         state = init_belief_state(PROP_SIG, (prop("(p1 ∨ p2) ∧ (p3 ∨ p4)"),), step_budget=4)
         assert state.exhausted
