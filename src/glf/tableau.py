@@ -10,10 +10,10 @@ conjunctive formulas extend a branch, disjunctive ones split it, and a
 branch closes as soon as it contains an atom together with its negation.
 A branch keeps its literals as one map from the α-normal form of each
 atom to its literal, so spotting a clash or a repeat is one lookup.
-Saturation steps plain ``(literals, pending, closed)`` tuples and builds
-each :class:`Branch` once, for the state it returns. What survives are
-the Herbrand-style models of the discourse, read off with
-:func:`extract_models`.
+One saturation loop, behind every entry point, steps plain ``(literals,
+pending, closed)`` tuples and builds each :class:`Branch` it returns once.
+What survives are the Herbrand-style models of the discourse, read off
+with :func:`extract_models`.
 
 The machine is parameterized over the logic: a flat signature plus a map
 saying which constants play the roles of the connectives. Quantifiers are
@@ -261,34 +261,50 @@ def expand_step(state: BeliefState) -> BeliefState:
 
     α-formulas extend the branch, β-formulas split it in two (left
     component first), literals are recorded and checked for closure.
-    A state with nothing pending is returned unchanged.
+    A state with nothing pending is returned unchanged. It is one step of
+    the loop :func:`saturate` runs.
     """
-    stepped = saturate(replace(state, step_budget=1))
-    if len(stepped.history) == len(state.history):
-        return state
-    return replace(stepped, step_budget=state.step_budget, exhausted=state.exhausted)
+    branches, notes, _ = _saturate(state.signature, _in_flight(state), 1)
+    return replace(state, branches=branches, history=state.history + notes) if notes else state
 
 
 def saturate(state: BeliefState) -> BeliefState:
     """Run expansion steps until quiescence or until the budget runs out.
 
     The result is the state that repeated :func:`expand_step` reaches, with
-    the same branch order and one history note per step. Branches still to
-    be looked at sit on a stack, first on top, so each step costs only its
-    own rule; the branches before the current one are finished, which makes
-    its index the length of ``done``. Both hold plain ``(literals, pending,
-    closed)`` tuples, most of which a later step pops again at once, and a
-    `Branch` is built once for each branch of the result. A step pushes
-    what the branch becomes and appends its note; `classified` remembers
-    `_classify` of each formula met, as the branches of one update share a
-    few formulas. A literal step extends the branch's literal map under the
-    α-normal form of its atom, so a clash or a repeat is one lookup; the
-    map is copied then, never changed in place, as branches share it.
+    the same branch order and one history note per step: both run the one
+    saturation loop, `_saturate`, which builds a `Branch` once per branch.
 
     Exhausting the budget is not an error: the state is returned with
     ``exhausted`` set, and everything derived so far remains usable.
     """
-    todo = [(b.literals, b.pending, b.closed) for b in reversed(state.branches)]
+    branches, notes, exhausted = _saturate(state.signature, _in_flight(state), state.step_budget)
+    return replace(state, branches=branches, history=state.history + notes, exhausted=exhausted)
+
+
+def _in_flight(state: BeliefState) -> list[tuple]:
+    return [(b.literals, b.pending, b.closed) for b in state.branches]
+
+
+def _saturate(
+    signature: LogicSignature, branches: list[tuple], budget: int, keep_closed: bool = True
+) -> tuple[tuple[Branch, ...], tuple[str, ...], bool]:
+    """The branches that `budget` expansion steps make of `branches`, in
+    order, their history notes, and whether work is left.
+
+    Branches in flight are plain ``(literals, pending, closed)`` tuples; a
+    `Branch` is built once for each branch returned, a closed one only if
+    `keep_closed`. Branches still to be looked at sit on a stack, first on
+    top, so each step costs only its own rule; the branches before the
+    current one are finished, which makes its index the length of ``done``.
+    A step pushes what the branch becomes and appends its note; `classified`
+    remembers `_classify` of each formula met, as the branches of one update
+    share a few formulas. A literal step extends the branch's literal map
+    under the α-normal form of its atom, so a clash or a repeat is one
+    lookup; the map is copied then, never changed in place, as branches
+    share it.
+    """
+    todo = branches[::-1]
     done: list[tuple] = []
     notes: list[str] = []
     classified: dict[Term, tuple] = {}
@@ -298,13 +314,13 @@ def saturate(state: BeliefState) -> BeliefState:
         if closed or not pending:
             done.append(branch)
             continue
-        if len(notes) >= state.step_budget:
+        if len(notes) >= budget:
             todo.append(branch)
             break
         t, rest = pending[0], pending[1:]
         found = classified.get(t)
         if found is None:
-            found = classified[t] = _classify(state.signature, t)
+            found = classified[t] = _classify(signature, t)
         kind, parts = found
         if kind == "alpha":
             todo.append((literals, parts + rest, False))
@@ -328,12 +344,8 @@ def saturate(state: BeliefState) -> BeliefState:
                 closed = known.positive != parts.positive
         todo.append((literals, rest, closed))
         notes.append(f"literal on branch {len(done)}" + (" -- closed" if closed else ""))
-    return replace(
-        state,
-        branches=tuple(Branch(*b) for b in (*done, *reversed(todo))),
-        history=state.history + tuple(notes),
-        exhausted=bool(todo),
-    )
+    done += reversed(todo)
+    return tuple(Branch(*b) for b in done if keep_closed or not b[2]), tuple(notes), bool(todo)
 
 
 def _check_proposition(checker: Checker, signature: LogicSignature, t: Term, what: str) -> None:
@@ -360,15 +372,10 @@ def init_belief_state(
         _check_proposition(checker, signature, ax, "axiom")
     normal = Normalizer(signature.flat)
     grounded = tuple(_ground(signature, normal(ax), normal) for ax in axioms)
-    state = BeliefState(
-        signature=signature,
-        world_knowledge=axioms,
-        branches=(Branch(pending=grounded),),
-        history=(f"init with {len(axioms)} axiom(s)",),
-        step_budget=step_budget,
-    )
-    state = saturate(state)
-    return replace(state, branches=state.open_branches)
+    branches, notes, exhausted = _saturate(signature, [({}, grounded, False)], step_budget, False)
+    return BeliefState(signature=signature, world_knowledge=axioms, branches=branches,
+                       history=(f"init with {len(axioms)} axiom(s)", *notes),
+                       step_budget=step_budget, exhausted=exhausted)
 
 
 def _ac_key(signature: LogicSignature, t: Term, memo: dict[Term, Hashable]) -> Hashable:
@@ -474,19 +481,11 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
         grounded = [_ground(signature, n, normal) for n in classes]
 
         open_branches = state.open_branches
-        branches = tuple(
-            Branch(b.literals, b.pending + (g,))
-            for g in grounded
-            for b in open_branches
-        )
-        state = replace(
-            state,
-            branches=branches,
-            history=state.history
-            + (f"update with {len(classes)} reading(s) over {len(open_branches)} branch(es)",),
-        )
-        state = saturate(state)
-        return replace(state, branches=state.open_branches)
+        copies = [(b.literals, b.pending + (g,), False) for g in grounded for b in open_branches]
+        branches, notes, exhausted = _saturate(signature, copies, state.step_budget, False)
+        note = f"update with {len(classes)} reading(s) over {len(open_branches)} branch(es)"
+        return replace(state, branches=branches, history=state.history + (note, *notes),
+                       exhausted=exhausted)
 
 
 def extract_models(state: BeliefState) -> tuple[tuple[Literal, ...], ...]:

@@ -398,6 +398,12 @@ class TestBeliefLifecycle:
         assert len(state.history) > before
 
 
+def assert_built(state: BeliefState, *, open_only: bool) -> None:
+    """Every branch `state` holds is a `Branch`, and none is closed if `open_only`."""
+    assert all(type(b) is Branch for b in state.branches)
+    assert not (open_only and any(b.closed for b in state.branches))
+
+
 class TestWorklistSaturation:
     @given(
         st.lists(
@@ -417,11 +423,34 @@ class TestWorklistSaturation:
             history=("start",),
             step_budget=200_000 if budget is None else budget,
         )
-        assert expand_step(state) == reference_expand_step(state)
+        stepped = expand_step(state)
+        assert stepped == reference_expand_step(state)
         got = saturate(state)
         assert got == reference_saturate(state)  # branches, history, exhausted
         resumed = dataclasses.replace(got, step_budget=200_000)
-        assert saturate(resumed) == reference_saturate(resumed)
+        finished = saturate(resumed)
+        assert finished == reference_saturate(resumed)
+        for s in (stepped, got, finished):
+            assert_built(s, open_only=False)
+
+    @given(st.lists(small_formulas, max_size=3), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_init_matches_the_reference_loop(self, axioms, budget):
+        normal = Normalizer(PROP_SIG.flat)
+        grounded = tuple(ground_quantifiers(PROP_SIG, normal(ax)) for ax in axioms)
+        want = reference_saturate(BeliefState(
+            signature=PROP_SIG,
+            world_knowledge=tuple(axioms),
+            branches=(Branch(pending=grounded),),
+            history=(f"init with {len(axioms)} axiom(s)",),
+            step_budget=budget,
+        ))
+        got = init_belief_state(PROP_SIG, axioms, step_budget=budget)
+        assert got.branches == want.open_branches
+        assert got.history == want.history
+        assert got.exhausted == want.exhausted
+        assert got == dataclasses.replace(want, branches=want.open_branches)
+        assert_built(got, open_only=True)
 
     @given(
         st.lists(small_formulas, max_size=2),
@@ -433,6 +462,7 @@ class TestWorklistSaturation:
         # An exhausted state is carried into the next update as it stands,
         # so later updates start from branches with formulas still pending.
         state = init_belief_state(PROP_SIG, axioms, step_budget=init_budget)
+        assert_built(state, open_only=True)
         for f, budget in updates:
             state = dataclasses.replace(state, step_budget=budget)
             got = update_belief_state(state, (f,))
@@ -441,6 +471,7 @@ class TestWorklistSaturation:
             assert got.history == want.history
             assert got.exhausted == want.exhausted
             assert got == want
+            assert_built(got, open_only=True)
             state = got
 
     @given(
@@ -468,10 +499,10 @@ class TestWorklistSaturation:
             return [(list(b.literals.items()), b.pending, b.closed) for b in s.branches]
 
         before, start_before = snapshot(state), snapshot(start)
-        saturate(state)
-        expand_step(state)
-        update_belief_state(state, extra)
-        update_belief_state(start, extra)
+        assert_built(saturate(state), open_only=False)
+        assert_built(expand_step(state), open_only=False)
+        assert_built(update_belief_state(state, extra), open_only=True)
+        assert_built(update_belief_state(start, extra), open_only=True)
         assert snapshot(state) == before
         assert snapshot(start) == start_before
 
