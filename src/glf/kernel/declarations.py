@@ -5,10 +5,14 @@ against: an ordered list of declarations, and the scope that resolves a
 plain or qualified (`Theory?name`) name in them. Flattening makes
 signatures, the theory reader grows one, and kernel tests build them.
 
-A signature also holds `known_normal`, a weak set of the normal forms
-its normalizers with δ "applied" have found for closed terms, which only
-`glf.kernel.reduce` reads and fills. A declaration added can change what
-a constant unfolds to, so `add` empties it.
+A signature also holds what its checkers and normalizers have worked out
+about its declarations, for the next one to look up: `known_normal`, a
+weak set of the normal forms its normalizers with δ "applied" have found
+for closed terms, which only `glf.kernel.reduce` reads and fills, and
+`constant_types`, the β-normal type of each constant a `Checker` has
+looked up, which only `glf.kernel.typecheck` reads and fills. A
+declaration added can change what a constant unfolds to, or make a plain
+name ambiguous, so `add` empties both.
 """
 
 from __future__ import annotations
@@ -80,17 +84,23 @@ class Declaration:
 class Signature:
     """Ordered declarations and the one scope they make, which grows by `add`:
     `names` maps each qualified name, and each plain name declared once, to
-    its declaration, and a plain name declared more than once to None."""
+    its declaration, and a plain name declared more than once to None.
+
+    `known_normal` and `constant_types` hold facts about the declarations
+    only, never a term of a sentence checked against them, and `add`
+    empties both (see the module docstring)."""
 
     def __init__(self, declarations: tuple[Declaration, ...] | list[Declaration] = ()):
         self.declarations: list[Declaration] = []
         self.names: dict[str, Declaration | None] = {}
         self.known_normal: weakref.WeakSet[Term] = weakref.WeakSet()
+        self.constant_types: dict[str, Term] = {}
         for d in declarations:
             self.add(d)
 
     def add(self, d: Declaration) -> None:
         self.known_normal.clear()
+        self.constant_types.clear()
         self.declarations.append(d)
         if d.home:
             self.names[d.qualified] = d

@@ -11,7 +11,9 @@ the axioms of a belief state, the assignments of a view) shares one
 across them. Terms are interned, so an `App` already inferred in the same
 context is looked up by the node itself, not inferred again. Only
 successful inferences are stored, so errors are raised where and as they
-would be without the memo.
+would be without the memo. The type of a constant depends on the
+declarations alone, so it is kept on the signature instead
+(`Signature.constant_types`), and every later checker looks it up.
 """
 
 from __future__ import annotations
@@ -77,14 +79,13 @@ EMPTY = Context()
 class Checker:
     """Type inference and checking over one signature, for one call.
 
-    A checker remembers four things, and only for as long as it lives:
+    A checker remembers three things, and only for as long as it lives:
 
     - the β-normal form of each type it has normalized, in a `Normalizer`;
     - the weak head normal form, with every δ unfolded, of each type that
       `check` or an `App`'s function type needed one of, keyed by the
       interned node. Only completed forms are stored, so a type that
       diverges raises each time it is met;
-    - the β-normal type of each constant it has looked up;
     - the inferred type of each `App` node, keyed by the context's `key`
       and the interned node. Only successful inferences are stored, so an
       ill-typed term fails at the same subterm, with the same message,
@@ -93,12 +94,17 @@ class Checker:
     Terms checked by one checker share that work: the readings of an
     ambiguous sentence put the same subterms together in different ways,
     and each shared subterm is inferred once.
+
+    The β-normal type of each constant looked up outlives the checker: it
+    is a fact about the declarations, kept in the signature's
+    `constant_types` for every later checker, and emptied when a
+    declaration is added. A constant that is unknown, ambiguous or
+    ill-typed is not stored, so it raises each time it is met.
     """
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self._normalize = Normalizer(sig)
-        self._const_types: dict[str, Term] = {}
         self._app_types: dict[tuple[frozenset, Term], Term] = {}
         self._whnfs: dict[Term, Term] = {}
 
@@ -110,59 +116,63 @@ class Checker:
 
     def infer(self, ctx: Context, t: Term) -> Term:
         """β-normal type of `t` under standard LF rules."""
-        sig = self.sig
-        match t:
-            case Sort("type"):
+        cls = t.__class__
+        if cls is App:
+            key = (ctx.key, t)
+            ty = self._app_types.get(key)
+            if ty is not None:
+                return ty
+            fn, arg = t.fn, t.arg
+            fn_type = self._whnf(self.infer(ctx, fn))
+            if not isinstance(fn_type, Pi):
+                raise NotAFunction(
+                    f"{show(fn)} of type {show(fn_type)} is applied to {show(arg)}"
+                )
+            self.check(ctx, arg, fn_type.domain)
+            ty = self._normalize(substitute(fn_type.codomain, fn_type.binder, arg))
+            self._app_types[key] = ty
+            return ty
+        if cls is Const:
+            name = t.name
+            types = self.sig.constant_types
+            ty = types.get(name)
+            if ty is None:
+                d = self.sig.lookup(name)
+                if d is None:
+                    raise UnknownConstant(f"unknown constant {name}")
+                if d.type_ is not None:
+                    ty = self._normalize(d.type_)
+                else:
+                    ty = self.infer(EMPTY, d.definiens)
+                types[name] = ty
+            return ty
+        if cls is Var:
+            ty = ctx.lookup(t.name)
+            if ty is None:
+                raise UnknownConstant(f"unbound variable {t.name}")
+            return self._normalize(ty)
+        if cls is Lam:
+            binder_type = t.binder_type
+            if binder_type is None:
+                raise UntypedBinder(
+                    f"cannot infer the type of [{t.binder}] without an annotation"
+                )
+            self._check_is_type(ctx, binder_type)
+            binder, body = rename_away(t.binder, t.body, ctx.names())
+            body_type = self.infer(ctx.extend(binder, binder_type), body)
+            return Pi(binder, self._normalize(binder_type), body_type)
+        if cls is Pi:
+            domain = t.domain
+            self._check_is_type(ctx, domain)
+            binder, codomain = rename_away(t.binder, t.codomain, ctx.names())
+            sort = self.infer(ctx.extend(binder, domain), codomain)
+            if not isinstance(sort, Sort):
+                raise TypeMismatch("type or kind", show(sort), show(t))
+            return sort
+        if cls is Sort:
+            if t.name == "type":
                 return KIND
-            case Sort():
-                raise TypeError_(f"{show(t)} has no classifier")
-            case Var(name):
-                ty = ctx.lookup(name)
-                if ty is None:
-                    raise UnknownConstant(f"unbound variable {name}")
-                return self._normalize(ty)
-            case Const(name):
-                ty = self._const_types.get(name)
-                if ty is None:
-                    d = sig.lookup(name)
-                    if d is None:
-                        raise UnknownConstant(f"unknown constant {name}")
-                    if d.type_ is not None:
-                        ty = self._normalize(d.type_)
-                    else:
-                        ty = self.infer(EMPTY, d.definiens)
-                    self._const_types[name] = ty
-                return ty
-            case App(fn, arg):
-                key = (ctx.key, t)
-                ty = self._app_types.get(key)
-                if ty is not None:
-                    return ty
-                fn_type = self._whnf(self.infer(ctx, fn))
-                if not isinstance(fn_type, Pi):
-                    raise NotAFunction(
-                        f"{show(fn)} of type {show(fn_type)} is applied to {show(arg)}"
-                    )
-                self.check(ctx, arg, fn_type.domain)
-                ty = self._normalize(substitute(fn_type.codomain, fn_type.binder, arg))
-                self._app_types[key] = ty
-                return ty
-            case Lam(binder, binder_type, body):
-                if binder_type is None:
-                    raise UntypedBinder(
-                        f"cannot infer the type of [{binder}] without an annotation"
-                    )
-                self._check_is_type(ctx, binder_type)
-                binder, body = rename_away(binder, body, ctx.names())
-                body_type = self.infer(ctx.extend(binder, binder_type), body)
-                return Pi(binder, self._normalize(binder_type), body_type)
-            case Pi(binder, domain, codomain):
-                self._check_is_type(ctx, domain)
-                binder, codomain = rename_away(binder, codomain, ctx.names())
-                sort = self.infer(ctx.extend(binder, domain), codomain)
-                if not isinstance(sort, Sort):
-                    raise TypeMismatch("type or kind", show(sort), show(t))
-                return sort
+            raise TypeError_(f"{show(t)} has no classifier")
         raise TypeError(f"not a term: {t!r}")
 
     def check(self, ctx: Context, t: Term, expected: Term) -> None:

@@ -86,7 +86,7 @@ _TOKEN = re.compile(rf"(?:\s+|//[^\n]*)*({IDENT_RE.pattern})?")
 _KINDS = {**STRUCTURAL, **dict.fromkeys(KEYWORDS, "KEYWORD"), "type": "TYPE"}
 # A notation's words run from its `#` to the first `;` or `end`, and may
 # close with `prec N`.
-_NOTATION_END = re.compile(r";|\bend(?![A-Za-z0-9_'])")
+_NOTATION_END = re.compile(r";|(?<![A-Za-z0-9_'])end(?![A-Za-z0-9_'])")
 _NOTATION_PREC = re.compile(r"\bprec\s+(-?\d+)\s*$")
 _WORD = re.compile(r"\S+")
 # Characters that, glued to others, keep a notation word from being one token.

@@ -11,9 +11,17 @@ branch closes as soon as it contains an atom together with its negation.
 A branch keeps its literals as one map from the α-normal form of each
 atom to its literal, so spotting a clash or a repeat is one lookup.
 One saturation loop, behind every entry point, steps plain ``(literals,
-pending, closed)`` tuples and builds each :class:`Branch` it returns once.
-What survives are the Herbrand-style models of the discourse, read off
-with :func:`extract_models`.
+pending, closed)`` tuples and builds each :class:`Branch` it returns once;
+the text of each history note is formatted once per rule and branch
+index, and kept. What survives are the Herbrand-style models of the
+discourse, read off with :func:`extract_models`, which reads each
+literal map only once, however many branches share it.
+
+An update pays for its sentence, not again for what the signature
+already says: the types of its constants are looked up where the
+signature keeps them (`Signature.constant_types`), and a normal formula's
+λ quantifier is grounded by substituting each domain constant into its
+body, with no normalization.
 
 The machine is parameterized over the logic: a flat signature plus a map
 saying which constants play the roles of the connectives. Quantifiers are
@@ -41,7 +49,9 @@ from glf.errors import (
     TypeError_,
     nesting_limit,
 )
-from glf.kernel import App, Const, Lam, Normalizer, Pi, Term, alpha_normal, app, spine
+from glf.kernel import (
+    App, Const, Lam, Normalizer, Pi, Term, alpha_normal, app, spine, substitute,
+)
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import print_term
 from glf.modsys.theory import FlatTheory
@@ -207,14 +217,26 @@ def ground_quantifiers(signature: LogicSignature, t: Term) -> Term:
     A universal becomes the conjunction of its instances over every
     individual constant in the signature, an existential the disjunction;
     over an empty domain they become the designated true/false atoms.
-    Quantifiers buried inside atoms (e.g. under a modal operator) are left
-    alone -- such subterms are opaque to a propositional tableau anyway.
+    Each instance is normalized (see `_ground`). Quantifiers buried inside
+    atoms (e.g. under a modal operator) are left alone -- such subterms are
+    opaque to a propositional tableau anyway.
     """
-    return _ground(signature, t, Normalizer(signature.flat))
+    return _ground(signature, t, Normalizer(signature.flat), False)
 
 
-def _ground(signature: LogicSignature, t: Term, normal: Normalizer) -> Term:
-    """`ground_quantifiers`, normalizing each instance with `normal`."""
+def _ground(signature: LogicSignature, t: Term, normal: Normalizer, is_normal: bool) -> Term:
+    """`ground_quantifiers`, normalizing with `normal`; `is_normal` says
+    that `t` is a normal form.
+
+    The instance of a quantified λx. φ at a domain constant c is the
+    normal form of (λx. φ) c. When φ is normal, that is φ with c for x, so
+    it is built by substitution: c has no definiens (`_domain`) and no free
+    variable, so it can head no β- or δ-redex, and no binder of φ is
+    renamed. φ is normal when `t` is, and otherwise when `normal` gives it
+    back. Only a quantifier's argument that is not a λ (an η-short
+    ``∀ run'``), or a λ whose body is not normal, is applied to c and
+    normalized. Either way an instance is normal, and grounded as such.
+    """
     role, args = signature.connective(t)
     if role is None:
         return t
@@ -222,9 +244,14 @@ def _ground(signature: LogicSignature, t: Term, normal: Normalizer) -> Term:
         domain = signature._domain
         if not domain:
             return TOP if role == "forall" else BOTTOM
-        parts = [_ground(signature, normal(App(args[0], c)), normal) for c in domain]
+        body = args[0]
+        if body.__class__ is Lam and (is_normal or normal(body.body) is body.body):
+            instances = [substitute(body.body, body.binder, c) for c in domain]
+        else:
+            instances = [normal(App(body, c)) for c in domain]
+        parts = [_ground(signature, i, normal, True) for i in instances]
         return _fold(signature.constant("and" if role == "forall" else "or"), parts)
-    return app(signature.constant(role), *(_ground(signature, a, normal) for a in args))
+    return app(signature.constant(role), *(_ground(signature, a, normal, is_normal) for a in args))
 
 
 def _negate(signature: LogicSignature, t: Term) -> Term:
@@ -286,6 +313,28 @@ def _in_flight(state: BeliefState) -> list[tuple]:
     return [(b.literals, b.pending, b.closed) for b in state.branches]
 
 
+#: The texts of the history notes of a step on branch i, formatted once
+#: and kept for every later step there: ``_NOTE_TEXTS[i][n]`` for an
+#: α-expansion into n parts (`_classify` makes one or two), and at the
+#: slots below for a β-split and a literal step. A pass over a discourse
+#: takes tens of thousands of steps on a few hundred branch indices.
+_NOTE_TEXTS: list[tuple[str, ...]] = []
+_BETA, _LITERAL, _CLOSED = 0, 3, 4
+
+
+def _note_texts(index: int) -> tuple[str, ...]:
+    while len(_NOTE_TEXTS) <= index:
+        i = len(_NOTE_TEXTS)
+        _NOTE_TEXTS.append((
+            f"β-split on branch {i}",
+            f"α-expand on branch {i} (1 part(s))",
+            f"α-expand on branch {i} (2 part(s))",
+            f"literal on branch {i}",
+            f"literal on branch {i} -- closed",
+        ))
+    return _NOTE_TEXTS[index]
+
+
 def _saturate(
     signature: LogicSignature, branches: list[tuple], budget: int, keep_closed: bool = True
 ) -> tuple[tuple[Branch, ...], tuple[str, ...], bool]:
@@ -302,12 +351,15 @@ def _saturate(
     share a few formulas. A literal step extends the branch's literal map
     under the α-normal form of its atom, so a clash or a repeat is one
     lookup; the map is copied then, never changed in place, as branches
-    share it.
+    share it. A note's text depends only on the step's rule and the
+    branch's index, so it is formatted the first time any call meets them
+    (`_note_texts`), and every later note is one of those strings.
     """
     todo = branches[::-1]
     done: list[tuple] = []
     notes: list[str] = []
     classified: dict[Term, tuple] = {}
+    note_texts = _NOTE_TEXTS
     while todo:
         branch = todo.pop()
         literals, pending, closed = branch
@@ -322,13 +374,15 @@ def _saturate(
         if found is None:
             found = classified[t] = _classify(signature, t)
         kind, parts = found
+        index = len(done)
+        texts = note_texts[index] if index < len(note_texts) else _note_texts(index)
         if kind == "alpha":
             todo.append((literals, parts + rest, False))
-            notes.append(f"α-expand on branch {len(done)} ({len(parts)} part(s))")
+            notes.append(texts[len(parts)])
             continue
         if kind == "beta":
             todo.extend((literals, (p,) + rest, False) for p in reversed(parts))
-            notes.append(f"β-split on branch {len(done)}")
+            notes.append(texts[_BETA])
             continue
         key = alpha_normal(parts.atom)
         # The designated atoms carry their truth value with them.
@@ -343,7 +397,7 @@ def _saturate(
             else:
                 closed = known.positive != parts.positive
         todo.append((literals, rest, closed))
-        notes.append(f"literal on branch {len(done)}" + (" -- closed" if closed else ""))
+        notes.append(texts[_CLOSED if closed else _LITERAL])
     done += reversed(todo)
     return tuple(Branch(*b) for b in done if keep_closed or not b[2]), tuple(notes), bool(todo)
 
@@ -371,7 +425,7 @@ def init_belief_state(
     for ax in axioms:
         _check_proposition(checker, signature, ax, "axiom")
     normal = Normalizer(signature.flat)
-    grounded = tuple(_ground(signature, normal(ax), normal) for ax in axioms)
+    grounded = tuple(_ground(signature, normal(ax), normal, True) for ax in axioms)
     branches, notes, exhausted = _saturate(signature, [({}, grounded, False)], step_budget, False)
     return BeliefState(signature=signature, world_knowledge=axioms, branches=branches,
                        history=(f"init with {len(axioms)} axiom(s)", *notes),
@@ -445,7 +499,8 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
     Readings are type-checked by one checker, normalized and grounded by
     one normalizer, and AC-keyed with one memo, so each subterm they share
     is inferred, normalized and keyed once; a reading `construct_semantics`
-    has normalized is known normal, and not normalized again. Readings
+    has normalized is known normal, and not normalized again, and a normal
+    reading's λ quantifiers are grounded by substitution (`_ground`). Readings
     with one AC key as they stand are well typed together or not at all
     when the connectives are boolean (`LogicSignature.boolean_connectives`),
     so then only the first of each key is type-checked; otherwise only
@@ -478,7 +533,7 @@ def update_belief_state(state: BeliefState, readings: Iterable[Term]) -> BeliefS
             checked.add(k)
             _check_proposition(checker, signature, r, "reading")
         classes = _reading_classes(signature, [normal(r) for r in readings], keys)
-        grounded = [_ground(signature, n, normal) for n in classes]
+        grounded = [_ground(signature, n, normal, True) for n in classes]
 
         open_branches = state.open_branches
         copies = [(b.literals, b.pending + (g,), False) for g in grounded for b in open_branches]
@@ -498,22 +553,29 @@ def extract_models(state: BeliefState) -> tuple[tuple[Literal, ...], ...]:
     as the `Literal` objects: a `Literal` compares and hashes as that pair,
     and terms are interned, so atoms compare by identity. The pairs mean
     the same set, without a dataclass `__hash__` call per literal.
+    Before that set is even built, a branch whose literal map is the very
+    map of a branch read already is skipped: saturation copies a map to
+    extend it and never changes one in place, so branches that a β-split
+    left without a new literal share one, and it holds the same set.
     """
     flat = state.signature.flat
     models: list[tuple[Literal, ...]] = []
     seen: set[tuple[tuple[int, str], ...]] = set()
     seen_sets: set[frozenset[tuple[bool, Term]]] = set()
+    taken: set[int] = set()  # the ids of the literal maps read
     for branch in state.branches:
-        if branch.closed:
+        literals = branch.literals
+        if branch.closed or id(literals) in taken:
             continue
+        taken.add(id(literals))
         # Equal literal sets sort to equal fingerprints.
-        literal_set = frozenset([(lit.positive, lit.atom) for lit in branch.literals.values()])
+        literal_set = frozenset([(lit.positive, lit.atom) for lit in literals.values()])
         if literal_set in seen_sets:
             continue
         seen_sets.add(literal_set)
         keyed = sorted(
             (((0 if lit.positive else 1, print_term(flat, lit.atom)), lit)
-             for lit in branch.literals.values()),
+             for lit in literals.values()),
             key=itemgetter(0),
         )
         fingerprint = tuple(k for k, _ in keyed)

@@ -1845,7 +1845,7 @@ _VIEW_HEADER = re.compile(
     r"view\s+([A-Za-z_][A-Za-z0-9_']*)\s*:\s*([A-Za-z_][A-Za-z0-9_']*)"
     r"\s*->\s*([A-Za-z_][A-Za-z0-9_']*)\s*=", re.S
 )
-_END = re.compile(r"\bend(?![A-Za-z0-9_'])")
+_END = re.compile(r"(?<![A-Za-z0-9_'])end(?![A-Za-z0-9_'])")
 _INCLUDE = re.compile(r"include\s+([A-Za-z_][A-Za-z0-9_']*)$")
 _PREC = re.compile(r"\bprec\s+(-?\d+)\s*$")
 

@@ -89,6 +89,17 @@ class TestTheoryFiles:
         assert g.theory("T").declarations[1].notation == Notation(("⊤",))
         assert g.theory("U").declarations[0].notation == Notation(("⊥",))
 
+    @pytest.mark.parametrize("text, tokens, prec", [
+        ("theory T = o : type ; c : o # q'end ; end", ("q'end",), 0),
+        ("theory T = o : type ; c : o -> o # %1 q'end prec 5 ; end", ("%1", "q'end"), 5),
+    ])
+    def test_end_after_a_prime_is_part_of_a_notation_word(self, text, tokens, prec):
+        # A prime is a word character, so `q'end` is one word, not `q'` and `end`.
+        for parse in (parse_theory_file, reference_parse_theory_file):
+            g = TheoryGraph()
+            parse(g, text)
+            assert g.theory("T").declarations[-1].notation == Notation(tokens, prec)
+
     def test_longer_notation_symbols_win_over_structural_ones(self):
         g = graph_with("theory T = o : type ; imp : o -> o -> o # %1 => %2 prec 5 ;"
                        " c : o ; d : o = c=>c ; end")
@@ -514,5 +525,6 @@ class TestAgainstReferenceReader:
     @example(_domain_case(("# mary' ;", "# mary' ( ;")))
     @example(_domain_case(("# love' ;", "# love' // ;")))
     @example(_domain_case(TestOneScopePerTheory.HATE))
+    @example(_domain_case(("run_DT : ι -> o # run' ;", "q'end : ι -> o ;")))
     def test_damaged_theories(self, case):
         self.check(*case)

@@ -53,6 +53,7 @@ from helpers import (
     reference_check_type,
     reference_expand_step,
     reference_extract_models,
+    reference_normalize,
     reference_reading_classes,
     reference_saturate,
     reference_update,
@@ -506,6 +507,26 @@ class TestWorklistSaturation:
         assert snapshot(state) == before
         assert snapshot(start) == start_before
 
+    def test_three_hundred_open_branches_match_the_reference_loop(self):
+        # Notes on branch indices that no smaller state reaches, formatted
+        # the first time and looked up the second.
+        rng = random.Random(300)
+        state = BeliefState(
+            signature=PROP_SIG,
+            world_knowledge=(),
+            branches=tuple(Branch(pending=(random_formula(rng, 3),)) for _ in range(300)),
+            history=("start",),
+            step_budget=200_000,
+        )
+        want = reference_saturate(state)
+        for _ in range(2):
+            got = saturate(state)
+            assert got.history == want.history
+            assert got == want
+        assert max(int(note.split()[3]) for note in got.history[1:]) >= 299
+        assert update_belief_state(got, (prop("p1 ∨ p2"),)) == reference_update(
+            got, (prop("p1 ∨ p2"),))
+
     def test_stopping_at_the_budget_leaves_the_rest_in_order(self):
         state = init_belief_state(PROP_SIG, (prop("(p1 ∨ p2) ∧ (p3 ∨ p4)"),), step_budget=4)
         assert state.exhausted
@@ -650,6 +671,62 @@ def fol_readings(draw):
                 variant = alpha_variant(variant, rng)
             readings.insert(rng.randint(0, len(readings)), variant)
     return readings
+
+
+#: TinyFolP with a type that no constant has as its domain: every
+#: quantifier grounds to ⊤ or ⊥.
+VOID_SIG = LogicSignature(
+    flat_of(FOL + "theory TinyFolVoid = include TinyFol ; p' : o ; void : type ; end",
+            "TinyFolVoid"),
+    FOL_CONNECTIVES, individual_type="void",
+)
+
+
+def reference_ground(signature: LogicSignature, t: Term) -> Term:
+    """`ground_quantifiers` as specified: each instance, the quantifier's
+    argument applied to a domain constant, normalized by
+    `reference_normalize` before it is grounded in turn."""
+    role, args = signature.connective(t)
+    if role is None:
+        return t
+    if role in ("forall", "exists"):
+        domain = signature._domain
+        if not domain:
+            return TOP if role == "forall" else BOTTOM
+        parts = [reference_ground(signature, reference_normalize(signature.flat, App(args[0], c)))
+                 for c in domain]
+        joined = Const(signature.connectives["and" if role == "forall" else "or"])
+        result = parts[-1]
+        for part in reversed(parts[:-1]):
+            result = app(joined, part, result)
+        return result
+    return app(Const(signature.connectives[role]), *(reference_ground(signature, a) for a in args))
+
+
+class TestGroundingBySubstitution:
+    """`_ground` builds the instances of a normal formula's λ quantifiers by
+    substitution; grounding that normalizes each one is its oracle."""
+
+    @given(st.sampled_from([FOL_P_SIG, VOID_SIG]).flatmap(
+        lambda signature: st.tuples(st.just(signature), typed_terms(
+            signature.flat, PROP_T, depth=4, bases=(PROP_T, IND_T)))))
+    @example((FOL_P_SIG, fol("∀ [x : ι] ∃ [y : ι] love' x y")))
+    @example((FOL_P_SIG, fol("∃ [x : ι] ¬ ∀ [y : ι] love' y x")))
+    @example((FOL_P_SIG, App(Const("forall"), Const("run'"))))
+    @example((FOL_P_SIG, fol("∃ [x : ι] ∀ (love' x)")))
+    @example((FOL_P_SIG, fol("∀ [x : ι] ([y : ι] love' y x) x")))
+    @example((VOID_SIG, fol("∀ [x : ι] ∃ [y : ι] love' x y")))
+    @example((VOID_SIG, App(Const("exists"), Const("run'"))))
+    @settings(max_examples=200, deadline=None)
+    def test_normal_formulas_ground_as_if_each_instance_were_normalized(self, case):
+        signature, raw = case
+        flat = signature.flat
+        n = Normalizer(flat)(raw)
+        want = reference_ground(signature, n)
+        assert tableau._ground(signature, n, Normalizer(flat), True) == want
+        assert ground_quantifiers(signature, n) == want
+        # Any other term grounds as it always has, each instance normalized.
+        assert ground_quantifiers(signature, raw) == reference_ground(signature, raw)
 
 
 #: TinyFolP whose ∧ is `both : ι → o → o`: AC variants of a well-typed
@@ -805,6 +882,19 @@ def model_branches(draw):
     return branches, draw(st.booleans())
 
 
+@st.composite
+def shared_map_branches(draw):
+    """Branches over a few literal maps, some the very same map object, some
+    an equal copy, some closed."""
+    maps = [{alpha_normal(l.atom): l for l in lits}
+            for lits in draw(st.lists(st.lists(st.sampled_from(MODEL_LITERALS), unique=True,
+                                               max_size=5), min_size=1, max_size=3))]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(maps) - 1), st.booleans(), st.booleans()),
+                          min_size=1, max_size=8))
+    return tuple(Branch(maps[i] if shared else dict(maps[i]), (), closed)
+                 for i, shared, closed in picks)
+
+
 class TestExtractModels:
     def test_positive_literals_sort_first(self):
         state = init_belief_state(
@@ -820,6 +910,19 @@ class TestExtractModels:
         atom = fol("love' a' b'")
         assert Literal(True, atom).render(FOL_SIG.flat) == "love' a' b'"
         assert Literal(False, atom).render(FOL_SIG.flat) == "¬ love' a' b'"
+
+    def test_branches_sharing_a_literal_map_give_one_model(self):
+        state = init_belief_state(PROP_SIG, (prop("p1"), prop("p1 ∨ p1")))
+        first, second = state.branches
+        assert first.literals is second.literals
+        assert extract_models(state) == reference_extract_models(state)
+        assert rendered(state) == [("p1",)]
+
+    @given(shared_map_branches())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_literal_maps_give_the_reference_models(self, branches):
+        state = BeliefState(PROP_SIG, (), branches, ())
+        assert extract_models(state) == reference_extract_models(state)
 
     @given(model_branches())
     @example(((LIKE_P1, LIKE_P1[::-1], LIKE_P1), False))

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from glf.errors import (
+    DuplicateName,
     GlfError,
     NonTerminationGuard,
     NotAFunction,
@@ -192,6 +193,46 @@ class TestCheckProof:
         sig = nd_sig()
         result = check_proof(sig, App(joan, joan), App(run, mary))
         assert not result and result.reason
+
+    def test_constant_types_outlive_the_checker(self):
+        sig = diff_sig()
+        assert Checker(sig).infer(EMPTY, app(Const("f"), Const("c"))) == O
+        assert sig.constant_types == {"f": arrow(I, O), "c": I}
+        # A constant typed by its definiens is stored under its own name.
+        assert Checker(sig).infer(EMPTY, Const("alias")) == O
+        assert sig.constant_types["alias"] == O
+
+    def test_an_ill_typed_constant_raises_each_time_and_is_not_kept(self):
+        sig = Signature(list(diff_sig().declarations) + [Declaration("bad", None, App(joan, joan))])
+        for checker in (Checker(sig), Checker(sig)):
+            for _ in range(2):
+                assert outcome(lambda: checker.infer(EMPTY, Const("bad"))) == outcome(
+                    lambda: reference_infer_type(sig, EMPTY, Const("bad")))
+        assert "bad" not in sig.constant_types
+        assert "nobody" not in sig.constant_types
+        with pytest.raises(UnknownConstant):
+            Checker(sig).infer(EMPTY, Const("nobody"))
+        assert "nobody" not in sig.constant_types
+
+    def test_a_name_made_ambiguous_raises_as_with_a_fresh_checker(self):
+        decls = [Declaration("o", TYPE, home="T"), Declaration("c", Const("o"), home="T"),
+                 Declaration("f", arrow(Const("o"), Const("o")), home="T")]
+        extra = Declaration("c", Const("o"), home="U")
+        term = App(Const("f"), Const("c"))
+        sig = Signature(decls)
+        before = Checker(sig)
+        assert before.infer(EMPTY, term) == Const("o")
+        assert set(sig.constant_types) == {"f", "c"}
+        sig.add(extra)
+        assert sig.constant_types == {}
+        fresh = Signature(decls + [extra])
+        want = outcome(lambda: Checker(fresh).infer(EMPTY, term))
+        assert want[0] is DuplicateName and "T?c, U?c" in want[1]
+        assert outcome(lambda: Checker(sig).infer(EMPTY, term)) == want
+        assert outcome(lambda: before.infer(EMPTY, Const("c"))) == outcome(
+            lambda: Checker(fresh).infer(EMPTY, Const("c")))
+        assert outcome(lambda: reference_infer_type(sig, EMPTY, term)) == want
+        assert Checker(sig).infer(EMPTY, App(Const("f"), Const("U?c"))) == Const("o")
 
     def test_explicit_judgment_override(self):
         sig = nd_sig()
