@@ -6,7 +6,9 @@ mirrored as a theory include. Abstract syntax trees are then literally terms
 over that theory, a semantics view maps them into the target logic, and
 normalization evaluates the result. `check_in_target_logic` verifies that
 what comes out really lives in the target logic: no foreign constants and
-no lambda residues outside higher-order argument positions.
+no lambda residues outside higher-order argument positions. A `Fragment`
+builds its logic signature and its initial belief state on first use,
+and keeps them.
 
 The trees of an ambiguous sentence often differ in one subtree only: the
 Catalan(n−1) bracketings of a coordinated subject share their verb phrase.
@@ -24,6 +26,7 @@ normalization gives, binder names included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from glf.errors import BridgeError, GlfError, NameClash, nesting_limit
 from glf.grammar import (
@@ -50,17 +53,19 @@ from glf.kernel import (
     arrow,
     constants,
     free_vars,
+    pi_spine,
     spine,
     whnf,
 )
 from glf.kernel.declarations import Declaration
 from glf.modsys import Theory, TheoryGraph, View, ViewApplier, print_term
 from glf.modsys.syntax import KEYWORDS
-from glf.tableau import DEFAULT_STEP_BUDGET
+from glf.modsys.theory import LF
+from glf.tableau import DEFAULT_STEP_BUDGET, BeliefState, LogicSignature, init_belief_state
 
 # Names the theory-file syntax reserves; a grammar using one of these could
 # not round-trip through the generated language theory.
-RESERVED_NAMES = KEYWORDS | {"LF"}
+RESERVED_NAMES = KEYWORDS | {LF}
 
 
 def generate_language_theory(abstract: AbstractGrammar) -> Theory:
@@ -81,7 +86,7 @@ def generate_language_theory(abstract: AbstractGrammar) -> Theory:
             Declaration(f.name, arrow(*(Const(a) for a in f.args), Const(f.result)))
         )
     includes = (abstract.extends,) if abstract.extends else ()
-    return Theory(abstract.name, meta="LF", includes=includes, declarations=tuple(decls))
+    return Theory(abstract.name, meta=LF, includes=includes, declarations=tuple(decls))
 
 
 def generate_view_stub(language_theory: Theory, graph: TheoryGraph, target: str) -> str:
@@ -136,6 +141,28 @@ class Fragment:
     connectives: dict[str, str] = field(default_factory=dict)
     step_budget: int = DEFAULT_STEP_BUDGET
     knowledge: tuple[Term, ...] = ()
+
+    @cached_property
+    def logic_signature(self) -> LogicSignature:
+        """The tableau-facing face of the fragment's logic."""
+        return LogicSignature(
+            flat=self.graph.flatten(self.domain_theory),
+            connectives=dict(self.connectives),
+            proposition_type=self.proposition_type,
+            individual_type=self.individual_type,
+        )
+
+    @cached_property
+    def initial_state(self) -> BeliefState:
+        """A belief state holding exactly the fragment's world knowledge.
+
+        It is built on first use and kept in the fragment's `__dict__`
+        (a frozen dataclass without slots has one), so each session of the
+        fragment, and each REPL `reset`, starts from that very state.
+        Sharing is safe because neither a fragment nor a belief state is
+        changed in place; an update returns a new state.
+        """
+        return init_belief_state(self.logic_signature, self.knowledge, step_budget=self.step_budget)
 
     @property
     def target_flat(self):
@@ -334,15 +361,6 @@ class TargetLogicGate:
             if name not in self.flat:
                 diagnostics.append(f"constant {name} is not in the target logic")
 
-    def _domains_of(self, name: str) -> list[Term]:
-        d = self.flat.lookup(name)
-        ty = d.type_ if d else None
-        out = []
-        while isinstance(ty, Pi):
-            out.append(ty.domain)
-            ty = ty.codomain
-        return out
-
     def _visit(self, sub: Term, sanctioned: bool, diagnostics: list[str]) -> None:
         key = (sub, sanctioned)
         if key in self._clean:
@@ -362,11 +380,10 @@ class TargetLogicGate:
         elif not isinstance(sub, (Var, Sort)):
             head, args = spine(sub)
             if isinstance(head, Const):
-                if head.name not in flat:
+                d = flat.lookup(head.name)
+                if d is None:
                     diagnostics.append(f"constant {head.name} is not in the target logic")
-                    domains = []
-                else:
-                    domains = self._domains_of(head.name)
+                domains = pi_spine(d and d.type_)[0]
                 for i, arg in enumerate(args):
                     ok_here = (
                         isinstance(arg, Lam)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from glf.errors import GrammarError, MissingLin, ParamBlowup
 from glf.grammar.abstract import AbstractGrammar
-from glf.grammar.concrete import ConcreteGrammar, check_against_lintype, eval_lin
+from glf.grammar.concrete import ConcreteGrammar, check_against_lintype, check_concrete_of, eval_lin
 from glf.kernel import App, Const, Term, app
 
 MAX_PRODUCTIONS = 100_000
@@ -250,11 +250,7 @@ def _symbolic_table(grammar: ConcreteGrammar, params: tuple[str, ...],
 
 def compile_cfg(abstract: AbstractGrammar, concrete: ConcreteGrammar) -> CFG:
     """Compile to a CFG, validating the concrete grammar along the way."""
-    if concrete.abstract != abstract.name:
-        raise GrammarError(
-            f"{concrete.name} is a concrete syntax of {concrete.abstract}, "
-            f"not of {abstract.name}"
-        )
+    check_concrete_of(abstract, concrete)
     start_lt = concrete.lincat(abstract.startcat)
     if start_lt.s_params:
         raise GrammarError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from glf.errors import GrammarError, LinTypeMismatch
+from glf.grammar.abstract import AbstractGrammar
 
 Value = tuple  # ("str" | "param" | "table" | "record", payload)
 
@@ -133,6 +134,15 @@ class ConcreteGrammar:
             if rule.fun == fun:
                 return rule
         return None
+
+
+def check_concrete_of(abstract: AbstractGrammar, concrete: ConcreteGrammar) -> None:
+    """Fail unless `concrete` is a concrete syntax of `abstract`."""
+    if concrete.abstract != abstract.name:
+        raise GrammarError(
+            f"{concrete.name} is a concrete syntax of {concrete.abstract}, "
+            f"not of {abstract.name}"
+        )
 
 
 # --- evaluation ---------------------------------------------------------------

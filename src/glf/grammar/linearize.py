@@ -4,17 +4,13 @@ from __future__ import annotations
 
 from glf.errors import GrammarError, MissingLin
 from glf.grammar.abstract import AbstractGrammar, ast_category
-from glf.grammar.concrete import ConcreteGrammar, check_against_lintype, eval_lin
+from glf.grammar.concrete import ConcreteGrammar, check_against_lintype, check_concrete_of, eval_lin
 from glf.kernel import Const, Term, spine
 
 
 def linearize(abstract: AbstractGrammar, concrete: ConcreteGrammar, ast: Term) -> str:
     """Linearize a tree whose category has a plain-string linearization."""
-    if concrete.abstract != abstract.name:
-        raise GrammarError(
-            f"{concrete.name} is a concrete syntax of {concrete.abstract}, "
-            f"not of {abstract.name}"
-        )
+    check_concrete_of(abstract, concrete)
     cat = ast_category(abstract, ast)
     lt = concrete.lincat(cat)
     if lt.s_params or lt.inherent:

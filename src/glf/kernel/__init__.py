@@ -18,6 +18,7 @@ from glf.kernel.terms import (
     free_vars,
     fresh_name,
     lam,
+    pi_spine,
     spine,
     substitute,
 )
@@ -28,7 +29,7 @@ from glf.kernel.typecheck import Context, ProofCheck, check_proof, check_type, i
 __all__ = [
     "App", "Const", "KIND", "Lam", "Pi", "Sort", "TYPE", "Term", "Var",
     "alpha_eq", "alpha_normal", "app", "arrow", "constants", "free_vars",
-    "fresh_name", "lam", "spine", "substitute",
+    "fresh_name", "lam", "pi_spine", "spine", "substitute",
     "Declaration", "Notation", "Signature",
     "Normalizer", "def_eq", "normalize", "whnf",
     "Context", "ProofCheck", "check_proof", "check_type", "infer_type",

@@ -214,6 +214,16 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+def pi_spine(t: Term | None) -> tuple[list[Term], Term | None]:
+    """Split `Πx1:A1. ... Πxn:An. B`, B not a `Pi`, into ([A1, ..., An], B);
+    `t` may be None, a declaration's missing type, which has no domains."""
+    domains: list[Term] = []
+    while isinstance(t, Pi):
+        domains.append(t.domain)
+        t = t.codomain
+    return domains, t
+
+
 _NO_VARS: frozenset[str] = frozenset()
 
 

@@ -70,7 +70,9 @@ APP_PREC = 1000
 ARROW_PREC = 2
 MIN_NOTATION_PREC = ARROW_PREC + 1
 
-IDENT_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_']*\?)?[A-Za-z_][A-Za-z0-9_']*")
+# A character that continues a word: a name, a keyword or a word notation token.
+_WORD_CHAR = "[A-Za-z0-9_']"
+IDENT_RE = re.compile(rf"(?:[A-Za-z_]{_WORD_CHAR}*\?)?[A-Za-z_]{_WORD_CHAR}*")
 
 KEYWORDS = frozenset({"theory", "view", "include", "end", "prec", "type"})
 STRUCTURAL = {
@@ -85,9 +87,9 @@ RESERVED_TOKENS = frozenset(STRUCTURAL) | frozenset({"//", "--"})
 _TOKEN = re.compile(rf"(?:\s+|//[^\n]*)*({IDENT_RE.pattern})?")
 _KINDS = {**STRUCTURAL, **dict.fromkeys(KEYWORDS, "KEYWORD"), "type": "TYPE"}
 # A notation's words run from its `#` to the first `;` or `end`, and may
-# close with `prec N`.
-_NOTATION_END = re.compile(r";|(?<![A-Za-z0-9_'])end(?![A-Za-z0-9_'])")
-_NOTATION_PREC = re.compile(r"\bprec\s+(-?\d+)\s*$")
+# close with `prec N`. Only a whole word is `end` or `prec`: `q'prec` is not.
+_NOTATION_END = re.compile(rf";|(?<!{_WORD_CHAR})end(?!{_WORD_CHAR})")
+_NOTATION_PREC = re.compile(rf"(?<!{_WORD_CHAR})prec\s+(-?\d+)\s*$")
 _WORD = re.compile(r"\S+")
 # Characters that, glued to others, keep a notation word from being one token.
 _STRUCTURAL_CHAR = re.compile(r"[][(){}#]")

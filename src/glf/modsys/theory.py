@@ -30,18 +30,11 @@ from glf.kernel import (
     Term,
     Var,
     alpha_eq,
+    pi_spine,
 )
 from glf.kernel.typecheck import EMPTY, Checker
 
 LF = "LF"
-
-
-def _pi_arity(t: Term | None) -> int:
-    n = 0
-    while isinstance(t, Pi):
-        n += 1
-        t = t.codomain
-    return n
 
 
 @dataclass(frozen=True)
@@ -69,10 +62,11 @@ def check_declaration(theory: str, d: Declaration, declared: Container[str]) -> 
     if d.qualified in declared:
         raise DuplicateName(f"{theory} declares {d.name} twice")
     if d.notation is not None and d.type_ is not None:
-        if d.notation.arity > _pi_arity(d.type_):
+        arity = len(pi_spine(d.type_)[0])
+        if d.notation.arity > arity:
             raise ModuleError(
                 f"{theory}?{d.name}: notation has {d.notation.arity} "
-                f"placeholders but the type takes {_pi_arity(d.type_)} arguments"
+                f"placeholders but the type takes {arity} arguments"
             )
 
 

@@ -22,11 +22,13 @@ Loading is strict: every referenced module must exist, the semantics view
 must be total, and if the directory ships language theories on disk they
 must agree (up to declaration order) with the ones derived from the
 grammar -- drift between the two is a hard error, not a warning.
+
+A loaded `Fragment` caches its logic signature and its initial belief
+state itself; `logic_signature` and `initial_state` here read them.
 """
 
 from __future__ import annotations
 
-import weakref
 from pathlib import Path
 
 from glf.bridge import Fragment, generate_language_theory
@@ -36,9 +38,7 @@ from glf.kernel import Const, Term, alpha_eq
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import TheoryGraph, parse_term, parse_theory_file
 from glf.modsys.theory import Theory, check_totality
-from glf.tableau import (
-    CONNECTIVE_ROLES, DEFAULT_STEP_BUDGET, BeliefState, LogicSignature, init_belief_state,
-)
+from glf.tableau import CONNECTIVE_ROLES, DEFAULT_STEP_BUDGET, BeliefState, LogicSignature
 
 _SIMPLE_KEYS = frozenset({
     "name", "theories", "grammars", "language_theories", "views",
@@ -309,34 +309,10 @@ def _load_knowledge(flat, directory: Path, rel: str, proposition_type: str) -> l
 
 
 def logic_signature(fragment: Fragment) -> LogicSignature:
-    """The tableau-facing face of a fragment's logic."""
-    return LogicSignature(
-        flat=fragment.graph.flatten(fragment.domain_theory),
-        connectives=dict(fragment.connectives),
-        proposition_type=fragment.proposition_type,
-        individual_type=fragment.individual_type,
-    )
-
-
-# id(fragment) -> its initial belief state, for as long as the fragment lives.
-_INITIAL_STATES: dict[int, BeliefState] = {}
+    """The tableau-facing face of a fragment's logic (`Fragment.logic_signature`)."""
+    return fragment.logic_signature
 
 
 def initial_state(fragment: Fragment) -> BeliefState:
-    """A belief state holding exactly the fragment's world knowledge.
-
-    The first call for a fragment builds the state, and every later call
-    returns that very state: each session of the fragment, and each REPL
-    `reset`, starts from it. Sharing is safe because neither a fragment
-    nor a belief state is changed in place; an update returns a new state.
-    """
-    key = id(fragment)
-    state = _INITIAL_STATES.get(key)
-    if state is None:
-        state = _INITIAL_STATES[key] = init_belief_state(
-            logic_signature(fragment),
-            fragment.knowledge,
-            step_budget=fragment.step_budget,
-        )
-        weakref.finalize(fragment, _INITIAL_STATES.pop, key)
-    return state
+    """The fragment's initial belief state, built once (`Fragment.initial_state`)."""
+    return fragment.initial_state

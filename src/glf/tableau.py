@@ -50,7 +50,7 @@ from glf.errors import (
     nesting_limit,
 )
 from glf.kernel import (
-    App, Const, Lam, Normalizer, Pi, Term, alpha_normal, app, spine, substitute,
+    App, Const, Lam, Normalizer, Pi, Term, alpha_normal, app, pi_spine, spine, substitute,
 )
 from glf.kernel.typecheck import EMPTY, Checker
 from glf.modsys import print_term
@@ -118,10 +118,7 @@ class LogicSignature:
             decl = self.flat.lookup(name)
             if decl is None and role != "neg":
                 continue
-            domains, result = [], decl.type_ if decl is not None else None
-            while isinstance(result, Pi):
-                domains.append(result.domain)
-                result = result.codomain
+            domains, result = pi_spine(decl and decl.type_)
             if role == "forall" or role == "exists":
                 expected = len(domains) == 1 and isinstance(domains[0], Pi) and domains[0].codomain == o
             else:

@@ -1847,7 +1847,7 @@ _VIEW_HEADER = re.compile(
 )
 _END = re.compile(r"(?<![A-Za-z0-9_'])end(?![A-Za-z0-9_'])")
 _INCLUDE = re.compile(r"include\s+([A-Za-z_][A-Za-z0-9_']*)$")
-_PREC = re.compile(r"\bprec\s+(-?\d+)\s*$")
+_PREC = re.compile(r"(?<![A-Za-z0-9_'])prec\s+(-?\d+)\s*$")
 
 _OPEN = {"(": ")", "[": "]", "{": "}"}
 _CLOSE = set(_OPEN.values())

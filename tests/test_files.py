@@ -92,9 +92,12 @@ class TestTheoryFiles:
     @pytest.mark.parametrize("text, tokens, prec", [
         ("theory T = o : type ; c : o # q'end ; end", ("q'end",), 0),
         ("theory T = o : type ; c : o -> o # %1 q'end prec 5 ; end", ("%1", "q'end"), 5),
+        ("theory T = o : type ; c : o # q'prec 5 ; end", ("q'prec", "5"), 0),
+        ("theory T = o : type ; c : o -> o # %1 q'prec prec 5 ; end", ("%1", "q'prec"), 5),
     ])
     def test_end_after_a_prime_is_part_of_a_notation_word(self, text, tokens, prec):
-        # A prime is a word character, so `q'end` is one word, not `q'` and `end`.
+        # A prime is a word character, so `q'end` is one word, not `q'` and `end`,
+        # and `q'prec` is not `q'` and `prec`.
         for parse in (parse_theory_file, reference_parse_theory_file):
             g = TheoryGraph()
             parse(g, text)

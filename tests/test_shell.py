@@ -1,11 +1,13 @@
 """Fragment loading, gold regression runs, the REPL, and the `glf` command."""
 
+import functools
 import io
 import shutil
+import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from glf.bridge import TargetLogicGate
 from glf.corpus import FRAGMENTS, corpus_root, fragment_dir
@@ -618,6 +620,44 @@ class TestRepl:
         assert run_repl(life, stdin=io.StringIO(""), stdout=io.StringIO()) == 0
 
 
+#: Words no shipped grammar knows; none starts with `-`, which would be an option.
+JUNK_WORDS = ("xyzzy", "(", "))", "42", "ü", "#", ";", "Mary's", "..", "%1")
+
+#: A belief chain past the 328 levels that `construct` and `analyze` reach.
+DEEP_BELIEF = ("John believes that " * 400 + "Mary runs").split()
+
+
+@functools.cache
+def terminals(name):
+    """The words of a shipped fragment's grammars, in a fixed order."""
+    fragment = load_fragment(fragment_dir(name))
+    return sorted({sym for cfg in fragment.cfgs.values()
+                   for p in cfg.productions for sym in p.rhs if isinstance(sym, str)})
+
+
+def stack_depth():
+    """The number of frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@st.composite
+def cli_sentences(draw):
+    """`parse`, `construct` or `analyze` on a shipped fragment: up to 8 of its
+    words and junk, or, for `modal`, a belief chain 300–400 levels deep."""
+    name = draw(st.sampled_from(FRAGMENTS))
+    command = draw(st.sampled_from(("parse", "construct", "analyze")))
+    if name == "modal" and draw(st.booleans()):
+        depth = draw(st.integers(300, 400))
+        words = ["John", "believes", "that"] * depth + ["Mary", "runs"]
+    else:
+        vocabulary = st.sampled_from(terminals(name) + list(JUNK_WORDS))
+        words = draw(st.lists(vocabulary, min_size=1, max_size=8))
+    return [command, str(fragment_dir(name)), *words]
+
+
 class TestCli:
     def test_python_m_glf_is_the_cli(self):
         for args in (("load", str(fragment_dir("life"))), ("parse",)):
@@ -726,6 +766,28 @@ class TestCli:
             assert run.stderr == (
                 "error: semantics/semantics.view: pers of type ind is applied to action\n"
             )
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_sentences())
+    @example(argv=["analyze", str(fragment_dir("modal")), *DEEP_BELIEF])
+    def test_sentence_commands_exit_0_or_1_without_a_traceback(self, argv, capsys):
+        capsys.readouterr()
+        # Hypothesis raises the recursion limit while a test runs. `main` gets
+        # the frames it has under `glf`: Python's default limit of 1000.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 1000)
+        try:
+            code = main(argv)
+        finally:
+            sys.setrecursionlimit(limit)
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert "Traceback" not in captured.out + captured.err
+        if code == 0:
+            assert captured.err == ""
+        else:
+            assert len(captured.err.splitlines()) == 1, captured.err[:300]
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
